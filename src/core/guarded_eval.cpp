@@ -8,6 +8,7 @@
 
 #include "bdd/netlist_bdd.hpp"
 #include "netlist/copy.hpp"
+#include "netlist/index.hpp"
 #include "sim/simulator.hpp"
 #include "stats/rng.hpp"
 
@@ -24,9 +25,9 @@ namespace {
 /// sharing one select). Fixed point: a gate is in the cone when each of its
 /// fanouts is in the cone or is a group mux reading it only on that port.
 std::vector<GateId> exclusive_cone(const Netlist& nl,
+                                   const netlist::NetlistIndex& ix,
                                    const std::vector<GateId>& mux_group,
                                    int side) {
-  auto fo = nl.fanouts();
   std::unordered_set<GateId> group(mux_group.begin(), mux_group.end());
   auto reads_only_on_port = [&](GateId mux, GateId g) {
     const auto& f = nl.gate(mux).fanins;  // {sel, d0, d1}
@@ -43,8 +44,8 @@ std::vector<GateId> exclusive_cone(const Netlist& nl,
   auto eligible = [&](GateId g) {
     if (!netlist::is_logic(nl.gate(g).kind)) return false;
     if (primary_outputs.count(g)) return false;  // always observable
-    if (fo[g].empty()) return true;  // dangling: trivially unobservable
-    for (GateId s : fo[g]) {
+    if (ix.fanouts(g).empty()) return true;  // dangling: unobservable
+    for (GateId s : ix.fanouts(g)) {
       if (cone.count(s)) continue;
       if (group.count(s) && reads_only_on_port(s, g)) continue;
       return false;
@@ -67,18 +68,6 @@ std::vector<GateId> exclusive_cone(const Netlist& nl,
   return out;
 }
 
-std::vector<int> gate_levels(const Netlist& nl) {
-  std::vector<int> lvl(nl.gate_count(), 0);
-  for (GateId id : nl.topo_order()) {
-    const auto& g = nl.gate(id);
-    if (!netlist::is_logic(g.kind)) continue;
-    int m = 0;
-    for (GateId f : g.fanins) m = std::max(m, lvl[f]);
-    lvl[id] = m + 1;
-  }
-  return lvl;
-}
-
 /// A structurally enumerated guard opportunity, before ODC verification:
 /// the full mux bank sharing one select, the blocked side, and its cone.
 struct RawGuard {
@@ -88,7 +77,8 @@ struct RawGuard {
   std::vector<GateId> cone;
 };
 
-std::vector<RawGuard> enumerate_guard_cones(const Netlist& nl) {
+std::vector<RawGuard> enumerate_guard_cones(const Netlist& nl,
+                                            const netlist::NetlistIndex& ix) {
   // Group muxes by select signal: a word-level mux bank is one opportunity.
   std::map<GateId, std::vector<GateId>> groups;
   for (GateId m = 0; m < nl.gate_count(); ++m)
@@ -98,7 +88,7 @@ std::vector<RawGuard> enumerate_guard_cones(const Netlist& nl) {
   std::vector<RawGuard> raw;
   for (const auto& [sel, muxes] : groups)
     for (int side = 0; side < 2; ++side) {
-      auto cone = exclusive_cone(nl, muxes, side);
+      auto cone = exclusive_cone(nl, ix, muxes, side);
       if (cone.size() < 2) continue;  // not worth latching
       raw.push_back({sel, muxes, side, std::move(cone)});
     }
@@ -196,11 +186,11 @@ std::vector<GuardCandidate> find_guards_impl(const netlist::Module& mod,
   bdd::Manager mgr;
   mgr.set_meter(meter);
   auto bdds = bdd::build_bdds(mgr, nl);
-  auto levels = gate_levels(nl);
+  const netlist::NetlistIndex ix = netlist::build_acyclic_index(nl);
   std::vector<GuardCandidate> out;
-  for (const RawGuard& rg : enumerate_guard_cones(nl)) {
+  for (const RawGuard& rg : enumerate_guard_cones(nl, ix)) {
     if (!verify_odc_bdd(mgr, bdds, nl, rg)) continue;
-    GuardCandidate c = make_candidate(nl, rg, levels);
+    GuardCandidate c = make_candidate(nl, rg, ix.level);
     c.odc_verified = true;
     out.push_back(std::move(c));
   }
@@ -230,15 +220,15 @@ exec::Outcome<std::vector<GuardCandidate>> find_guards_budgeted(
   }
 
   const Netlist& nl = mod.netlist;
-  auto levels = gate_levels(nl);
+  const netlist::NetlistIndex ix = netlist::build_acyclic_index(nl);
   sim::Simulator s(nl);
   stats::Rng rng(seed);
   constexpr int kVectors = 256;
   std::vector<GuardCandidate> found;
-  for (const RawGuard& rg : enumerate_guard_cones(nl)) {
+  for (const RawGuard& rg : enumerate_guard_cones(nl, ix)) {
     if (!verify_odc_sampled(s, nl, rg, mod.total_input_bits(), rng, kVectors))
       continue;
-    GuardCandidate c = make_candidate(nl, rg, levels);
+    GuardCandidate c = make_candidate(nl, rg, ix.level);
     c.odc_verified = true;
     found.push_back(std::move(c));
   }

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "lint/lint.hpp"
+#include "netlist/index.hpp"
 #include "sim/block_simulator.hpp"
 #include "sim/simulator.hpp"
 #include "stats/descriptive.hpp"
@@ -319,7 +320,8 @@ double DualBitIoModel::predict_cycle(const ModuleCharacterization& c,
 void AnalyticBitwiseModel::build(const netlist::Module& mod,
                                  const netlist::CapacitanceModel& cap) {
   const auto& nl = mod.netlist;
-  auto loads = nl.loads(cap);
+  const netlist::NetlistIndex ix = netlist::build_acyclic_index(nl, cap);
+  const std::vector<double>& loads = ix.load;
   auto prop = [](netlist::GateKind k) {
     switch (k) {
       case netlist::GateKind::Xor:
@@ -336,7 +338,7 @@ void AnalyticBitwiseModel::build(const netlist::Module& mod,
     std::vector<double> sens(nl.gate_count(), 0.0);
     sens[nl.inputs()[i]] = 1.0;
     double c = loads[nl.inputs()[i]];
-    for (netlist::GateId id : nl.topo_order()) {
+    for (netlist::GateId id : ix.topo) {
       const auto& g = nl.gate(id);
       if (!netlist::is_logic(g.kind)) continue;
       double p = 0.0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "netlist/copy.hpp"
+#include "netlist/index.hpp"
 #include "sim/simulator.hpp"
 
 namespace hlp::core {
@@ -10,30 +11,14 @@ namespace hlp::core {
 using netlist::GateId;
 using netlist::Netlist;
 
-namespace {
-
-std::vector<int> gate_levels(const Netlist& nl) {
-  std::vector<int> lvl(nl.gate_count(), 0);
-  for (GateId id : nl.topo_order()) {
-    const auto& g = nl.gate(id);
-    if (!netlist::is_logic(g.kind)) continue;
-    int m = 0;
-    for (GateId f : g.fanins) m = std::max(m, lvl[f]);
-    lvl[id] = m + 1;
-  }
-  return lvl;
-}
-
-}  // namespace
-
 RetimedCircuit place_registers_at_cut(const netlist::Module& mod,
                                       int cut_level) {
   RetimedCircuit rc;
   rc.cut_level = cut_level;
   Netlist& nl = rc.netlist;
   const Netlist& src = mod.netlist;
-  auto levels = gate_levels(src);
-  auto fo = src.fanouts();
+  const netlist::NetlistIndex ix = netlist::build_acyclic_index(src);
+  const std::vector<int>& levels = ix.level;
 
   std::vector<GateId> new_inputs;
   for (std::size_t i = 0; i < src.inputs().size(); ++i)
@@ -44,7 +29,7 @@ RetimedCircuit place_registers_at_cut(const netlist::Module& mod,
   for (GateId u = 0; u < src.gate_count(); ++u) {
     if (levels[u] > cut_level) continue;
     bool feeds_above = false;
-    for (GateId v : fo[u])
+    for (GateId v : ix.fanouts(u))
       if (levels[v] > cut_level) feeds_above = true;
     bool is_output_here =
         std::find(src.outputs().begin(), src.outputs().end(), u) !=
@@ -52,7 +37,7 @@ RetimedCircuit place_registers_at_cut(const netlist::Module& mod,
     if (!feeds_above && !is_output_here) continue;
     GateId q = nl.add_dff(xlat[u], false);
     ++rc.registers;
-    for (GateId v : fo[u]) {
+    for (GateId v : ix.fanouts(u)) {
       if (levels[v] <= cut_level) continue;
       for (GateId& fi : nl.gate_mut(xlat[v]).fanins)
         if (fi == xlat[u]) fi = q;
@@ -100,10 +85,11 @@ int select_cut_monteiro(const netlist::Module& mod,
                         const sim::PowerParams& params) {
   const Netlist& src = mod.netlist;
   auto gl = sim::simulate_glitches(src, input);
-  auto levels = gate_levels(src);
-  auto fo = src.fanouts();
-  auto loads = src.loads(params.cap);
-  int depth = src.depth();
+  const netlist::NetlistIndex ix =
+      netlist::build_acyclic_index(src, params.cap);
+  const std::vector<int>& levels = ix.level;
+  const std::vector<double>& loads = ix.load;
+  const int depth = ix.depth;
 
   double best_score = -1e300;
   int best_level = 0;
@@ -113,7 +99,7 @@ int select_cut_monteiro(const netlist::Module& mod,
     for (GateId u = 0; u < src.gate_count(); ++u) {
       if (levels[u] > L) continue;
       bool feeds_above = false;
-      for (GateId v : fo[u])
+      for (GateId v : ix.fanouts(u))
         if (levels[v] > L) feeds_above = true;
       if (!feeds_above) continue;
       ++regs;

@@ -11,10 +11,16 @@
 #include <cstring>
 
 #include "stats/descriptive.hpp"
+#include "util/fileio.hpp"
 #include "util/hash.hpp"
 #include "util/json.hpp"
 
 namespace hlp::model {
+
+using util::fsync_parent_dir;
+using util::get_u32le;
+using util::put_u32le;
+using util::write_all_fd;
 
 namespace {
 
@@ -24,20 +30,6 @@ constexpr std::size_t kFrameCrcBytes = 4;
 /// Sanity cap per record: a serialized model is a few KiB; anything larger
 /// is corruption, not data.
 constexpr std::uint32_t kMaxRecordBytes = 1u << 20;
-
-void put_u32le(std::string& out, std::uint32_t v) {
-  out.push_back(static_cast<char>(v & 0xff));
-  out.push_back(static_cast<char>((v >> 8) & 0xff));
-  out.push_back(static_cast<char>((v >> 16) & 0xff));
-  out.push_back(static_cast<char>((v >> 24) & 0xff));
-}
-
-std::uint32_t get_u32le(const unsigned char* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
 
 /// Space-separated shortest-round-trip doubles — the flat-JSON grammar has
 /// no arrays, so vectors ride inside string fields.
@@ -89,31 +81,6 @@ bool parse_indices(std::string_view s, std::vector<std::size_t>& out) {
     pos = end + 1;
   }
   return true;
-}
-
-bool write_all_fd(int fd, const char* p, std::size_t n) {
-  while (n > 0) {
-    const ssize_t w = ::write(fd, p, n);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    p += w;
-    n -= static_cast<std::size_t>(w);
-  }
-  return true;
-}
-
-void fsync_parent_dir(const std::string& path) {
-  const std::size_t slash = path.rfind('/');
-  const std::string dir =
-      slash == std::string::npos ? "." : path.substr(0, slash);
-  const int dfd = ::open(dir.empty() ? "/" : dir.c_str(),
-                         O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (dfd >= 0) {
-    ::fsync(dfd);
-    ::close(dfd);
-  }
 }
 
 }  // namespace

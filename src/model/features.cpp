@@ -43,7 +43,7 @@ FeatureVector extract_features(const std::string& design, double input_p) {
   f.v[1] = static_cast<double>(mod.total_input_bits());
   f.v[2] = static_cast<double>(mod.total_output_bits());
   f.v[3] = mod.netlist.total_capacitance({});
-  f.v[4] = static_cast<double>(mod.netlist.depth());
+  f.v[4] = static_cast<double>(ix.depth);
   f.v[5] = est.point;
   f.v[6] = est.lower;
   f.v[7] = est.upper;

@@ -1,6 +1,7 @@
 #include "netlist/index.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace hlp::netlist {
 
@@ -65,6 +66,7 @@ NetlistIndex build_index(const Netlist& nl, const CapacitanceModel& cap) {
     for (GateId s : ix.comb_fanouts(id)) {
       int lvl = ix.level[id] + 1;
       if (lvl > ix.level[s]) ix.level[s] = lvl;
+      if (lvl > ix.depth) ix.depth = lvl;
       if (--pending[s] == 0) ix.topo.push_back(s);
     }
   }
@@ -72,8 +74,7 @@ NetlistIndex build_index(const Netlist& nl, const CapacitanceModel& cap) {
     ix.topo_rank[ix.topo[r]] = static_cast<std::uint32_t>(r);
   ix.acyclic = ix.topo.size() == n;
 
-  // Loads, reusing the fanout counts already in hand (Netlist::loads()
-  // recounts them).
+  // Loads, reusing the fanout counts already in hand.
   ix.load.assign(n, 0.0);
   for (GateId id = 0; id < n; ++id) {
     const Gate& g = nl.gate(id);
@@ -89,6 +90,14 @@ NetlistIndex build_index(const Netlist& nl, const CapacitanceModel& cap) {
                    nl.gate(id).extra_cap;
     ix.total_load += ix.load[id];
   }
+  return ix;
+}
+
+NetlistIndex build_acyclic_index(const Netlist& nl,
+                                 const CapacitanceModel& cap) {
+  NetlistIndex ix = build_index(nl, cap);
+  if (!ix.acyclic)
+    throw std::logic_error("Netlist: combinational cycle detected");
   return ix;
 }
 

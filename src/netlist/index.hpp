@@ -8,21 +8,22 @@
 
 namespace hlp::netlist {
 
-/// Precomputed structural views of one netlist, shared by every pass that
-/// would otherwise rebuild them: the lint rules (src/lint/netlist_rules.cpp
-/// used to walk fanouts three separate times per run) and the static
-/// analyses (src/analysis). All arrays are indexed by GateId; fanout
-/// adjacency is CSR (offset + edge arrays) instead of vector-of-vectors, so
-/// building the index is two linear passes and zero per-gate allocations.
+/// Precomputed structural views of one netlist: the one place where
+/// topological order, logic levels, fanouts and loads are computed.
+/// Netlist::topo_order()/loads()/depth(), the simulators, the lint rules and
+/// the static analyses all read these views. All arrays are indexed by
+/// GateId; fanout adjacency is CSR (offset + edge arrays) instead of
+/// vector-of-vectors, so building the index is a few linear passes and zero
+/// per-gate allocations.
 ///
 /// The index is a snapshot: it does not observe later structural edits to
 /// the netlist. Rebuild after mutation.
 struct NetlistIndex {
   /// Kahn topological order over combinational edges (sources — inputs,
-  /// constants, DFF outputs — first). On a cyclic netlist this holds only
-  /// the gates reachable without entering a cycle and `acyclic` is false;
-  /// unlike Netlist::topo_order() it never throws, so diagnostics passes
-  /// can keep running on malformed input.
+  /// constants, DFF outputs — first, in id order, then by dependency
+  /// wave). On a cyclic netlist this holds only the gates reachable without
+  /// entering a cycle and `acyclic` is false; build_index never throws, so
+  /// diagnostics passes can keep running on malformed input.
   std::vector<GateId> topo;
   /// topo_rank[g] = position of g in `topo` (kNoRank for gates a cycle
   /// excluded from the order).
@@ -46,6 +47,8 @@ struct NetlistIndex {
   /// Logic level (max #logic gates on any source-to-g path); 0 for
   /// sources. Valid only when `acyclic`.
   std::vector<int> level;
+  /// Logic depth: the largest `level`. Valid only when `acyclic`.
+  int depth = 0;
 
   /// Capacitive load per gate output under the model the index was built
   /// with, plus their sum (excludes the clock network).
@@ -68,5 +71,10 @@ struct NetlistIndex {
 /// fanin references are in range (callers that admit dangling references —
 /// the linter — must check NL-REF first).
 NetlistIndex build_index(const Netlist& nl, const CapacitanceModel& cap = {});
+
+/// build_index for passes that need the complete order (simulators,
+/// estimators): throws std::logic_error on a combinational cycle.
+NetlistIndex build_acyclic_index(const Netlist& nl,
+                                 const CapacitanceModel& cap = {});
 
 }  // namespace hlp::netlist

@@ -1,9 +1,9 @@
 #include "netlist/netlist.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
+#include "netlist/index.hpp"
 #include "util/hash.hpp"
 
 namespace hlp::netlist {
@@ -88,7 +88,6 @@ GateId Netlist::add_input(std::string_view name) {
   GateId id = static_cast<GateId>(gates_.size());
   gates_.push_back({GateKind::Input, {}, std::string(name), 0.0});
   inputs_.push_back(id);
-  invalidate_cache();
   return id;
 }
 
@@ -96,7 +95,6 @@ GateId Netlist::add_const(bool value) {
   GateId id = static_cast<GateId>(gates_.size());
   gates_.push_back(
       {value ? GateKind::Const1 : GateKind::Const0, {}, {}, 0.0});
-  invalidate_cache();
   return id;
 }
 
@@ -109,7 +107,6 @@ GateId Netlist::add_gate(GateKind kind, std::span<const GateId> fanins,
   g.fanins.assign(fanins.begin(), fanins.end());
   g.name = std::string(name);
   gates_.push_back(std::move(g));
-  invalidate_cache();
   return id;
 }
 
@@ -139,14 +136,12 @@ GateId Netlist::add_dff(GateId d, bool init, std::string_view name) {
   gates_.push_back(std::move(g));
   dffs_.push_back(id);
   dff_inits_.push_back(init);
-  invalidate_cache();
   return id;
 }
 
 void Netlist::set_dff_input(GateId dff, GateId d) {
   assert(gates_[dff].kind == GateKind::Dff);
   gates_[dff].fanins.assign(1, d);
-  invalidate_cache();
 }
 
 bool Netlist::dff_init(GateId dff) const {
@@ -167,90 +162,20 @@ std::size_t Netlist::logic_gate_count() const {
   return n;
 }
 
-const std::vector<GateId>& Netlist::topo_order() const {
-  if (topo_valid_) return topo_cache_;
-  topo_cache_.clear();
-  topo_cache_.reserve(gates_.size());
-  // Kahn's algorithm over combinational edges only: DFFs are sources (their
-  // output is the state) and their D fanin is not a combinational dependency
-  // of the DFF node itself.
-  std::vector<std::uint32_t> pending(gates_.size(), 0);
-  for (GateId id = 0; id < gates_.size(); ++id) {
-    const Gate& g = gates_[id];
-    if (is_logic(g.kind)) pending[id] = static_cast<std::uint32_t>(g.fanins.size());
-  }
-  std::vector<std::vector<GateId>> fo(gates_.size());
-  for (GateId id = 0; id < gates_.size(); ++id) {
-    if (!is_logic(gates_[id].kind)) continue;
-    for (GateId f : gates_[id].fanins) fo[f].push_back(id);
-  }
-  std::vector<GateId> ready;
-  for (GateId id = 0; id < gates_.size(); ++id)
-    if (!is_logic(gates_[id].kind)) ready.push_back(id);
-  while (!ready.empty()) {
-    GateId id = ready.back();
-    ready.pop_back();
-    topo_cache_.push_back(id);
-    for (GateId s : fo[id])
-      if (--pending[s] == 0) ready.push_back(s);
-  }
-  if (topo_cache_.size() != gates_.size())
-    throw std::logic_error("Netlist: combinational cycle detected");
-  topo_valid_ = true;
-  return topo_cache_;
-}
-
-std::vector<std::uint32_t> Netlist::fanout_counts() const {
-  std::vector<std::uint32_t> n(gates_.size(), 0);
-  for (const Gate& g : gates_)
-    for (GateId f : g.fanins) ++n[f];
-  return n;
-}
-
-std::vector<std::vector<GateId>> Netlist::fanouts() const {
-  std::vector<std::vector<GateId>> fo(gates_.size());
-  for (GateId id = 0; id < gates_.size(); ++id)
-    for (GateId f : gates_[id].fanins) fo[f].push_back(id);
-  return fo;
+std::vector<GateId> Netlist::topo_order() const {
+  return build_acyclic_index(*this).topo;
 }
 
 std::vector<double> Netlist::loads(const CapacitanceModel& cap) const {
-  std::vector<double> load(gates_.size(), 0.0);
-  auto nfo = fanout_counts();
-  for (GateId id = 0; id < gates_.size(); ++id) {
-    const Gate& g = gates_[id];
-    double pin = (g.kind == GateKind::Dff) ? cap.dff_pin_cap
-                                           : cap.input_pin_cap;
-    for (GateId f : g.fanins) load[f] += pin;
-  }
-  for (GateId id = 0; id < gates_.size(); ++id) {
-    load[id] += cap.output_self_cap +
-                cap.wire_cap_per_fanout * static_cast<double>(nfo[id]) +
-                gates_[id].extra_cap;
-  }
-  return load;
+  return build_index(*this, cap).load;
 }
 
 double Netlist::total_capacitance(const CapacitanceModel& cap) const {
-  double total = 0.0;
-  for (double l : loads(cap)) total += l;
-  total += cap.dff_clock_cap * static_cast<double>(dffs_.size());
-  return total;
+  return build_index(*this, cap).total_load +
+         cap.dff_clock_cap * static_cast<double>(dffs_.size());
 }
 
-int Netlist::depth() const {
-  std::vector<int> d(gates_.size(), 0);
-  int best = 0;
-  for (GateId id : topo_order()) {
-    const Gate& g = gates_[id];
-    if (!is_logic(g.kind)) continue;
-    int m = 0;
-    for (GateId f : g.fanins) m = std::max(m, d[f]);
-    d[id] = m + 1;
-    best = std::max(best, d[id]);
-  }
-  return best;
-}
+int Netlist::depth() const { return build_acyclic_index(*this).depth; }
 
 std::uint64_t structural_hash(const Netlist& nl) {
   util::Fnv1a64 h;

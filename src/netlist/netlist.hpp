@@ -80,21 +80,17 @@ class Netlist {
 
   std::size_t gate_count() const { return gates_.size(); }
   const Gate& gate(GateId g) const { return gates_[g]; }
-  /// Mutable access invalidates the topo cache. Deliberately named (rather
-  /// than a non-const `gate()` overload) so that reads on a non-const
-  /// Netlist do not silently discard the cache; use `set_fanin` /
-  /// `add_extra_cap` for the common structured edits.
-  Gate& gate_mut(GateId g) {
-    invalidate_cache();
-    return gates_[g];
-  }
-  /// Rewire one fanin slot. Invalidates the topo cache.
+  /// Mutable access to one gate. Deliberately named (rather than a
+  /// non-const `gate()` overload) so that every edit is visible at its call
+  /// site; use `set_fanin` / `add_extra_cap` for the common structured
+  /// edits. Views built from the netlist (NetlistIndex, simulators) are
+  /// snapshots: build them after the edits.
+  Gate& gate_mut(GateId g) { return gates_[g]; }
+  /// Rewire one fanin slot.
   void set_fanin(GateId g, std::size_t slot, GateId src) {
-    invalidate_cache();
     gates_[g].fanins[slot] = src;
   }
-  /// Add wire/pin load to a gate. Loads do not affect topology, so the
-  /// topo cache stays valid.
+  /// Add wire/pin load to a gate.
   void add_extra_cap(GateId g, double cap) { gates_[g].extra_cap += cap; }
 
   std::span<const GateId> inputs() const { return inputs_; }
@@ -105,36 +101,30 @@ class Netlist {
   std::size_t logic_gate_count() const;
 
   /// Topological order of combinational gates (inputs/consts/DFF outputs
-  /// first, then logic gates in dependency order). Cached; invalidated by
-  /// structural edits.
-  const std::vector<GateId>& topo_order() const;
+  /// first, then logic gates in dependency order): NetlistIndex::topo.
+  /// Throws std::logic_error on a combinational cycle. Computed on every
+  /// call — a const Netlist carries no hidden state, so concurrent readers
+  /// need no lock; hoist the call out of loops.
+  std::vector<GateId> topo_order() const;
 
-  /// fanout_count()[g] = number of fanin references to g.
-  std::vector<std::uint32_t> fanout_counts() const;
-
-  /// Fanout adjacency: for each gate, the list of gates that read it.
-  std::vector<std::vector<GateId>> fanouts() const;
-
-  /// Capacitive load seen by each gate's output under the given model.
+  /// Capacitive load seen by each gate's output under the given model
+  /// (NetlistIndex::load).
   std::vector<double> loads(const CapacitanceModel& cap = {}) const;
 
   /// Total capacitance of the netlist (sum of all loads + clock network).
   double total_capacitance(const CapacitanceModel& cap = {}) const;
 
-  /// Logic depth (max #logic gates on any input/DFF-to-output/DFF path).
+  /// Logic depth (max #logic gates on any input/DFF-to-output/DFF path;
+  /// NetlistIndex::depth). Throws std::logic_error on a combinational cycle.
   int depth() const;
 
  private:
-  void invalidate_cache() { topo_valid_ = false; }
-
   std::vector<Gate> gates_;
   std::vector<GateId> inputs_;
   std::vector<GateId> outputs_;
   std::vector<std::string> output_names_;
   std::vector<GateId> dffs_;
   std::vector<bool> dff_inits_;
-  mutable std::vector<GateId> topo_cache_;
-  mutable bool topo_valid_ = false;
 };
 
 /// Canonical structural fingerprint: FNV-1a (splitmix-finalized) over gate

@@ -496,9 +496,10 @@ class Parser {
       pending.emplace_back(name, &it->second);
     }
 
-    // Create combinational gates in dependency order (Kahn-style sweeps);
-    // a sweep that makes no progress means the file has a true
-    // combinational cycle through assigns.
+    // Create combinational gates in dependency order by repeated sweeps
+    // over the parsed drivers (this orders source declarations; gates do
+    // not exist yet); a sweep that makes no progress means the file has a
+    // true combinational cycle through assigns.
     while (!pending.empty()) {
       std::size_t kept = 0;
       for (auto& [name, d] : pending) {

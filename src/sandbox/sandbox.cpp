@@ -13,6 +13,7 @@
 #include <stdexcept>
 
 #include "exec/fi.hpp"
+#include "util/fileio.hpp"
 #include "util/json.hpp"
 
 namespace hlp::sandbox {
@@ -20,21 +21,6 @@ namespace hlp::sandbox {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-/// Write all of `data` to `fd`, retrying on EINTR. Returns false on any
-/// other error (the parent died or closed its end — nothing to salvage).
-bool write_all(int fd, const char* data, std::size_t n) {
-  while (n > 0) {
-    const ssize_t w = ::write(fd, data, n);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    data += w;
-    n -= static_cast<std::size_t>(w);
-  }
-  return true;
-}
 
 /// Which chaos fault (if any) the child must perform. Decided in the
 /// *parent*, before fork: the fi serve-fault slots are process-global
@@ -127,7 +113,8 @@ Inject claim_injected_fault() {
                  static_cast<char>((len >> 8) & 0xff),
                  static_cast<char>((len >> 16) & 0xff),
                  static_cast<char>((len >> 24) & 0xff)};
-  if (!write_all(wfd, hdr, 4) || !write_all(wfd, payload.data(), len))
+  if (!util::write_all_fd(wfd, hdr, 4) ||
+      !util::write_all_fd(wfd, payload.data(), len))
     _exit(95);
   _exit(0);  // never exit(): no atexit, no stream flush, no leak check
 }
@@ -143,7 +130,8 @@ ReadEnd read_frame(int rfd, Clock::time_point deadline, bool has_deadline,
   bool have_len = false;
   std::uint32_t want = 0;
   for (;;) {
-    if (cancel && cancel->cancel_requested()) return ReadEnd::Cancel;
+    // The wall deadline is checked first: a child still running past it
+    // is a wall timeout even when a cancel arrived while this thread slept.
     int timeout_ms = 20;  // cancel-poll granularity
     if (has_deadline) {
       const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -153,6 +141,7 @@ ReadEnd read_frame(int rfd, Clock::time_point deadline, bool has_deadline,
           std::min<std::chrono::milliseconds::rep>(left.count(), 20));
       if (timeout_ms < 1) timeout_ms = 1;
     }
+    if (cancel && cancel->cancel_requested()) return ReadEnd::Cancel;
     pollfd pfd{rfd, POLLIN, 0};
     const int pr = ::poll(&pfd, 1, timeout_ms);
     if (pr < 0) {
@@ -169,13 +158,8 @@ ReadEnd read_frame(int rfd, Clock::time_point deadline, bool has_deadline,
     if (n == 0) return ReadEnd::Eof;  // child died before completing a frame
     buf.append(chunk, static_cast<std::size_t>(n));
     if (!have_len && buf.size() >= 4) {
-      want = static_cast<std::uint32_t>(static_cast<unsigned char>(buf[0])) |
-             static_cast<std::uint32_t>(static_cast<unsigned char>(buf[1]))
-                 << 8 |
-             static_cast<std::uint32_t>(static_cast<unsigned char>(buf[2]))
-                 << 16 |
-             static_cast<std::uint32_t>(static_cast<unsigned char>(buf[3]))
-                 << 24;
+      want = util::get_u32le(
+          reinterpret_cast<const unsigned char*>(buf.data()));
       if (want > kMaxFrameBytes) return ReadEnd::Garbled;
       have_len = true;
     }
@@ -366,6 +350,11 @@ RunResult run_isolated(const jobs::KernelRequest& rq,
                        const exec::CancelToken* cancel) {
   RunResult result;
   const Inject inject = claim_injected_fault();
+  const bool has_deadline = limits.wall_deadline_seconds > 0.0;
+  const auto deadline =
+      Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                         std::chrono::duration<double>(
+                             has_deadline ? limits.wall_deadline_seconds : 0));
 
   int pipefd[2];
   if (::pipe(pipefd) != 0) {
@@ -388,12 +377,6 @@ RunResult run_isolated(const jobs::KernelRequest& rq,
     child_main(pipefd[1], rq, budget, limits, kernel, inject);
   }
   ::close(pipefd[1]);
-
-  const bool has_deadline = limits.wall_deadline_seconds > 0.0;
-  const auto deadline =
-      Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double>(
-                             has_deadline ? limits.wall_deadline_seconds : 0));
 
   std::string payload;
   const ReadEnd end =

@@ -12,9 +12,15 @@
 #include <vector>
 
 #include "exec/fi.hpp"
+#include "util/fileio.hpp"
 #include "util/hash.hpp"
 
 namespace hlp::serve {
+
+using util::fsync_parent_dir;
+using util::get_u32le;
+using util::put_u32le;
+using util::write_all_fd;
 
 namespace {
 
@@ -24,20 +30,6 @@ constexpr std::size_t kFrameCrcBytes = 4;
 /// Sanity cap per field: keys and values both derive from wire lines, which
 /// are capped at 64 KiB, so anything larger is corruption, not data.
 constexpr std::uint32_t kMaxFieldBytes = 1u << 20;
-
-void put_u32le(std::string& out, std::uint32_t v) {
-  out.push_back(static_cast<char>(v & 0xff));
-  out.push_back(static_cast<char>((v >> 8) & 0xff));
-  out.push_back(static_cast<char>((v >> 16) & 0xff));
-  out.push_back(static_cast<char>((v >> 24) & 0xff));
-}
-
-std::uint32_t get_u32le(const unsigned char* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
 
 /// One record's frame: lengths + payloads + CRC over all of the former.
 void frame_record(std::string& out, std::string_view key,
@@ -50,32 +42,6 @@ void frame_record(std::string& out, std::string_view key,
   const std::uint32_t crc =
       util::crc32(out.data() + frame_start, out.size() - frame_start);
   put_u32le(out, crc);
-}
-
-bool write_all_fd(int fd, const char* p, std::size_t n) {
-  while (n > 0) {
-    const ssize_t w = ::write(fd, p, n);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    p += w;
-    n -= static_cast<std::size_t>(w);
-  }
-  return true;
-}
-
-/// Best-effort fsync of the directory holding `path`, so a rename made for
-/// compaction survives a crash of the metadata journal too.
-void fsync_parent_dir(const std::string& path) {
-  const std::size_t slash = path.rfind('/');
-  const std::string dir = slash == std::string::npos ? "." : path.substr(0, slash);
-  const int dfd = ::open(dir.empty() ? "/" : dir.c_str(),
-                         O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (dfd >= 0) {
-    ::fsync(dfd);
-    ::close(dfd);
-  }
 }
 
 }  // namespace

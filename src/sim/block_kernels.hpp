@@ -7,10 +7,9 @@
 
 namespace hlp::sim::detail {
 
-/// Flattened topo-ordered gate op shared by every block kernel. Identical
-/// layout to PackedSimulator::Op, but hoisted so the kernel translation
-/// units (compiled with different -m flags) can see it without pulling in
-/// the simulator class.
+/// Flattened topo-ordered gate op shared by every block kernel, declared
+/// apart from BlockSimulator so the kernel translation units (compiled with
+/// different -m flags) can see it without pulling in the simulator class.
 struct BlockOp {
   netlist::GateKind kind;
   netlist::GateId gate;

@@ -10,21 +10,22 @@
 
 namespace hlp::sim {
 
-/// N×64-lane bit-parallel zero-delay simulator: the block-wide generation of
-/// `PackedSimulator`. Each gate holds a contiguous block of W `uint64_t`
-/// lane words (lane count L = 64·W); bit k of word w is the gate's value
-/// under pattern w·64+k. Gate-major storage keeps one gate's block
-/// contiguous, so the eval kernels stream it through SIMD registers: the
-/// kernel is chosen once at construction from `active_dispatch()` — AVX-512
-/// when W is a multiple of 8, AVX2 when a multiple of 4, else a portable
-/// uint64_t loop. Every kernel computes identical bits; dispatch level and
-/// width never change results, only throughput.
+/// N×64-lane bit-parallel zero-delay simulator (the packed `SimEngine`
+/// backend; W=1 is the single-word 64-lane form). Each gate holds a
+/// contiguous block of W `uint64_t` lane words (lane count L = 64·W); bit k
+/// of word w is the gate's value under pattern w·64+k. Gate-major storage
+/// keeps one gate's block contiguous, so the eval kernels stream it through
+/// SIMD registers: the kernel is chosen once at construction from
+/// `active_dispatch()` — AVX-512 when W is a multiple of 8, AVX2 when a
+/// multiple of 4, else a portable uint64_t loop. Every kernel computes
+/// identical bits; dispatch level and width never change results, only
+/// throughput.
 ///
-/// Lane semantics are the caller's choice exactly as with PackedSimulator:
-/// temporal packing (combinational only, lane k = cycle base+k) or replica
-/// packing (sequential, lane k = an independent stream). Cycle-word I/O
-/// transposes one 64-cycle sub-word at a time, so stream conventions are
-/// unchanged — a W-word block just carries W consecutive 64-cycle groups.
+/// Lane semantics are the caller's choice: temporal packing (combinational
+/// only, lane k = cycle base+k) or replica packing (sequential, lane k = an
+/// independent stream). Cycle-word I/O transposes one 64-cycle sub-word at
+/// a time, so stream conventions are unchanged — a W-word block just
+/// carries W consecutive 64-cycle groups.
 class BlockSimulator {
  public:
   /// `words` in [1, 64]; <= 0 picks `default_block_words()`.

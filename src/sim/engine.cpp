@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 
 namespace hlp::sim {
 
@@ -66,6 +67,44 @@ int default_block_words() {
 int resolve_block_words(int requested) {
   if (requested <= 0) return default_block_words();
   return requested > 64 ? 64 : requested;
+}
+
+EngineKind resolve_engine(const netlist::Netlist& nl, EngineKind requested) {
+  const bool packable = nl.dffs().empty() && nl.inputs().size() <= 64 &&
+                        nl.outputs().size() <= 64;
+  if (requested == EngineKind::Auto)
+    return packable ? EngineKind::Packed : EngineKind::Scalar;
+  if (requested == EngineKind::Packed && !packable)
+    throw std::logic_error(
+        "resolve_engine: packed temporal lanes require a combinational "
+        "netlist with <= 64 inputs/outputs (sequential state recurrence "
+        "serializes consecutive cycles); use the scalar engine or packed "
+        "replica lanes via BlockSimulator directly");
+  return requested;
+}
+
+const char* engine_name(EngineKind k) {
+  switch (k) {
+    case EngineKind::Auto: return "auto";
+    case EngineKind::Scalar: return "scalar";
+    case EngineKind::Packed: return "packed";
+  }
+  return "?";
+}
+
+void transpose64(std::uint64_t m[64]) {
+  // Block-swap transpose: exchange the off-diagonal quadrants of
+  // progressively smaller 2j x 2j blocks. Convention: element (row r,
+  // column c) lives at bit c of m[r], so the swap pairs bit c+j of row r
+  // with bit c of row r+j.
+  std::uint64_t mask = 0x00000000FFFFFFFFull;
+  for (int j = 32; j != 0; j >>= 1, mask ^= mask << j) {
+    for (int k = 0; k < 64; k = ((k | j) + 1) & ~j) {
+      std::uint64_t t = ((m[k] >> j) ^ m[k | j]) & mask;
+      m[k] ^= t << j;
+      m[k | j] ^= t;
+    }
+  }
 }
 
 }  // namespace hlp::sim

@@ -20,8 +20,7 @@ namespace hlp::sim {
 ///    parallelism, widened to SIMD registers). Logic gates vectorize into
 ///    bitwise ops — AVX-512/AVX2 where the CPU has them, a portable
 ///    `uint64_t` loop otherwise — and toggle counting into popcounts.
-///    `PackedSimulator` is the historical single-word (64-lane) form,
-///    retained for replica-lane consumers.
+///    At W=1 it is the single-word (64-lane) engine.
 ///
 /// The equivalence contract is exact: for the same seed and input stream,
 /// every backend, block width, and dispatch path must produce bit-identical

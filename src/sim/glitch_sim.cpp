@@ -4,6 +4,7 @@
 #include <string>
 
 #include "exec/fi.hpp"
+#include "netlist/index.hpp"
 
 namespace hlp::sim {
 
@@ -23,18 +24,11 @@ GlitchResult simulate_glitches_impl(const netlist::Netlist& nl,
   res.functional_activity.assign(n, 0.0);
   if (in_stream.words.size() < 2) return res;
 
-  const auto& topo = nl.topo_order();
   // Level of each gate = unit-delay arrival time of its output.
-  std::vector<int> level(n, 0);
-  int max_level = 0;
-  for (GateId id : topo) {
-    const Gate& g = nl.gate(id);
-    if (!netlist::is_logic(g.kind)) continue;
-    int m = 0;
-    for (GateId f : g.fanins) m = std::max(m, level[f]);
-    level[id] = m + 1;
-    max_level = std::max(max_level, level[id]);
-  }
+  const netlist::NetlistIndex ix = netlist::build_acyclic_index(nl);
+  const std::vector<GateId>& topo = ix.topo;
+  const std::vector<int>& level = ix.level;
+  const int max_level = ix.depth;
 
   std::vector<std::uint8_t> value(n, 0);
   for (GateId g = 0; g < n; ++g)

@@ -15,7 +15,8 @@ using netlist::GateId;
 using netlist::GateKind;
 
 Simulator::Simulator(const netlist::Netlist& nl) : nl_(&nl) {
-  values_.assign(nl.gate_count(), 0);
+  for (GateId id : nl.topo_order())
+    if (netlist::is_logic(nl.gate(id).kind)) logic_order_.push_back(id);
   reset();
 }
 
@@ -56,9 +57,8 @@ void Simulator::set_inputs(std::span<const std::uint8_t> bits) {
 }
 
 void Simulator::eval() {
-  for (GateId id : nl_->topo_order()) {
+  for (GateId id : logic_order_) {
     const Gate& g = nl_->gate(id);
-    if (!netlist::is_logic(g.kind)) continue;
     fanin_buf_.clear();
     for (GateId f : g.fanins) fanin_buf_.push_back(values_[f]);
     values_[id] = netlist::eval_gate(g.kind, fanin_buf_) ? 1 : 0;

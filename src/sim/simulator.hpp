@@ -36,7 +36,8 @@ class Simulator {
   /// input list.
   void set_inputs(std::span<const std::uint8_t> bits);
 
-  /// Propagate values through the combinational logic (topological order).
+  /// Propagate values through the combinational logic (in the topological
+  /// order taken at construction).
   void eval();
 
   /// Clock edge: every DFF samples its D input.
@@ -56,6 +57,7 @@ class Simulator {
 
  private:
   const netlist::Netlist* nl_;
+  std::vector<netlist::GateId> logic_order_;  ///< logic gates, topo order
   std::vector<std::uint8_t> values_;
   std::vector<std::uint8_t> fanin_buf_;
 };

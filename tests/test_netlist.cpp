@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <latch>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "netlist/copy.hpp"
 #include "netlist/generators.hpp"
 #include "netlist/netlist.hpp"
 #include "netlist/words.hpp"
+#include "sim/block_simulator.hpp"
 #include "sim/simulator.hpp"
 #include "stats/rng.hpp"
 
@@ -37,7 +43,7 @@ TEST(Netlist, TopoOrderRespectsDependencies) {
   auto b = nl.add_input("b");
   auto c = nl.add_binary(GateKind::And, a, b);
   auto d = nl.add_binary(GateKind::Or, c, a);
-  auto& topo = nl.topo_order();
+  const auto topo = nl.topo_order();
   ASSERT_EQ(topo.size(), 4u);
   auto pos = [&](GateId g) {
     return std::find(topo.begin(), topo.end(), g) - topo.begin();
@@ -47,7 +53,7 @@ TEST(Netlist, TopoOrderRespectsDependencies) {
   EXPECT_LT(pos(c), pos(d));
 }
 
-TEST(Netlist, MutationInvalidatesTopoCache) {
+TEST(Netlist, TopoOrderSeesSetFaninEdits) {
   Netlist nl;
   auto a = nl.add_input("a");
   auto b = nl.add_input("b");
@@ -59,25 +65,24 @@ TEST(Netlist, MutationInvalidatesTopoCache) {
   auto pos_in = [](const std::vector<GateId>& topo, GateId g) {
     return std::find(topo.begin(), topo.end(), g) - topo.begin();
   };
-  // Populate the cache.
   {
-    const auto& topo = nl.topo_order();
+    const auto topo = nl.topo_order();
     EXPECT_LT(pos_in(topo, x), pos_in(topo, y));
   }
 
   // Rewire y's first fanin from x to a: x no longer precedes y by
-  // necessity, and the new order must still be a valid topological order
-  // of the *edited* graph (stale-cache bug would keep the old vector).
+  // necessity, and the next order must be a valid topological order of the
+  // *edited* graph.
   nl.set_fanin(y, 0, a);
   EXPECT_EQ(nl.gate(y).fanins[0], a);
   {
-    const auto& topo = nl.topo_order();
+    const auto topo = nl.topo_order();
     ASSERT_EQ(topo.size(), nl.gate_count());
     EXPECT_LT(pos_in(topo, a), pos_in(topo, y));
   }
 
   // Rewire through gate_mut(): make y depend on x again, then make x
-  // depend on y — a combinational cycle the refreshed cache must detect.
+  // depend on y — a combinational cycle the next order must detect.
   nl.gate_mut(y).fanins[0] = x;
   (void)nl.topo_order();
   nl.set_fanin(x, 0, y);
@@ -94,9 +99,9 @@ TEST(Netlist, MutationInvalidatesTopoCache) {
 }
 
 TEST(Netlist, GateAccessorsAreConstByDefault) {
-  // gate() on a non-const Netlist must bind to the const (non-invalidating)
-  // accessor; only gate_mut() hands out a mutable reference. This is the
-  // contract that keeps read-heavy passes from discarding the topo cache.
+  // gate() on a non-const Netlist must bind to the const accessor; only
+  // gate_mut() hands out a mutable reference, so every edit is visible at
+  // its call site.
   Netlist nl;
   (void)nl.add_input();
   static_assert(std::is_same_v<decltype(nl.gate(GateId{0})), const Gate&>);
@@ -162,6 +167,66 @@ TEST(Netlist, DepthOfChain) {
   GateId g = a;
   for (int i = 0; i < 5; ++i) g = nl.add_unary(GateKind::Not, g);
   EXPECT_EQ(nl.depth(), 5);
+}
+
+TEST(Netlist, ConcurrentReadersShareOneNetlist) {
+  // A const Netlist has no hidden state: threads that read one fresh
+  // netlist at once — building simulators, asking for order, loads and
+  // depth — need no lock and all see the same views.
+  const Module mod = multiplier_module(8);
+  const Netlist& nl = mod.netlist;
+  const int n_in = mod.total_input_bits();
+  std::vector<std::uint64_t> patterns(64);
+  hlp::stats::Rng rng(3);
+  for (auto& p : patterns) p = rng.uniform_bits(n_in);
+
+  struct View {
+    std::vector<GateId> topo;
+    std::vector<double> loads;
+    int depth = 0;
+    std::vector<std::uint64_t> scalar_out, block_out;
+    std::string error;
+  };
+  constexpr int kThreads = 8;
+  std::vector<View> views(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      View& v = views[static_cast<std::size_t>(t)];
+      start.arrive_and_wait();
+      try {
+        Simulator s(nl);
+        hlp::sim::BlockSimulator bs(nl, 1);
+        v.topo = nl.topo_order();
+        v.loads = nl.loads();
+        v.depth = nl.depth();
+        for (std::uint64_t p : patterns) {
+          s.set_all_inputs(p);
+          s.eval();
+          v.scalar_out.push_back(s.output_bits());
+        }
+        bs.set_inputs_from_cycles(patterns);
+        bs.eval();
+        v.block_out.resize(patterns.size());
+        bs.outputs_to_cycles(v.block_out);
+      } catch (const std::exception& e) {
+        v.error = e.what();
+      }
+    });
+  for (auto& th : threads) th.join();
+
+  const std::vector<GateId> topo = nl.topo_order();
+  ASSERT_EQ(topo.size(), nl.gate_count());
+  for (int t = 0; t < kThreads; ++t) {
+    const View& v = views[static_cast<std::size_t>(t)];
+    ASSERT_EQ(v.error, "") << "thread " << t;
+    EXPECT_EQ(v.topo, topo) << "thread " << t;
+    EXPECT_EQ(v.loads, nl.loads()) << "thread " << t;
+    EXPECT_EQ(v.depth, nl.depth()) << "thread " << t;
+    EXPECT_EQ(v.scalar_out, views[0].scalar_out) << "thread " << t;
+    EXPECT_EQ(v.block_out, v.scalar_out) << "thread " << t;
+  }
 }
 
 class AdderWidth : public ::testing::TestWithParam<int> {};

@@ -6,7 +6,6 @@
 #include "core/macromodel.hpp"
 #include "core/sampling_power.hpp"
 #include "netlist/generators.hpp"
-#include "sim/packed_simulator.hpp"
 #include "sim/simulator.hpp"
 #include "sim/streams.hpp"
 #include "stats/rng.hpp"
@@ -131,62 +130,6 @@ TEST(PackedDifferential, ShortAndPartialStreams) {
                              std::size_t{65}}) {
     expect_exact_equivalence(mod.netlist, mod.total_input_bits(), cycles, 21);
   }
-}
-
-// --- sequential circuits: replica lanes ----------------------------------
-
-TEST(PackedReplicaLanes, SequentialFsmMatches64ScalarRuns) {
-  // Serial-in parity accumulator: q' = q xor in; y = q or in.
-  Netlist nl;
-  auto in = nl.add_input("in");
-  auto q = nl.add_dff();
-  auto x = nl.add_binary(GateKind::Xor, q, in);
-  nl.set_dff_input(q, x);
-  auto y = nl.add_binary(GateKind::Or, q, in);
-  nl.mark_output(y);
-
-  // 64 independent input streams, one per lane.
-  const std::size_t cycles = 40;
-  stats::Rng rng(77);
-  std::vector<std::uint64_t> lane_words(cycles);
-  for (auto& w : lane_words) w = rng.uniform_bits(64);
-
-  sim::PackedSimulator ps(nl);
-  sim::PackedActivityCollector pcol(nl);
-  std::vector<std::uint64_t> packed_y(cycles);
-  for (std::size_t c = 0; c < cycles; ++c) {
-    ps.set_input_lanes(in, lane_words[c]);
-    ps.eval();
-    pcol.record(ps);
-    packed_y[c] = ps.lanes(y);
-    ps.tick();
-  }
-
-  // Reference: 64 scalar replicas.
-  std::uint64_t total_toggles = 0;
-  std::vector<std::uint64_t> toggles_packed(nl.gate_count(), 0);
-  for (int lane = 0; lane < 64; ++lane) {
-    sim::Simulator s(nl);
-    sim::ActivityCollector col(nl);
-    for (std::size_t c = 0; c < cycles; ++c) {
-      s.set_input(in, (lane_words[c] >> lane) & 1u);
-      s.eval();
-      col.record(s);
-      EXPECT_EQ(static_cast<std::uint64_t>(s.value(y)),
-                (packed_y[c] >> lane) & 1u)
-          << "lane " << lane << " cycle " << c;
-      s.tick();
-    }
-    auto acts = col.activities();
-    for (double a : acts)
-      total_toggles +=
-          static_cast<std::uint64_t>(a * static_cast<double>(cycles - 1) + 0.5);
-  }
-  // Packed activities average over all 64 replica lanes.
-  double packed_sum = 0.0;
-  for (double a : pcol.activities())
-    packed_sum += a * static_cast<double>(cycles - 1) * 64.0;
-  EXPECT_NEAR(packed_sum, static_cast<double>(total_toggles), 1e-6);
 }
 
 // --- Monte Carlo power: packed == scalar, bit for bit --------------------
