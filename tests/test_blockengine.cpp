@@ -162,8 +162,10 @@ TEST(BlockDifferential, CharacterizeAcrossWidths) {
 
 // --- replica lanes on the block simulator (sequential, W > 1) -------------
 
-TEST(BlockReplicaLanes, SequentialFsmMatchesScalarRuns) {
-  // Serial-in parity accumulator: q' = q xor in; y = q or in.
+// Runs 64*W independent input streams of a serial-in parity accumulator
+// (q' = q xor in; y = q or in) as replica lanes of one BlockSimulator and
+// checks outputs and summed per-gate toggles against one scalar run per lane.
+void expect_replica_lanes_match_scalar_runs(const int W) {
   Netlist nl;
   auto in = nl.add_input("in");
   auto q = nl.add_dff();
@@ -172,56 +174,63 @@ TEST(BlockReplicaLanes, SequentialFsmMatchesScalarRuns) {
   auto y = nl.add_binary(GateKind::Or, q, in);
   nl.mark_output(y);
 
-  // W=1 is the single-word 64-lane engine; W=2 spans two lane words.
-  for (const int W : {1, 2}) {
-    const std::size_t cycles = 40;
-    stats::Rng rng(77);
-    std::vector<std::vector<std::uint64_t>> lane_words(cycles);
-    for (auto& w : lane_words) {
-      w.resize(W);
-      for (auto& word : w) word = rng.uniform_bits(64);
-    }
-
-    // Replica lanes: per-gate toggles summed over every lane.
-    sim::BlockSimulator bs(nl, W);
-    std::vector<std::vector<std::uint64_t>> block_y(cycles);
-    std::vector<std::uint64_t> prev(nl.gate_count() * W, 0);
-    std::uint64_t block_toggles = 0;
-    for (std::size_t c = 0; c < cycles; ++c) {
-      bs.set_input_lanes(in, lane_words[c]);
-      bs.eval();
-      for (netlist::GateId g = 0; g < nl.gate_count(); ++g)
-        for (int w = 0; w < W; ++w) {
-          const std::uint64_t cur = bs.lane_words(g)[w];
-          std::uint64_t& p = prev[g * W + w];
-          if (c > 0)
-            block_toggles += static_cast<std::uint64_t>(std::popcount(cur ^ p));
-          p = cur;
-        }
-      auto lw = bs.lane_words(y);
-      block_y[c].assign(lw.begin(), lw.end());
-      bs.tick();
-    }
-
-    // Reference: one scalar run per lane.
-    std::uint64_t scalar_toggles = 0;
-    for (int lane = 0; lane < 64 * W; ++lane) {
-      const int w = lane / 64, k = lane % 64;
-      sim::Simulator s(nl);
-      sim::ActivityCollector col(nl);
-      for (std::size_t c = 0; c < cycles; ++c) {
-        s.set_input(in, (lane_words[c][w] >> k) & 1u);
-        s.eval();
-        col.record(s);
-        EXPECT_EQ(static_cast<std::uint64_t>(s.value(y)),
-                  (block_y[c][w] >> k) & 1u)
-            << "W=" << W << " lane " << lane << " cycle " << c;
-        s.tick();
-      }
-      for (std::uint64_t t : col.toggles()) scalar_toggles += t;
-    }
-    EXPECT_EQ(block_toggles, scalar_toggles) << "W=" << W;
+  const std::size_t cycles = 40;
+  stats::Rng rng(77);
+  std::vector<std::vector<std::uint64_t>> lane_words(cycles);
+  for (auto& w : lane_words) {
+    w.resize(W);
+    for (auto& word : w) word = rng.uniform_bits(64);
   }
+
+  // Replica lanes: per-gate toggles summed over every lane.
+  sim::BlockSimulator bs(nl, W);
+  std::vector<std::vector<std::uint64_t>> block_y(cycles);
+  std::vector<std::uint64_t> prev(nl.gate_count() * W, 0);
+  std::uint64_t block_toggles = 0;
+  for (std::size_t c = 0; c < cycles; ++c) {
+    bs.set_input_lanes(in, lane_words[c]);
+    bs.eval();
+    for (netlist::GateId g = 0; g < nl.gate_count(); ++g)
+      for (int w = 0; w < W; ++w) {
+        const std::uint64_t cur = bs.lane_words(g)[w];
+        std::uint64_t& p = prev[g * W + w];
+        if (c > 0)
+          block_toggles += static_cast<std::uint64_t>(std::popcount(cur ^ p));
+        p = cur;
+      }
+    auto lw = bs.lane_words(y);
+    block_y[c].assign(lw.begin(), lw.end());
+    bs.tick();
+  }
+
+  // Reference: one scalar run per lane.
+  std::uint64_t scalar_toggles = 0;
+  for (int lane = 0; lane < 64 * W; ++lane) {
+    const int w = lane / 64, k = lane % 64;
+    sim::Simulator s(nl);
+    sim::ActivityCollector col(nl);
+    for (std::size_t c = 0; c < cycles; ++c) {
+      s.set_input(in, (lane_words[c][w] >> k) & 1u);
+      s.eval();
+      col.record(s);
+      EXPECT_EQ(static_cast<std::uint64_t>(s.value(y)),
+                (block_y[c][w] >> k) & 1u)
+          << "W=" << W << " lane " << lane << " cycle " << c;
+      s.tick();
+    }
+    for (std::uint64_t t : col.toggles()) scalar_toggles += t;
+  }
+  EXPECT_EQ(block_toggles, scalar_toggles) << "W=" << W;
+}
+
+// W=1: the single-word 64-lane engine.
+TEST(PackedReplicaLanes, SequentialFsmMatches64ScalarRuns) {
+  expect_replica_lanes_match_scalar_runs(1);
+}
+
+// W=2: the replica lanes span two lane words.
+TEST(BlockReplicaLanes, SequentialFsmMatches128ScalarRuns) {
+  expect_replica_lanes_match_scalar_runs(2);
 }
 
 // --- Monte Carlo: widths bit-identical, quota trips on the same pair ------
