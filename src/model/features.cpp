@@ -42,7 +42,8 @@ FeatureVector extract_features(const std::string& design, double input_p) {
   f.v[0] = static_cast<double>(mod.netlist.logic_gate_count());
   f.v[1] = static_cast<double>(mod.total_input_bits());
   f.v[2] = static_cast<double>(mod.total_output_bits());
-  f.v[3] = mod.netlist.total_capacitance({});
+  f.v[3] = ix.total_load + netlist::CapacitanceModel{}.dff_clock_cap *
+                               static_cast<double>(mod.netlist.dffs().size());
   f.v[4] = static_cast<double>(ix.depth);
   f.v[5] = est.point;
   f.v[6] = est.lower;

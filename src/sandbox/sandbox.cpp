@@ -109,11 +109,9 @@ Inject claim_injected_fault() {
     _exit(96);  // encoding must not allocate past RLIMIT_AS and lie about it
   }
   const std::uint32_t len = static_cast<std::uint32_t>(payload.size());
-  char hdr[4] = {static_cast<char>(len & 0xff),
-                 static_cast<char>((len >> 8) & 0xff),
-                 static_cast<char>((len >> 16) & 0xff),
-                 static_cast<char>((len >> 24) & 0xff)};
-  if (!util::write_all_fd(wfd, hdr, 4) ||
+  std::string hdr;  // 4 bytes: fits the small-string buffer, no allocation
+  util::put_u32le(hdr, len);
+  if (!util::write_all_fd(wfd, hdr.data(), hdr.size()) ||
       !util::write_all_fd(wfd, payload.data(), len))
     _exit(95);
   _exit(0);  // never exit(): no atexit, no stream flush, no leak check
@@ -130,8 +128,7 @@ ReadEnd read_frame(int rfd, Clock::time_point deadline, bool has_deadline,
   bool have_len = false;
   std::uint32_t want = 0;
   for (;;) {
-    // The wall deadline is checked first: a child still running past it
-    // is a wall timeout even when a cancel arrived while this thread slept.
+    if (cancel && cancel->cancel_requested()) return ReadEnd::Cancel;
     int timeout_ms = 20;  // cancel-poll granularity
     if (has_deadline) {
       const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -141,7 +138,6 @@ ReadEnd read_frame(int rfd, Clock::time_point deadline, bool has_deadline,
           std::min<std::chrono::milliseconds::rep>(left.count(), 20));
       if (timeout_ms < 1) timeout_ms = 1;
     }
-    if (cancel && cancel->cancel_requested()) return ReadEnd::Cancel;
     pollfd pfd{rfd, POLLIN, 0};
     const int pr = ::poll(&pfd, 1, timeout_ms);
     if (pr < 0) {
@@ -350,11 +346,6 @@ RunResult run_isolated(const jobs::KernelRequest& rq,
                        const exec::CancelToken* cancel) {
   RunResult result;
   const Inject inject = claim_injected_fault();
-  const bool has_deadline = limits.wall_deadline_seconds > 0.0;
-  const auto deadline =
-      Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double>(
-                             has_deadline ? limits.wall_deadline_seconds : 0));
 
   int pipefd[2];
   if (::pipe(pipefd) != 0) {
@@ -377,6 +368,12 @@ RunResult run_isolated(const jobs::KernelRequest& rq,
     child_main(pipefd[1], rq, budget, limits, kernel, inject);
   }
   ::close(pipefd[1]);
+
+  const bool has_deadline = limits.wall_deadline_seconds > 0.0;
+  const auto deadline =
+      Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                         std::chrono::duration<double>(
+                             has_deadline ? limits.wall_deadline_seconds : 0));
 
   std::string payload;
   const ReadEnd end =

@@ -41,8 +41,7 @@ struct Limits {
   /// RLIMIT_CPU ceiling in whole seconds (0 = none). The kernel delivers
   /// SIGXCPU at the soft limit; the default action kills the child.
   double rlimit_cpu_seconds = 0.0;
-  /// Parent-side wall-clock deadline (0 = none), counted from the
-  /// run_isolated call so the fork is inside it: past it the child is
+  /// Parent-side wall-clock deadline (0 = none): past it the child is
   /// SIGKILLed and the crash is reported as WallTimeout. This is the
   /// containment for kernels wedged between meter checkpoints.
   double wall_deadline_seconds = 0.0;

@@ -520,23 +520,13 @@ std::string Service::quarantined_response(const Request& rq) {
       "quarantine expires");
 }
 
-std::string Service::isolated_response(
-    const Request& rq, const Keys& k, const jobs::KernelRequest& krq,
-    const exec::Budget& budget,
-    std::chrono::steady_clock::time_point wall_deadline) {
+std::string Service::isolated_response(const Request& rq, const Keys& k,
+                                       const jobs::KernelRequest& krq,
+                                       const exec::Budget& budget) {
   sandbox::Limits lim;
   lim.rlimit_as_bytes = opts_.isolate_rlimit_as_bytes;
   lim.rlimit_cpu_seconds = opts_.isolate_rlimit_cpu_seconds;
   lim.wall_deadline_seconds = wall_limit_for(budget.deadline_seconds);
-  if (wall_deadline != std::chrono::steady_clock::time_point{}) {
-    // Kill the child at the waiter's own abandon point, not one wall limit
-    // after the queue wait: otherwise the waiter's cancel reaches the
-    // sandbox first and a wedged child is reported as Cancelled.
-    const double left = std::chrono::duration<double>(
-                            wall_deadline - std::chrono::steady_clock::now())
-                            .count();
-    lim.wall_deadline_seconds = std::max(left, 1e-6);
-  }
   if (lim.wall_deadline_seconds <= 0.0)
     lim.wall_deadline_seconds = opts_.isolate_wall_ceiling_seconds;
 
@@ -605,9 +595,8 @@ std::string Service::isolated_response(
   }
 }
 
-std::string Service::compute_response(
-    const Request& rq, const Keys& k, const exec::CancelToken& cancel,
-    std::chrono::steady_clock::time_point wall_deadline) {
+std::string Service::compute_response(const Request& rq, const Keys& k,
+                                      const exec::CancelToken& cancel) {
   jobs::KernelRequest krq;
   krq.kind = rq.kind;
   krq.design = rq.design;
@@ -633,8 +622,7 @@ std::string Service::compute_response(
     }
   }
 
-  if (isolated(rq.kind))
-    return isolated_response(rq, k, krq, budget, wall_deadline);
+  if (isolated(rq.kind)) return isolated_response(rq, k, krq, budget);
 
   const auto t0 = std::chrono::steady_clock::now();
   try {
@@ -751,17 +739,23 @@ std::string Service::lead_execute(const Request& rq, const Keys& k) {
       std::chrono::duration_cast<std::chrono::steady_clock::duration>(
           std::chrono::duration<double>(wall));
 
-  const auto abandon_at =
-      wall > 0.0 ? wall_deadline : std::chrono::steady_clock::time_point{};
   const bool submitted = pool_->try_submit(
-      [this, task, task_id, rq, k, abandon_at]() {
+      [this, task, task_id, rq, k, wall, wall_deadline]() {
+        if (isolated(rq.kind) && wall > 0.0 &&
+            std::chrono::steady_clock::now() >= wall_deadline) {
+          // Dequeued past the waiter's deadline, so the waiter answers
+          // deadline-exceeded itself; a child forked now would run a
+          // kernel nobody waits for.
+          unregister_task(task_id);
+          return;
+        }
         std::string body;
         try {
           if (fi::serve_fault_checkpoint(fi::ServeFault::WorkerThrow))
             throw std::runtime_error("fi: injected worker crash mid-kernel");
           if (fi::serve_fault_checkpoint(fi::ServeFault::WorkerAlloc))
             throw std::bad_alloc{};
-          body = compute_response(rq, k, task->cancel, abandon_at);
+          body = compute_response(rq, k, task->cancel);
           maybe_cache(rq, k, body);
         } catch (...) {
           // compute_response catches everything itself; this guards the
@@ -778,7 +772,7 @@ std::string Service::lead_execute(const Request& rq, const Keys& k) {
         task->cv.notify_all();
         unregister_task(task_id);
       },
-      abandon_at);
+      wall > 0.0 ? wall_deadline : WorkerPool::Clock::time_point{});
   if (!submitted) {
     unregister_task(task_id);
     shed_.fetch_add(1, std::memory_order_relaxed);
@@ -798,9 +792,13 @@ std::string Service::lead_execute(const Request& rq, const Keys& k) {
                                  "drain deadline abandoned the request");
     }
     if (wall > 0.0 && std::chrono::steady_clock::now() >= wall_deadline) {
-      // Abandon: cancel the kernel and answer without it. The worker still
-      // publishes a completed result to the cache when it finishes.
-      task->cancel.request_cancel();
+      // Abandon: answer without the kernel. An in-process kernel is
+      // cancelled. A sandboxed child is left to its own wall kill, counted
+      // from its fork, so a WallTimeout (a hard quarantine failure) only
+      // ever names a child that overran its own limit, never one that
+      // merely waited in the queue. The worker still publishes a completed
+      // result to the cache when it finishes.
+      if (!isolated(rq.kind)) task->cancel.request_cancel();
       deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
       lock.unlock();
       return deadline_response(rq, cooperative);

@@ -2,7 +2,6 @@
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -286,19 +285,15 @@ class Service {
   /// Id-less response for one kernel execution; runs on a pool worker (or
   /// inline). Catches everything. Feeds the quarantine breaker: a
   /// delivered outcome is a success, a child crash a hard failure.
-  /// `wall_deadline` is the waiter's abandon point (default: none, the
-  /// inline path).
-  std::string compute_response(
-      const Request& rq, const Keys& k, const exec::CancelToken& cancel,
-      std::chrono::steady_clock::time_point wall_deadline = {});
+  std::string compute_response(const Request& rq, const Keys& k,
+                               const exec::CancelToken& cancel);
   /// True when `kind` executes inside a forked sandbox child.
   bool isolated(jobs::JobKind kind) const;
   /// Run one attempt in a sandbox child and map the RunResult into a
   /// response line plus crash/quarantine bookkeeping.
-  std::string isolated_response(
-      const Request& rq, const Keys& k, const jobs::KernelRequest& krq,
-      const exec::Budget& budget,
-      std::chrono::steady_clock::time_point wall_deadline);
+  std::string isolated_response(const Request& rq, const Keys& k,
+                                const jobs::KernelRequest& krq,
+                                const exec::Budget& budget);
   /// Answer an open-quarantined fingerprint without executing: tier-0
   /// static bound (degraded, "quarantined" detail) for netlist-backed
   /// kinds, the "quarantined" error class otherwise. Never cached.

@@ -528,4 +528,74 @@ TEST(ServeCrash, PoisonFingerprintQuarantinesAfterExactlyKThenRehabilitates) {
   EXPECT_GT(service.health().isolated, isolated_before);
 }
 
+/// Kernels for the queue-wait schedule, run in isolated children: "mult:4"
+/// and "mult:6" hold the single worker for 250 ms and 800 ms; any other
+/// design is a healthy cooperative kernel that uses its whole budget,
+/// counted from its own start, and stops gracefully at the deadline.
+jobs::AttemptOutcome queue_wait_kernel(const jobs::KernelRequest& krq,
+                                       const exec::Budget& budget) {
+  jobs::AttemptOutcome ao;
+  if (krq.design == "mult:4" || krq.design == "mult:6") {
+    std::this_thread::sleep_for(
+        std::chrono::milliseconds(krq.design == "mult:4" ? 250 : 800));
+    ao.ok = true;
+    ao.out.value = 1.0;
+    return ao;
+  }
+  std::this_thread::sleep_for(
+      std::chrono::duration<double>(budget.deadline_seconds));
+  ao.stop = exec::StopReason::Deadline;
+  ao.detail = "cooperative deadline trip";
+  return ao;
+}
+
+TEST(ServeCrash, QueueWaitIsNeitherACrashNorAQuarantineFailure) {
+  // A healthy isolated request that waits behind a busy worker past its
+  // abandon point (0.4 s deadline: 0.55 s wall) is answered
+  // deadline-exceeded by its waiter. It is not a child crash and does not
+  // feed the breaker, which here trips at the first hard failure.
+  ServiceOptions opts;
+  opts.workers = 1;
+  opts.isolate = serve::IsolateMode::All;
+  opts.quarantine_threshold = 1;
+  opts.executor = queue_wait_kernel;
+  Service service(opts);
+
+  auto victim_behind = [&](const std::string& blocker_design,
+                           const std::string& id) {
+    Request blocker = estimate_request(blocker_design);
+    blocker.id = id + "-blocker";
+    blocker.deadline_seconds = 5.0;
+    Request victim = estimate_request("adder:4");
+    victim.id = id;
+    victim.use_cache = false;
+    victim.deadline_seconds = 0.4;
+    std::thread busy([&] { service.handle_line(blocker.serialize()); });
+    ASSERT_TRUE(wait_for([&] { return service.health().busy == 1; }));
+    ResponseView v;
+    ASSERT_TRUE(
+        serve::parse_response(service.handle_line(victim.serialize()), v));
+    busy.join();
+    EXPECT_FALSE(v.ok) << id;
+    EXPECT_EQ(v.error, "deadline-exceeded") << id;
+    ASSERT_TRUE(wait_for([&] { return service.health().busy == 0; })) << id;
+  };
+
+  // Dequeued at ~0.25 s, forked, and still running at the waiter's
+  // abandon point: the child runs on to its own graceful trip at ~0.65 s,
+  // inside the wall limit counted from its fork, and delivers.
+  victim_behind("mult:4", "forked-late");
+  // Still queued at its abandon point (the worker frees at ~0.8 s): the
+  // child is never forked.
+  victim_behind("mult:6", "abandoned-in-queue");
+
+  const serve::ServiceHealth h = service.health();
+  EXPECT_EQ(h.child_crashes, 0u) << "queue wait is not a child crash";
+  EXPECT_EQ(h.quarantine_trips, 0u) << "nor a hard quarantine failure";
+  EXPECT_EQ(h.quarantine_open, 0u);
+  EXPECT_EQ(h.isolated, 3u)
+      << "two blockers and the victim forked late; the victim abandoned "
+         "in the queue must not fork";
+}
+
 }  // namespace
