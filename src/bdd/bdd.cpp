@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "exec/fi.hpp"
 
@@ -11,32 +10,105 @@ namespace hlp::bdd {
 
 namespace {
 constexpr std::uint32_t kTermVar = std::numeric_limits<std::uint32_t>::max();
+constexpr std::size_t kMinTableSlots = 256;
+
+/// Slot hash for the unique table and the ITE cache. The final fold brings
+/// the multiplied high bits down, so every key word reaches the low bits
+/// the power-of-two mask keeps.
+std::size_t hash3(std::uint32_t a, std::uint32_t b, std::uint32_t c) {
+  std::uint64_t h = ((std::uint64_t{a} << 32) | b) * 0x9E3779B97F4A7C15ull;
+  h = (h ^ c) * 0xC2B2AE3D27D4EB4Full;
+  return static_cast<std::size_t>(h ^ (h >> 32));
 }
+}  // namespace
 
 Manager::Manager() {
   nodes_.push_back({kTermVar, kFalse, kFalse});  // 0 = false
   nodes_.push_back({kTermVar, kTrue, kTrue});    // 1 = true
 }
 
+/// Make room for `n` elements, growing at least geometrically. The added
+/// bytes are charged to the meter before the allocation, so a memory-cap
+/// trip or a failed allocation leaves `v` as it was.
+template <class T>
+void Manager::reserve_charged(std::vector<T>& v, std::size_t n) {
+  if (n <= v.capacity()) return;
+  const std::size_t cap = std::max(n, 2 * v.capacity());
+  if (meter_) meter_->charge_bytes((cap - v.capacity()) * sizeof(T));
+  v.reserve(cap);
+}
+
+std::size_t Manager::unique_slot(std::uint32_t var, NodeRef lo,
+                                 NodeRef hi) const {
+  const std::size_t mask = unique_.size() - 1;
+  for (std::size_t i = hash3(var, lo, hi) & mask;; i = (i + 1) & mask) {
+    const NodeRef id = unique_[i];
+    if (id == kFalse) return i;
+    const Node& n = nodes_[id];
+    if (n.var == var && n.lo == lo && n.hi == hi) return i;
+  }
+}
+
+std::size_t Manager::ite_slot(NodeRef f, NodeRef g, NodeRef h) const {
+  const std::size_t mask = ite_cache_.size() - 1;
+  for (std::size_t i = hash3(f, g, h) & mask;; i = (i + 1) & mask) {
+    const IteEntry& e = ite_cache_[i];
+    if (e.f == kFalse || (e.f == f && e.g == g && e.h == h)) return i;
+  }
+}
+
+void Manager::grow_unique() {
+  const std::size_t slots = std::max(kMinTableSlots, 2 * unique_.size());
+  if (meter_) meter_->charge_bytes((slots - unique_.size()) * sizeof(NodeRef));
+  // Rehash into a fresh table and swap it in, so nothing changes unless
+  // the allocation succeeds.
+  std::vector<NodeRef> fresh(slots, kFalse);
+  const std::size_t mask = slots - 1;
+  for (NodeRef id = 2; id < nodes_.size(); ++id) {
+    const Node& n = nodes_[id];
+    std::size_t i = hash3(n.var, n.lo, n.hi) & mask;
+    while (fresh[i] != kFalse) i = (i + 1) & mask;
+    fresh[i] = id;
+  }
+  unique_.swap(fresh);
+}
+
+void Manager::grow_ite_cache() {
+  const std::size_t slots = std::max(kMinTableSlots, 2 * ite_cache_.size());
+  if (meter_)
+    meter_->charge_bytes((slots - ite_cache_.size()) * sizeof(IteEntry));
+  std::vector<IteEntry> fresh(slots, IteEntry{kFalse, kFalse, kFalse, kFalse});
+  const std::size_t mask = slots - 1;
+  for (const IteEntry& e : ite_cache_) {
+    if (e.f == kFalse) continue;
+    std::size_t i = hash3(e.f, e.g, e.h) & mask;
+    while (fresh[i].f != kFalse) i = (i + 1) & mask;
+    fresh[i] = e;
+  }
+  ite_cache_.swap(fresh);
+}
+
 NodeRef Manager::make_node(std::uint32_t var, NodeRef lo, NodeRef hi) {
   if (lo == hi) return lo;
-  NodeKey key{var, lo, hi};
-  auto it = unique_.find(key);
-  if (it != unique_.end()) return it->second;
-  // The only point where the manager grows. Budget and fault checks sit
-  // before the first mutation; the rollback below restores the class
-  // invariant (every node is in the unique table, and vice versa) if the
-  // second mutation throws — the strong exception guarantee.
+  std::size_t slot = 0;
+  if (!unique_.empty()) {
+    slot = unique_slot(var, lo, hi);
+    if (unique_[slot] != kFalse) return unique_[slot];
+  }
+  // The only point where the manager grows. Budget and fault checks, and
+  // any growth of the node vector and unique table, all come before the
+  // insert: if one of them throws, every node is still in the unique table
+  // and vice versa — the strong exception guarantee.
   if (meter_) meter_->check_nodes(nodes_.size() + 1);
   fi::alloc_checkpoint();
-  NodeRef id = static_cast<NodeRef>(nodes_.size());
-  nodes_.push_back({var, lo, hi});
-  try {
-    unique_.emplace(key, id);
-  } catch (...) {
-    nodes_.pop_back();
-    throw;
+  reserve_charged(nodes_, nodes_.size() + 1);
+  if (2 * (nodes_.size() - 1) > unique_.size()) {
+    grow_unique();
+    slot = unique_slot(var, lo, hi);
   }
+  const NodeRef id = static_cast<NodeRef>(nodes_.size());
+  nodes_.push_back({var, lo, hi});
+  unique_[slot] = id;
   return id;
 }
 
@@ -58,9 +130,10 @@ NodeRef Manager::ite(NodeRef f, NodeRef g, NodeRef h) {
   if (g == h) return g;
   if (g == kTrue && h == kFalse) return f;
 
-  IteKey key{f, g, h};
-  auto it = ite_cache_.find(key);
-  if (it != ite_cache_.end()) return it->second;
+  if (!ite_cache_.empty()) {
+    const IteEntry& e = ite_cache_[ite_slot(f, g, h)];
+    if (e.f != kFalse) return e.r;
+  }
   if (meter_) meter_->step();
 
   std::uint32_t v = top_var(f, g, h);
@@ -71,7 +144,10 @@ NodeRef Manager::ite(NodeRef f, NodeRef g, NodeRef h) {
   NodeRef t = ite(cof(f, true), cof(g, true), cof(h, true));
   NodeRef e = ite(cof(f, false), cof(g, false), cof(h, false));
   NodeRef r = make_node(v, e, t);
-  ite_cache_.emplace(key, r);
+  // The recursion above may have grown the table, so probe again.
+  if (2 * (ite_entries_ + 1) > ite_cache_.size()) grow_ite_cache();
+  ite_cache_[ite_slot(f, g, h)] = {f, g, h, r};
+  ++ite_entries_;
   return r;
 }
 
@@ -125,14 +201,19 @@ NodeRef Manager::rename(
 double Manager::sat_fraction(NodeRef f) {
   if (f == kFalse) return 0.0;
   if (f == kTrue) return 1.0;
-  auto it = sat_cache_.find(f);
-  if (it != sat_cache_.end()) return it->second;
-  const Node& n = nodes_[f];
+  if (f >= sat_cache_.size()) {
+    reserve_charged(sat_cache_, nodes_.size());
+    sat_cache_.resize(nodes_.size(), -1.0);
+  }
+  // Children are older than their parent, so the recursion below never
+  // resizes the memo.
+  if (sat_cache_[f] >= 0.0) return sat_cache_[f];
+  const Node n = nodes_[f];
   // Each child sits some levels below; with the fraction semantics every
   // skipped level halves both branches equally, so the plain average is
   // exact regardless of which variables appear.
-  double r = 0.5 * (sat_fraction(n.lo) + sat_fraction(n.hi));
-  sat_cache_.emplace(f, r);
+  const double r = 0.5 * (sat_fraction(n.lo) + sat_fraction(n.hi));
+  sat_cache_[f] = r;
   return r;
 }
 
@@ -142,13 +223,14 @@ std::size_t Manager::node_count(NodeRef f) {
 }
 
 std::size_t Manager::node_count(std::span<const NodeRef> roots) {
-  std::unordered_set<NodeRef> seen;
+  std::vector<char> seen(nodes_.size(), 0);
   std::vector<NodeRef> stack(roots.begin(), roots.end());
   std::size_t count = 0;
   while (!stack.empty()) {
     NodeRef f = stack.back();
     stack.pop_back();
-    if (f <= kTrue || !seen.insert(f).second) continue;
+    if (f <= kTrue || seen[f]) continue;
+    seen[f] = 1;
     ++count;
     stack.push_back(nodes_[f].lo);
     stack.push_back(nodes_[f].hi);
@@ -157,20 +239,21 @@ std::size_t Manager::node_count(std::span<const NodeRef> roots) {
 }
 
 std::vector<std::uint32_t> Manager::support(NodeRef f) {
-  std::unordered_set<NodeRef> seen;
-  std::unordered_set<std::uint32_t> vars;
+  std::vector<char> seen(nodes_.size(), 0);
+  std::vector<std::uint32_t> vars;
   std::vector<NodeRef> stack{f};
   while (!stack.empty()) {
     NodeRef x = stack.back();
     stack.pop_back();
-    if (x <= kTrue || !seen.insert(x).second) continue;
-    vars.insert(nodes_[x].var);
+    if (x <= kTrue || seen[x]) continue;
+    seen[x] = 1;
+    vars.push_back(nodes_[x].var);
     stack.push_back(nodes_[x].lo);
     stack.push_back(nodes_[x].hi);
   }
-  std::vector<std::uint32_t> out(vars.begin(), vars.end());
-  std::sort(out.begin(), out.end());
-  return out;
+  std::sort(vars.begin(), vars.end());
+  vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
+  return vars;
 }
 
 bool Manager::eval(NodeRef f, std::uint64_t assignment) const {

@@ -83,11 +83,14 @@ class Manager {
   std::size_t total_nodes() const { return nodes_.size(); }
 
   /// Attach an execution meter (not owned; nullptr detaches). While
-  /// attached, node creation checks the budget's node cap and every ITE
-  /// cache miss charges one meter step, so runaway constructions trip the
-  /// deadline/step quota/cancellation instead of hanging. A trip throws
-  /// exec::BudgetExceeded mid-operation; the manager's tables only ever
-  /// contain completed entries, so it remains fully usable afterwards.
+  /// attached, node creation checks the budget's node cap, every ITE
+  /// cache miss charges one meter step, and every growth of the node
+  /// vector, unique table, ITE cache or sat_fraction memo charges its added
+  /// bytes to the memory cap before it allocates, so runaway constructions
+  /// trip the deadline/step quota/memory cap/cancellation instead of
+  /// hanging. A trip throws exec::BudgetExceeded mid-operation; the
+  /// manager's tables only ever contain completed entries, so it remains
+  /// fully usable afterwards.
   void set_meter(exec::Meter* m) { meter_ = m; }
   exec::Meter* meter() const { return meter_; }
 
@@ -101,39 +104,33 @@ class Manager {
     std::uint32_t var;
     NodeRef lo, hi;
   };
-  struct NodeKey {
-    std::uint32_t var;
-    NodeRef lo, hi;
-    bool operator==(const NodeKey&) const = default;
-  };
-  struct NodeKeyHash {
-    std::size_t operator()(const NodeKey& k) const {
-      std::uint64_t h = k.var;
-      h = h * 0x9E3779B97F4A7C15ull + k.lo;
-      h = h * 0x9E3779B97F4A7C15ull + k.hi;
-      return static_cast<std::size_t>(h ^ (h >> 32));
-    }
-  };
-  struct IteKey {
-    NodeRef f, g, h;
-    bool operator==(const IteKey&) const = default;
-  };
-  struct IteKeyHash {
-    std::size_t operator()(const IteKey& k) const {
-      std::uint64_t h = k.f;
-      h = h * 0x9E3779B97F4A7C15ull + k.g;
-      h = h * 0x9E3779B97F4A7C15ull + k.h;
-      return static_cast<std::size_t>(h ^ (h >> 32));
-    }
+  /// One ITE cache entry. f == kFalse marks an empty slot: a terminal f is
+  /// answered before the cache is consulted, so it never forms a key.
+  struct IteEntry {
+    NodeRef f, g, h, r;
   };
 
   NodeRef make_node(std::uint32_t var, NodeRef lo, NodeRef hi);
   std::uint32_t top_var(NodeRef f, NodeRef g, NodeRef h) const;
+  std::size_t unique_slot(std::uint32_t var, NodeRef lo, NodeRef hi) const;
+  std::size_t ite_slot(NodeRef f, NodeRef g, NodeRef h) const;
+  void grow_unique();
+  void grow_ite_cache();
+  template <class T>
+  void reserve_charged(std::vector<T>& v, std::size_t n);
 
   std::vector<Node> nodes_;
-  std::unordered_map<NodeKey, NodeRef, NodeKeyHash> unique_;
-  std::unordered_map<IteKey, NodeRef, IteKeyHash> ite_cache_;
-  std::unordered_map<NodeRef, double> sat_cache_;
+  /// Unique table: open addressing with linear probing over node ids
+  /// (kFalse = empty slot), keyed by the node's (var, lo, hi). Its size is
+  /// a power of two (or zero before the first node) and it doubles before
+  /// an insert would take it past half load.
+  std::vector<NodeRef> unique_;
+  /// Exact computed table for ite(): the same open-addressing scheme. It
+  /// never drops an entry, so a repeated call is always a hit.
+  std::vector<IteEntry> ite_cache_;
+  std::size_t ite_entries_ = 0;
+  /// sat_fraction memo indexed by NodeRef; a negative entry is unset.
+  std::vector<double> sat_cache_;
   exec::Meter* meter_ = nullptr;
 };
 

@@ -31,6 +31,31 @@ std::vector<std::size_t> interleaved_word_order(
   return order;
 }
 
+std::vector<std::size_t> fanin_dfs_order(const netlist::Netlist& nl) {
+  constexpr std::size_t kNotInput = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> input_index(nl.gate_count(), kNotInput);
+  for (std::size_t i = 0; i < nl.inputs().size(); ++i)
+    input_index[nl.inputs()[i]] = i;
+  std::vector<char> seen(nl.gate_count(), 0);
+  std::vector<std::size_t> order;
+  order.reserve(nl.inputs().size());
+  // Children are pushed in declaration order, so the last one is popped,
+  // and explored, first.
+  std::vector<GateId> stack(nl.outputs().begin(), nl.outputs().end());
+  while (!stack.empty()) {
+    const GateId g = stack.back();
+    stack.pop_back();
+    if (seen[g]) continue;
+    seen[g] = 1;
+    if (input_index[g] != kNotInput) order.push_back(input_index[g]);
+    for (GateId f : nl.gate(g).fanins)
+      if (!seen[f]) stack.push_back(f);
+  }
+  for (std::size_t i = 0; i < nl.inputs().size(); ++i)
+    if (!seen[nl.inputs()[i]]) order.push_back(i);
+  return order;
+}
+
 NetlistBdds build_bdds_ordered(Manager& mgr, const netlist::Netlist& nl,
                                std::span<const std::size_t> input_order) {
   NetlistBdds out;

@@ -34,6 +34,15 @@ NetlistBdds build_bdds(Manager& mgr, const netlist::Netlist& nl);
 NetlistBdds build_bdds_ordered(Manager& mgr, const netlist::Netlist& nl,
                                std::span<const std::size_t> input_order);
 
+/// Structural primary-input order for build_bdds_ordered: an iterative
+/// depth-first walk from the outputs (last output first, and at each gate
+/// last fanin first) lists inputs in first-visit order; inputs the walk
+/// never reaches follow in declaration order. Inputs that meet in the same
+/// cone end up close together, which keeps word-wise arithmetic and
+/// comparators near linear without knowing their word structure (adder:16:
+/// 1,493 nodes against 851,845 in declaration order).
+std::vector<std::size_t> fanin_dfs_order(const netlist::Netlist& nl);
+
 /// Convenience: interleave the bits of a module's input words
 /// (a0,b0,a1,b1,...) — the right order for word-wise arithmetic.
 std::vector<std::size_t> interleaved_word_order(

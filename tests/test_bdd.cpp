@@ -1,9 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "bdd/bdd.hpp"
 #include "bdd/bdd_to_netlist.hpp"
 #include "bdd/netlist_bdd.hpp"
 #include "exec/exec.hpp"
+#include "jobs/jobs.hpp"
+#include "jobs/kernels.hpp"
+#include "jobs/spec.hpp"
 #include "netlist/generators.hpp"
 #include "sim/simulator.hpp"
 #include "stats/rng.hpp"
@@ -212,6 +219,191 @@ TEST(BddOrdering, NodeCapTripsAdversarialOrderAndManagerSurvives) {
       ASSERT_EQ(m.eval(bdds.output(mod.netlist, o), assignment),
                 s.value(mod.netlist.outputs()[o]));
   }
+}
+
+// --- Fanin-DFS order: the symbolic kernel's variable order ----------------
+
+// Combinational generator designs the ordering tests sweep.
+const char* const kOrderSpecs[] = {
+    "adder:8",    "adder:10",    "mult:4",        "mult:6",
+    "parity:8",   "comparator:6", "comparator:12", "max:6",
+    "max:8",      "mux:3",       "mux:4",         "alu:4",
+    "alu:8",      "mulred:4:2",  "random:12:80:6:3", "random:16:200:8:9",
+    "c17",
+};
+
+// The symbolic kernel's energy for one variable order: sum over gates, in
+// gate order, of load * 2p(1-p) with p the BDD sat fraction.
+double energy_in_order(const hlp::netlist::Module& mod,
+                       std::span<const std::size_t> order) {
+  Manager m;
+  auto bdds = build_bdds_ordered(m, mod.netlist, order);
+  const std::vector<double> loads = mod.netlist.loads({});
+  double energy = 0.0;
+  for (hlp::netlist::GateId g = 0; g < mod.netlist.gate_count(); ++g) {
+    const double p = m.sat_fraction(bdds.fn[g]);
+    energy += loads[g] * 2.0 * p * (1.0 - p);
+  }
+  return energy;
+}
+
+std::size_t nodes_in_order(const hlp::netlist::Module& mod,
+                           std::span<const std::size_t> order) {
+  Manager m;
+  (void)build_bdds_ordered(m, mod.netlist, order);
+  return m.total_nodes();
+}
+
+std::vector<std::size_t> declaration_order(const hlp::netlist::Module& mod) {
+  std::vector<std::size_t> order(mod.netlist.inputs().size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  return order;
+}
+
+TEST(BddOrdering, FaninDfsOrderIsAPermutationOfTheInputs) {
+  for (const char* spec : kOrderSpecs) {
+    auto mod = hlp::jobs::make_module(spec);
+    std::vector<std::size_t> order = fanin_dfs_order(mod.netlist);
+    std::sort(order.begin(), order.end());
+    EXPECT_EQ(order, declaration_order(mod)) << spec;
+  }
+  // An input no output depends on keeps its declaration position at the end.
+  hlp::netlist::Netlist nl;
+  const auto a = nl.add_input();
+  nl.add_input();  // input 1: no output depends on it
+  const auto b = nl.add_input();
+  nl.mark_output(nl.add_binary(hlp::netlist::GateKind::And, a, b));
+  EXPECT_EQ(fanin_dfs_order(nl), (std::vector<std::size_t>{2, 0, 1}));
+}
+
+TEST(BddOrdering, FaninDfsMatchesExhaustiveEnumeration) {
+  // The kernel's value must be the exact expectation: enumerate every input
+  // vector, count each gate's ones, and apply the kernel's own formula to
+  // p = ones / 2^n. Both sides are exact dyadic rationals, so == holds.
+  int checked = 0;
+  for (const char* spec : kOrderSpecs) {
+    auto mod = hlp::jobs::make_module(spec);
+    const int n = mod.total_input_bits();
+    if (n > 16) continue;
+    const auto& nl = mod.netlist;
+    hlp::sim::Simulator s(nl);
+    std::vector<std::uint64_t> ones(nl.gate_count(), 0);
+    for (std::uint64_t in = 0; in < (std::uint64_t{1} << n); ++in) {
+      s.set_all_inputs(in);
+      s.eval();
+      for (hlp::netlist::GateId g = 0; g < nl.gate_count(); ++g)
+        ones[g] += s.value(g);
+    }
+    const std::vector<double> loads = nl.loads({});
+    const double total = static_cast<double>(std::uint64_t{1} << n);
+    double expect = 0.0;
+    for (hlp::netlist::GateId g = 0; g < nl.gate_count(); ++g) {
+      const double p = static_cast<double>(ones[g]) / total;
+      expect += loads[g] * 2.0 * p * (1.0 - p);
+    }
+    hlp::jobs::KernelRequest krq;
+    krq.kind = hlp::jobs::JobKind::Symbolic;
+    krq.design = spec;
+    const hlp::jobs::AttemptOutcome sym = hlp::jobs::run_kernel(krq, {});
+    ASSERT_TRUE(sym.ok) << spec;
+    EXPECT_EQ(sym.out.value, expect) << spec;
+    EXPECT_EQ(sym.out.detail.rfind("bdd exact (fanin-dfs order), ", 0), 0u)
+        << sym.out.detail;
+    ++checked;
+  }
+  EXPECT_GE(checked, 10);
+}
+
+TEST(BddOrdering, KernelValueIdenticalAcrossOrders) {
+  for (const char* spec : kOrderSpecs) {
+    auto mod = hlp::jobs::make_module(spec);
+    const double decl = energy_in_order(mod, declaration_order(mod));
+    EXPECT_EQ(energy_in_order(mod, interleaved_word_order(mod.input_words)),
+              decl)
+        << spec;
+    EXPECT_EQ(energy_in_order(mod, fanin_dfs_order(mod.netlist)), decl)
+        << spec;
+  }
+}
+
+TEST(BddOrdering, FaninDfsNodeCountsPinned) {
+  auto dfs_nodes = [](const char* spec) {
+    auto mod = hlp::jobs::make_module(spec);
+    return nodes_in_order(mod, fanin_dfs_order(mod.netlist));
+  };
+  EXPECT_EQ(dfs_nodes("adder:10"), 575u);
+  EXPECT_EQ(dfs_nodes("mult:6"), 6648u);
+  EXPECT_EQ(dfs_nodes("comparator:12"), 201u);
+  for (const char* spec : {"adder:8", "adder:10", "mult:5", "mult:6", "alu:8",
+                           "comparator:12", "max:8"}) {
+    auto mod = hlp::jobs::make_module(spec);
+    EXPECT_LE(nodes_in_order(mod, fanin_dfs_order(mod.netlist)),
+              nodes_in_order(mod, declaration_order(mod)))
+        << spec;
+  }
+}
+
+TEST(BddOrdering, NodeCapStillDegradesMult8) {
+  // The README campaign's mult8-exact job: mult:8 needs 61,511 nodes in
+  // fanin-DFS order, so a 3000-node cap still trips and the retry
+  // downgrades to sampling.
+  hlp::jobs::KernelRequest krq;
+  krq.kind = hlp::jobs::JobKind::Symbolic;
+  krq.design = "mult:8";
+  try {
+    (void)hlp::jobs::run_kernel(krq, hlp::exec::Budget::with_node_cap(3000));
+    FAIL() << "mult:8 fit under a 3000-node cap";
+  } catch (const hlp::exec::BudgetExceeded& e) {
+    EXPECT_EQ(e.reason(), hlp::exec::StopReason::NodeCap);
+  }
+  hlp::jobs::CampaignSpec spec = hlp::jobs::parse_campaign_spec(
+      "base-delay 0\n"
+      "job mult8-exact  symbolic  mult:8  node-cap=3000\n");
+  hlp::jobs::RunnerOptions opts;
+  opts.retry = spec.retry;
+  const hlp::jobs::CampaignResult cr = hlp::jobs::Runner(opts).run(spec.jobs);
+  ASSERT_EQ(cr.results.size(), 1u);
+  EXPECT_EQ(cr.results[0].status, hlp::jobs::JobStatus::Completed);
+  EXPECT_TRUE(cr.results[0].degraded);
+  EXPECT_EQ(cr.results[0].attempts, 2);
+}
+
+// --- Table growth is charged to the memory cap ------------------------------
+
+TEST(Bdd, TableGrowthChargesMemoryCapAndManagerSurvives) {
+  auto mod = hlp::netlist::multiplier_module(5);
+  const auto order = fanin_dfs_order(mod.netlist);
+  Manager plain;
+  const auto ref = build_bdds_ordered(plain, mod.netlist, order);
+
+  // Unlimited budget: the tables are charged, nothing trips, and the build
+  // is node-for-node the unmetered one.
+  Manager metered;
+  hlp::exec::Meter unlimited;
+  metered.set_meter(&unlimited);
+  (void)build_bdds_ordered(metered, mod.netlist, order);
+  EXPECT_EQ(metered.total_nodes(), plain.total_nodes());
+  EXPECT_GE(unlimited.bytes_charged(), plain.total_nodes() * 12);
+
+  // A cap well below the footprint trips memory-cap; the same manager then
+  // finishes the build unmetered, node-for-node and value-for-value.
+  Manager capped;
+  hlp::exec::Budget b;
+  b.memory_cap_bytes = 16 * 1024;
+  hlp::exec::Meter meter(b);
+  capped.set_meter(&meter);
+  try {
+    (void)build_bdds_ordered(capped, mod.netlist, order);
+    FAIL() << "a 16 KiB memory cap did not trip";
+  } catch (const hlp::exec::BudgetExceeded& e) {
+    EXPECT_EQ(e.reason(), hlp::exec::StopReason::MemoryCap);
+  }
+  capped.set_meter(nullptr);
+  auto bdds = build_bdds_ordered(capped, mod.netlist, order);
+  EXPECT_EQ(capped.total_nodes(), plain.total_nodes());
+  for (std::size_t o = 0; o < mod.netlist.outputs().size(); ++o)
+    EXPECT_EQ(capped.sat_fraction(bdds.output(mod.netlist, o)),
+              plain.sat_fraction(ref.output(mod.netlist, o)));
 }
 
 TEST(BddToNetlist, MaterializedMuxNetworkMatches) {

@@ -543,6 +543,44 @@ TEST(Runner, DowngradedSymbolicMatchesDirectSampledEstimate) {
   EXPECT_EQ(degraded_run.results[0].value, direct_run.results[0].value);
 }
 
+TEST(Runner, MemoryCappedSymbolicDowngradesToDirectSampledEstimate) {
+  // The BDD manager charges its node vector, unique table, ITE cache and
+  // sat memo to the memory cap. mult:6 needs well over 256 KiB of tables,
+  // so the symbolic attempt trips memory-cap and the retry's sampled answer
+  // equals a direct Monte Carlo job's bit for bit.
+  exec::Budget capped;
+  capped.memory_cap_bytes = 256 * 1024;
+  jobs::KernelRequest rq;
+  rq.kind = JobKind::Symbolic;
+  rq.design = "mult:6";
+  try {
+    (void)jobs::run_kernel(rq, capped);
+    FAIL() << "mult:6 fit its BDD tables into 256 KiB";
+  } catch (const exec::BudgetExceeded& e) {
+    EXPECT_EQ(e.reason(), exec::StopReason::MemoryCap);
+  }
+  EXPECT_TRUE(jobs::run_kernel(rq, {}).ok) << "unlimited budget must not trip";
+
+  Job sym;
+  sym.id = "same-id";
+  sym.kind = JobKind::Symbolic;
+  sym.design = "mult:6";
+  sym.budget = capped;
+  sym.epsilon = 0.05;
+  RunnerOptions opts;
+  opts.retry.base_delay_seconds = 0.0;
+  jobs::CampaignResult degraded_run = Runner(opts).run({sym});
+  ASSERT_EQ(degraded_run.results.size(), 1u);
+  ASSERT_EQ(degraded_run.results[0].status, JobStatus::Completed);
+  ASSERT_TRUE(degraded_run.results[0].degraded);
+  EXPECT_EQ(degraded_run.results[0].attempts, 2);
+
+  jobs::CampaignResult direct_run =
+      Runner(opts).run({mc_job("same-id", "mult:6")});
+  ASSERT_EQ(direct_run.results[0].status, JobStatus::Completed);
+  EXPECT_EQ(degraded_run.results[0].value, direct_run.results[0].value);
+}
+
 // --- Determinism across worker counts ---------------------------------------
 
 TEST(Runner, ParallelRunIsBitIdenticalToSerialRun) {
