@@ -7,12 +7,13 @@
 //     const-prop + activity + arrival + bounds) as gate count grows, and
 //     the exact symbolic kernel's cold latency on the named designs,
 //     measured here (jobs::run_kernel: BDD build in fanin-DFS order plus
-//     sat fractions).
+//     sat fractions). Each is the median of 21 runs with its quartiles.
 //
 //  2. Tightness: relative bound spread (upper-lower)/point versus the BDD
 //     refinement node budget on a reconvergent design (mult:6). More budget
 //     => more of the topological prefix computed exactly => tighter
-//     Fréchet bounds.
+//     Fréchet bounds; the whole of mult:6 fits in ~6,700 nodes, so the
+//     budgets below it trace the curve down to spread 0.
 //
 //  3. Serve tier-0: fraction of "kind":"static" requests over the
 //     generator corpus answered from the static bounds alone (detail
@@ -24,9 +25,11 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/estimate.hpp"
@@ -71,34 +74,51 @@ analysis::StaticEstimate estimate_cold(const netlist::Netlist& nl,
   return analysis::static_estimate(nl, ix, opts);
 }
 
-double measure_seconds(const netlist::Netlist& nl, std::size_t refine_budget,
-                       int reps) {
-  double best = 1e100;
+/// Median and quartiles of `reps` wall times of `run`.
+struct Timing {
+  double median = 0.0, q1 = 0.0, q3 = 0.0;
+};
+
+template <class F>
+Timing time_runs(int reps, F&& run) {
+  std::vector<double> secs;
   for (int r = 0; r < reps; ++r) {
     auto t0 = clock_type::now();
-    analysis::StaticEstimate est = estimate_cold(nl, refine_budget);
-    benchmark::DoNotOptimize(est.point);
+    run();
     auto t1 = clock_type::now();
-    best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
+    secs.push_back(std::chrono::duration<double>(t1 - t0).count());
   }
-  return best;
+  std::sort(secs.begin(), secs.end());
+  auto at = [&secs](double q) {
+    return secs[static_cast<std::size_t>(q * (secs.size() - 1) + 0.5)];
+  };
+  return {at(0.5), at(0.25), at(0.75)};
 }
 
-/// Best-of-`reps` wall time of the exact symbolic kernel on a design spec:
-/// the cold path a tier-0 static answer stands in for.
-double symbolic_seconds(const std::string& spec, int reps) {
+Timing static_timing(const netlist::Netlist& nl, std::size_t refine_budget) {
+  return time_runs(21, [&] {
+    analysis::StaticEstimate est = estimate_cold(nl, refine_budget);
+    benchmark::DoNotOptimize(est.point);
+  });
+}
+
+/// Wall time of the exact symbolic kernel on a design spec: the cold path
+/// a tier-0 static answer stands in for.
+Timing symbolic_timing(const std::string& spec) {
   jobs::KernelRequest krq;
   krq.kind = jobs::JobKind::Symbolic;
   krq.design = spec;
-  double best = 1e100;
-  for (int r = 0; r < reps; ++r) {
-    auto t0 = clock_type::now();
+  return time_runs(21, [&] {
     const jobs::AttemptOutcome ao = jobs::run_kernel(krq, {});
     benchmark::DoNotOptimize(ao.out.value);
-    auto t1 = clock_type::now();
-    best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
-  }
-  return best;
+  });
+}
+
+void add_timing(benchjson::Object& row, const std::string& prefix,
+                const Timing& t) {
+  row.emplace_back(prefix + "_seconds", t.median);
+  row.emplace_back(prefix + "_seconds_q1", t.q1);
+  row.emplace_back(prefix + "_seconds_q3", t.q3);
 }
 
 void BM_StaticEstimate(benchmark::State& state, const Workload* w) {
@@ -119,21 +139,30 @@ void write_report(const std::string& path) {
   std::printf("%20s %8s %12s %13s %10s %10s\n", "design", "gates",
               "latency_us", "symbolic_us", "point", "spread");
   for (const Workload& w : latency_workloads()) {
-    double secs = measure_seconds(w.mod.netlist, 20000, 9);
+    const Timing st = static_timing(w.mod.netlist, 20000);
+    const double secs = st.median;
     analysis::StaticEstimate est = estimate_cold(w.mod.netlist, 20000);
     benchjson::Object row{
         {"design", w.name},
         {"gates", w.mod.netlist.gate_count()},
-        {"latency_seconds", secs},
+        {"refined_gates", est.activity.refined_gates},
         {"point", est.point},
         {"lower", est.lower},
         {"upper", est.upper},
         {"relative_spread", est.spread()},
     };
+    add_timing(row, "latency", st);
     // Only spec-named designs have a symbolic kernel request.
     const bool named = w.name.find(':') != std::string::npos;
-    const double sym = named ? symbolic_seconds(w.name, 9) : 0.0;
-    if (named) row.emplace_back("symbolic_seconds", sym);
+    const Timing symt = named ? symbolic_timing(w.name) : Timing{};
+    const double sym = symt.median;
+    if (named) {
+      add_timing(row, "symbolic", symt);
+      jobs::KernelRequest krq;
+      krq.kind = jobs::JobKind::Symbolic;
+      krq.design = w.name;
+      row.emplace_back("symbolic_value", jobs::run_kernel(krq, {}).out.value);
+    }
     if (w.name == "adder:16") {
       adder16_seconds = secs;
       adder16_symbolic_seconds = sym;
@@ -155,10 +184,10 @@ void write_report(const std::string& path) {
   std::printf("\nbound tightness vs BDD refinement budget (mult:6)\n\n");
   std::printf("%10s %10s %12s %10s %12s\n", "budget", "refined", "bdd_nodes",
               "spread", "latency_us");
-  for (std::size_t budget : {std::size_t{0}, std::size_t{1000},
-                             std::size_t{5000}, std::size_t{20000},
-                             std::size_t{100000}}) {
-    double secs = measure_seconds(mult6.netlist, budget, 5);
+  for (std::size_t budget : {std::size_t{0}, std::size_t{250},
+                             std::size_t{1000}, std::size_t{2500},
+                             std::size_t{5000}, std::size_t{20000}}) {
+    const double secs = static_timing(mult6.netlist, budget).median;
     analysis::StaticEstimate est = estimate_cold(mult6.netlist, budget);
     std::printf("%10zu %10zu %12zu %10.4g %12.1f\n", budget,
                 est.activity.refined_gates, est.activity.bdd_nodes,
@@ -214,6 +243,7 @@ void write_report(const std::string& path) {
   benchjson::Object root{
       {"bench", "analysis"},
       {"metric", "static_estimate"},
+      {"cores", std::uint64_t{std::thread::hardware_concurrency()}},
       {"latency", std::move(latency)},
       {"adder16_static_seconds", adder16_seconds},
       {"adder16_symbolic_seconds", adder16_symbolic_seconds},

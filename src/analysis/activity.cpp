@@ -1,10 +1,9 @@
 #include "analysis/activity.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <unordered_map>
 
 #include "bdd/bdd.hpp"
+#include "bdd/netlist_bdd.hpp"
 
 namespace hlp::analysis {
 
@@ -14,8 +13,6 @@ using netlist::Gate;
 using netlist::GateId;
 using netlist::GateKind;
 using netlist::Netlist;
-
-constexpr std::uint32_t kNotInput = 0xffffffffu;
 
 double clamp01(double x) { return x < 0.0 ? 0.0 : (x > 1.0 ? 1.0 : x); }
 
@@ -57,8 +54,7 @@ PairDist mux3(const PairDist& s, const PairDist& d0, const PairDist& d1) {
 struct ActivityDomain {
   using Value = PairDist;
 
-  const InputModel* model;
-  const std::vector<std::uint32_t>* input_pos;
+  PairDist input;  ///< every primary input's joint
   /// When set, transfer(g) returns pinned[g] for masked gates — used to
   /// hold BDD-exact joints fixed while the decorrelated values downstream
   /// of them re-propagate.
@@ -77,7 +73,7 @@ struct ActivityDomain {
     const Gate& gate = nl.gate(g);
     switch (gate.kind) {
       case GateKind::Input:
-        return model->dist((*input_pos)[g]);
+        return input;
       case GateKind::Const0:
         return PairDist::constant(false);
       case GateKind::Const1:
@@ -159,74 +155,29 @@ struct ActivityDomain {
   }
 };
 
-/// Weighted model counting over doubled-variable BDDs. Variable 2k is
-/// input k at the previous time point, 2k+1 at the current one; the pair
-/// is adjacent in the order, so one recursion step consumes both and
-/// applies the input's lag-one joint as the weight. Distinct input pairs
-/// are mutually independent, which is what makes the per-node memo valid.
-class PairCounter {
- public:
-  PairCounter(bdd::Manager& mgr, const std::vector<PairDist>& input_dist)
-      : mgr_(mgr), dist_(input_dist) {}
-
-  double count(bdd::NodeRef f) {
-    if (f == bdd::kFalse) return 0.0;
-    if (f == bdd::kTrue) return 1.0;
-    auto it = memo_.find(f);
-    if (it != memo_.end()) return it->second;
-    const std::uint32_t v = mgr_.node_var(f);
-    const std::uint32_t k = v >> 1;
-    const PairDist& d = dist_[k];
-    double r;
-    if ((v & 1u) != 0) {
-      // Top var is cur_k with no prev_k above it; ordered BDDs place prev_k
-      // (the smaller var) only above, so f is independent of prev_k and the
-      // marginal P(cur_k = 1) is the right weight.
-      r = d.p() * count(mgr_.node_hi(f)) +
-          (1.0 - d.p()) * count(mgr_.node_lo(f));
-    } else {
-      const double joint[2][2] = {{d.p00, d.p01}, {d.p10, d.p11}};
-      r = 0.0;
-      for (int a = 0; a < 2; ++a) {
-        bdd::NodeRef fa = a != 0 ? mgr_.node_hi(f) : mgr_.node_lo(f);
-        bdd::NodeRef fb[2] = {fa, fa};
-        if (!mgr_.is_terminal(fa) && mgr_.node_var(fa) == v + 1) {
-          fb[0] = mgr_.node_lo(fa);
-          fb[1] = mgr_.node_hi(fa);
-        }
-        r += joint[a][0] * count(fb[0]) + joint[a][1] * count(fb[1]);
-      }
-    }
-    memo_.emplace(f, r);
-    return r;
+/// The refinement builds only gates bdd::gate_bdd can read: every fanin
+/// present and already built, and as many fanins as the kind needs.
+bool buildable(const Gate& gate, const std::vector<std::uint8_t>& built) {
+  for (GateId f : gate.fanins)
+    if (f == netlist::kNullGate || f >= built.size() || built[f] == 0)
+      return false;
+  switch (gate.kind) {
+    case GateKind::Input:
+    case GateKind::Const0:
+    case GateKind::Const1:
+      return true;
+    case GateKind::Dff:
+      return false;  // sequential; never reached (taint)
+    case GateKind::Mux:
+      return gate.fanins.size() >= 3;
+    default:
+      return !gate.fanins.empty();
   }
-
- private:
-  bdd::Manager& mgr_;
-  const std::vector<PairDist>& dist_;
-  std::unordered_map<bdd::NodeRef, double> memo_;
-};
+}
 
 }  // namespace
 
-PairDist PairDist::from_marginals(double p, double t) {
-  p = clamp01(p);
-  // The joint must be a distribution: t/2 <= min(p, 1-p).
-  t = std::min(clamp01(t), 2.0 * std::min(p, 1.0 - p));
-  const double h = t / 2.0;
-  return {1.0 - p - h, h, h, p - h};
-}
-
-PairDist InputModel::dist(std::size_t input_index) const {
-  const double pi =
-      input_index < p.size() ? clamp01(p[input_index]) : clamp01(default_p);
-  if (pair_mode) {
-    // Two independent draws: joint = product of identical marginals.
-    return {(1 - pi) * (1 - pi), (1 - pi) * pi, pi * (1 - pi), pi * pi};
-  }
-  const double ti = input_index < t.size() ? t[input_index] : default_t;
-  return PairDist::from_marginals(pi, ti);
-}
+PairDist InputModel::dist() const { return PairDist::independent(clamp01(p)); }
 
 std::vector<std::uint8_t> sequential_taint(const netlist::Netlist& nl,
                                            const netlist::NetlistIndex& ix) {
@@ -256,21 +207,14 @@ ActivityResult run_activity(const netlist::Netlist& nl,
   const std::size_t n = nl.gate_count();
   ActivityResult res;
 
-  std::vector<std::uint32_t> input_pos(n, kNotInput);
-  std::vector<PairDist> input_dist(nl.inputs().size());
-  for (std::size_t i = 0; i < nl.inputs().size(); ++i) {
-    input_pos[nl.inputs()[i]] = static_cast<std::uint32_t>(i);
-    input_dist[i] = opts.inputs.dist(i);
-  }
-
-  ActivityDomain dom{&opts.inputs, &input_pos};
+  ActivityDomain dom{opts.inputs.dist()};
   res.stats = run_fixpoint(nl, ix, dom, res.dist, opts.fixpoint, meter);
   res.sequential = sequential_taint(nl, ix);
   res.refined.assign(n, 0);
   if (opts.refine_node_budget == 0 || res.stats.stop != exec::StopReason::None)
     return res;
 
-  // --- Exact mode: rebuild DFF-free cones as doubled-variable BDDs -------
+  // --- Exact mode: single-time BDDs over a topological prefix ------------
   // Deterministic: topo prefix, fixed node budget, no wall-clock influence
   // on which gates get refined. A 4x backstop meter guards against a single
   // ITE blowing far past the budget between checks.
@@ -279,9 +223,14 @@ ActivityResult run_activity(const netlist::Netlist& nl,
   backstop_budget.node_cap = 4 * opts.refine_node_budget + 1024;
   exec::Meter backstop(backstop_budget);
   mgr.set_meter(&backstop);
-  std::vector<bdd::NodeRef> fprev(n, bdd::kFalse), fcur(n, bdd::kFalse);
+  // The symbolic kernel's structural order: variable k is input order[k].
+  const std::vector<std::size_t> order = bdd::fanin_dfs_order(nl);
+  std::vector<std::uint32_t> var_of(n, 0);
+  for (std::size_t k = 0; k < order.size(); ++k)
+    var_of[nl.inputs()[order[k]]] = static_cast<std::uint32_t>(k);
+  const double p = clamp01(opts.inputs.p);
+  std::vector<bdd::NodeRef> fn(n, bdd::kFalse);
   std::vector<std::uint8_t> built(n, 0);
-  PairCounter counter(mgr, input_dist);
 
   for (GateId g : ix.topo) {
     if (res.sequential[g] != 0) continue;
@@ -290,91 +239,13 @@ ActivityResult run_activity(const netlist::Netlist& nl,
       break;
     }
     const Gate& gate = nl.gate(g);
-    bool ok = true;
-    for (GateId f : gate.fanins)
-      ok = ok && f != netlist::kNullGate && f < n && built[f] != 0;
-    if (!ok) continue;
+    if (!buildable(gate, built)) continue;
     try {
-      bdd::NodeRef pcur = bdd::kFalse;
-      bdd::NodeRef pprev = bdd::kFalse;
-      switch (gate.kind) {
-        case GateKind::Input: {
-          const std::uint32_t i = input_pos[g];
-          pprev = mgr.var(2 * i);
-          pcur = mgr.var(2 * i + 1);
-          break;
-        }
-        case GateKind::Const0:
-          break;
-        case GateKind::Const1:
-          pprev = pcur = bdd::kTrue;
-          break;
-        case GateKind::Buf:
-        case GateKind::Not: {
-          if (gate.fanins.empty()) continue;
-          pprev = fprev[gate.fanins[0]];
-          pcur = fcur[gate.fanins[0]];
-          if (gate.kind == GateKind::Not) {
-            pprev = mgr.bdd_not(pprev);
-            pcur = mgr.bdd_not(pcur);
-          }
-          break;
-        }
-        case GateKind::And:
-        case GateKind::Nand:
-        case GateKind::Or:
-        case GateKind::Nor:
-        case GateKind::Xor:
-        case GateKind::Xnor: {
-          if (gate.fanins.empty()) continue;
-          const bool is_or =
-              gate.kind == GateKind::Or || gate.kind == GateKind::Nor;
-          const bool is_xor =
-              gate.kind == GateKind::Xor || gate.kind == GateKind::Xnor;
-          const bool neg = gate.kind == GateKind::Nand ||
-                           gate.kind == GateKind::Nor ||
-                           gate.kind == GateKind::Xnor;
-          pprev = fprev[gate.fanins[0]];
-          pcur = fcur[gate.fanins[0]];
-          for (std::size_t i = 1; i < gate.fanins.size(); ++i) {
-            const GateId f = gate.fanins[i];
-            if (is_xor) {
-              pprev = mgr.bdd_xor(pprev, fprev[f]);
-              pcur = mgr.bdd_xor(pcur, fcur[f]);
-            } else if (is_or) {
-              pprev = mgr.bdd_or(pprev, fprev[f]);
-              pcur = mgr.bdd_or(pcur, fcur[f]);
-            } else {
-              pprev = mgr.bdd_and(pprev, fprev[f]);
-              pcur = mgr.bdd_and(pcur, fcur[f]);
-            }
-          }
-          if (neg) {
-            pprev = mgr.bdd_not(pprev);
-            pcur = mgr.bdd_not(pcur);
-          }
-          break;
-        }
-        case GateKind::Mux: {
-          if (gate.fanins.size() < 3) continue;
-          pprev = mgr.ite(fprev[gate.fanins[0]], fprev[gate.fanins[2]],
-                          fprev[gate.fanins[1]]);
-          pcur = mgr.ite(fcur[gate.fanins[0]], fcur[gate.fanins[2]],
-                         fcur[gate.fanins[1]]);
-          break;
-        }
-        case GateKind::Dff:
-          continue;  // sequential; never reached (taint), kept for the enum
-      }
-      fprev[g] = pprev;
-      fcur[g] = pcur;
+      fn[g] = gate.kind == GateKind::Input ? mgr.var(var_of[g])
+                                           : bdd::gate_bdd(mgr, gate, fn);
       built[g] = 1;
       if (netlist::is_logic(gate.kind)) {
-        const double pp = counter.count(pprev);
-        const double pc = counter.count(pcur);
-        const double p11 = counter.count(mgr.bdd_and(pprev, pcur));
-        res.dist[g] = {clamp01(1.0 - pp - pc + p11), clamp01(pc - p11),
-                       clamp01(pp - p11), clamp01(p11)};
+        res.dist[g] = PairDist::independent(mgr.sat_probability(fn[g], p));
         res.refined[g] = 1;
         ++res.refined_gates;
       }

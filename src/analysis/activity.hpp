@@ -24,27 +24,24 @@ struct PairDist {
   double p_prev() const { return p10 + p11; }  ///< P(prev = 1)
   double t() const { return p01 + p10; }       ///< toggle probability
 
-  /// Marginals-only joint under the lag-one model: P(0->1)=P(1->0)=t/2.
-  static PairDist from_marginals(double p, double t);
+  /// Joint of two independent draws of a signal that is 1 with
+  /// probability p.
+  static PairDist independent(double p) {
+    return {(1 - p) * (1 - p), (1 - p) * p, p * (1 - p), p * p};
+  }
   static PairDist constant(bool v) {
     return v ? PairDist{0, 0, 0, 1} : PairDist{1, 0, 0, 0};
   }
 };
 
-/// Primary-input statistics. The default (`pair_mode`) matches the packed
-/// Monte Carlo and symbolic estimators exactly: each evaluation pair draws
-/// two *independent* uniform vectors, so every input has p = 0.5 and
-/// t = 2p(1-p) = 0.5 with prev and cur independent. Turning pair_mode off
-/// admits arbitrary per-input (p, t) lag-one streams.
+/// Primary-input statistics, matching the packed Monte Carlo and symbolic
+/// estimators: each evaluation pair draws two *independent* input vectors
+/// with every input 1 with probability p, so prev and cur are independent
+/// and t = 2p(1-p).
 struct InputModel {
-  bool pair_mode = true;
-  double default_p = 0.5;
-  double default_t = 0.5;        ///< ignored in pair_mode (t = 2p(1-p))
-  std::vector<double> p;         ///< optional per-input override (by position
-                                 ///< in Netlist::inputs())
-  std::vector<double> t;         ///< per-input toggle override (!pair_mode)
+  double p = 0.5;
 
-  PairDist dist(std::size_t input_index) const;
+  PairDist dist() const;
 };
 
 struct ActivityOptions {
@@ -64,7 +61,7 @@ struct ActivityResult {
                                ///< cur = D's marginal); the DFF's *own*
                                ///< toggle is its D fanin's t()
   /// Gate's cone reaches a DFF: its two evaluations are correlated through
-  /// the state update, so pair-mode independence does not apply.
+  /// the state update, so the independence of the two draws does not apply.
   std::vector<std::uint8_t> sequential;
   /// Exact (BDD-computed) joint replaced the decorrelated estimate.
   std::vector<std::uint8_t> refined;
@@ -77,12 +74,14 @@ struct ActivityResult {
 
 /// Propagate pair distributions to fixpoint (fast decorrelated mode:
 /// fanins treated as spatially independent, exact otherwise), then — under
-/// `refine_node_budget` — rebuild a topological prefix of DFF-free cones as
-/// BDDs over doubled variables (prev_i = 2i, cur_i = 2i+1) and replace
-/// those gates' joints with exact weighted model counts, which repairs
-/// reconvergent-fanout correlation error. Results for refined gates are
-/// exact under the input model; unrefined tree-shaped (non-reconvergent)
-/// gates are exact already by independence.
+/// `refine_node_budget` — build single-time BDDs (bdd::gate_bdd, inputs in
+/// bdd::fanin_dfs_order) for a topological prefix of DFF-free gates and
+/// replace their joints with exact ones, which repairs reconvergent-fanout
+/// correlation error. A DFF-free gate's prev and cur values are the same
+/// function of two independent input draws, so its exact joint is
+/// PairDist::independent of its weighted sat-probability. Results for
+/// refined gates are exact under the input model; unrefined tree-shaped
+/// (non-reconvergent) gates are exact already by independence.
 ActivityResult run_activity(const netlist::Netlist& nl,
                             const netlist::NetlistIndex& ix,
                             const ActivityOptions& opts = {},

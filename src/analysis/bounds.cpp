@@ -57,8 +57,7 @@ void indep_toggle(double p_lo, double p_hi, double& t_lo, double& t_hi) {
 struct BoundsDomain {
   using Value = BoundsValue;
 
-  const InputModel* model;
-  const std::vector<std::uint32_t>* input_pos;
+  double input_p;  ///< every primary input's signal probability
   const ActivityResult* exact = nullptr;
   /// Soundness fallback when the hull iteration hits max_passes: register
   /// outputs drop to top so one more (now converging) run re-derives the
@@ -82,12 +81,8 @@ struct BoundsDomain {
   Value initial(const Netlist& nl, GateId g) const {
     const Gate& gate = nl.gate(g);
     switch (gate.kind) {
-      case GateKind::Input: {
-        const std::size_t i = (*input_pos)[g];
-        const PairDist d = model->dist(i);
-        if (model->pair_mode) return make_indep(d.p(), d.p());
-        return {d.p(), d.p(), d.t(), d.t(), false};
-      }
+      case GateKind::Input:
+        return make_indep(input_p, input_p);
       case GateKind::Const0:
         return {0.0, 0.0, 0.0, 0.0, true};
       case GateKind::Const1:
@@ -110,7 +105,7 @@ struct BoundsDomain {
       // marginals of the pair coincide — same function over identically
       // distributed draws).
       const PairDist& d = exact->dist[g];
-      return {d.p(), d.p(), d.t(), d.t(), model->pair_mode};
+      return {d.p(), d.p(), d.t(), d.t(), true};
     }
     switch (gate.kind) {
       case GateKind::Input:
@@ -222,11 +217,7 @@ BoundsResult run_bounds(const netlist::Netlist& nl,
   const std::size_t n = nl.gate_count();
   BoundsResult res;
 
-  std::vector<std::uint32_t> input_pos(n, 0xffffffffu);
-  for (std::size_t i = 0; i < nl.inputs().size(); ++i)
-    input_pos[nl.inputs()[i]] = static_cast<std::uint32_t>(i);
-
-  BoundsDomain dom{&opts.inputs, &input_pos, opts.exact};
+  BoundsDomain dom{clamp01(opts.inputs.p), opts.exact};
   res.stats = run_fixpoint(nl, ix, dom, res.value, opts.fixpoint, meter);
 
   const std::vector<std::uint8_t> seq = sequential_taint(nl, ix);

@@ -30,7 +30,7 @@ namespace hlp::analysis {
 struct BoundsValue {
   double p_lo = 0.0, p_hi = 1.0;
   double t_lo = 0.0, t_hi = 1.0;
-  /// Pair-mode independence of the two evaluations holds for this net.
+  /// The two evaluations are independent draws for this net.
   bool indep = false;
 };
 

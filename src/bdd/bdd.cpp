@@ -198,21 +198,26 @@ NodeRef Manager::rename(
   return make_node(v, lo, hi);
 }
 
-double Manager::sat_fraction(NodeRef f) {
-  if (f == kFalse) return 0.0;
-  if (f == kTrue) return 1.0;
+double Manager::sat_probability(NodeRef f, double p) {
+  if (f <= kTrue) return f == kTrue ? 1.0 : 0.0;
+  if (p != sat_p_) {
+    std::fill(sat_cache_.begin(), sat_cache_.end(), -1.0);
+    sat_p_ = p;
+  }
   if (f >= sat_cache_.size()) {
     reserve_charged(sat_cache_, nodes_.size());
     sat_cache_.resize(nodes_.size(), -1.0);
   }
-  // Children are older than their parent, so the recursion below never
-  // resizes the memo.
+  return sat_rec(f, 1.0 - p, p);
+}
+
+double Manager::sat_rec(NodeRef f, double q, double p) {
+  if (f <= kTrue) return f == kTrue ? 1.0 : 0.0;
+  // Children are older than their parent, so the memo sized for f covers
+  // the whole recursion.
   if (sat_cache_[f] >= 0.0) return sat_cache_[f];
   const Node n = nodes_[f];
-  // Each child sits some levels below; with the fraction semantics every
-  // skipped level halves both branches equally, so the plain average is
-  // exact regardless of which variables appear.
-  const double r = 0.5 * (sat_fraction(n.lo) + sat_fraction(n.hi));
+  const double r = q * sat_rec(n.lo, q, p) + p * sat_rec(n.hi, q, p);
   sat_cache_[f] = r;
   return r;
 }

@@ -59,9 +59,15 @@ class Manager {
   /// True iff f implies g.
   bool implies(NodeRef f, NodeRef g) { return ite(f, g, kTrue) == kTrue; }
 
-  /// Fraction of minterms satisfying f (equals satisfying fraction over any
-  /// superset of the support).
-  double sat_fraction(NodeRef f);
+  /// Probability that f is true when every variable is independently 1
+  /// with probability p: the weighted count (1-p)*P(lo) + p*P(hi) per
+  /// node. Variables skipped between levels integrate out, so the value
+  /// holds over any superset of the support. The memo serves one p at a
+  /// time; a call with a different p clears it.
+  double sat_probability(NodeRef f, double p);
+  /// Fraction of minterms satisfying f: the p = 0.5 case, in which both
+  /// weights are exact halves, so it is the plain average of the branches.
+  double sat_fraction(NodeRef f) { return sat_probability(f, 0.5); }
 
   /// Number of internal nodes reachable from f (terminals excluded) — the
   /// "N" of Ferrandi's C_tot = alpha * (m/n) * N * h_out + beta model.
@@ -85,12 +91,12 @@ class Manager {
   /// Attach an execution meter (not owned; nullptr detaches). While
   /// attached, node creation checks the budget's node cap, every ITE
   /// cache miss charges one meter step, and every growth of the node
-  /// vector, unique table, ITE cache or sat_fraction memo charges its added
-  /// bytes to the memory cap before it allocates, so runaway constructions
-  /// trip the deadline/step quota/memory cap/cancellation instead of
-  /// hanging. A trip throws exec::BudgetExceeded mid-operation; the
-  /// manager's tables only ever contain completed entries, so it remains
-  /// fully usable afterwards.
+  /// vector, unique table, ITE cache or sat_probability memo charges its
+  /// added bytes to the memory cap before it allocates, so runaway
+  /// constructions trip the deadline/step quota/memory cap/cancellation
+  /// instead of hanging. A trip throws exec::BudgetExceeded mid-operation;
+  /// the manager's tables only ever contain completed entries, so it
+  /// remains fully usable afterwards.
   void set_meter(exec::Meter* m) { meter_ = m; }
   exec::Meter* meter() const { return meter_; }
 
@@ -118,6 +124,8 @@ class Manager {
   void grow_ite_cache();
   template <class T>
   void reserve_charged(std::vector<T>& v, std::size_t n);
+  /// sat_probability's recursion, with q = 1 - p and the memo sized.
+  double sat_rec(NodeRef f, double q, double p);
 
   std::vector<Node> nodes_;
   /// Unique table: open addressing with linear probing over node ids
@@ -129,8 +137,10 @@ class Manager {
   /// never drops an entry, so a repeated call is always a hit.
   std::vector<IteEntry> ite_cache_;
   std::size_t ite_entries_ = 0;
-  /// sat_fraction memo indexed by NodeRef; a negative entry is unset.
+  /// sat_probability memo indexed by NodeRef, valid for `sat_p_`; a
+  /// negative entry is unset.
   std::vector<double> sat_cache_;
+  double sat_p_ = 0.5;
   exec::Meter* meter_ = nullptr;
 };
 

@@ -56,6 +56,43 @@ std::vector<std::size_t> fanin_dfs_order(const netlist::Netlist& nl) {
   return order;
 }
 
+NodeRef gate_bdd(Manager& mgr, const Gate& g, std::span<const NodeRef> fn) {
+  switch (g.kind) {
+    case GateKind::Input:
+    case GateKind::Dff:
+      break;
+    case GateKind::Const0:
+      return kFalse;
+    case GateKind::Const1:
+      return kTrue;
+    case GateKind::Buf:
+      return fn[g.fanins[0]];
+    case GateKind::Not:
+      return mgr.bdd_not(fn[g.fanins[0]]);
+    case GateKind::And:
+    case GateKind::Nand: {
+      NodeRef r = kTrue;
+      for (GateId f : g.fanins) r = mgr.bdd_and(r, fn[f]);
+      return g.kind == GateKind::Nand ? mgr.bdd_not(r) : r;
+    }
+    case GateKind::Or:
+    case GateKind::Nor: {
+      NodeRef r = kFalse;
+      for (GateId f : g.fanins) r = mgr.bdd_or(r, fn[f]);
+      return g.kind == GateKind::Nor ? mgr.bdd_not(r) : r;
+    }
+    case GateKind::Xor:
+    case GateKind::Xnor: {
+      NodeRef r = kFalse;
+      for (GateId f : g.fanins) r = mgr.bdd_xor(r, fn[f]);
+      return g.kind == GateKind::Xnor ? mgr.bdd_not(r) : r;
+    }
+    case GateKind::Mux:
+      return mgr.ite(fn[g.fanins[0]], fn[g.fanins[2]], fn[g.fanins[1]]);
+  }
+  throw std::invalid_argument("gate_bdd: sources map to variables");
+}
+
 NetlistBdds build_bdds_ordered(Manager& mgr, const netlist::Netlist& nl,
                                std::span<const std::size_t> input_order) {
   NetlistBdds out;
@@ -77,48 +114,8 @@ NetlistBdds build_bdds_ordered(Manager& mgr, const netlist::Netlist& nl,
   }
   for (GateId id : nl.topo_order()) {
     const Gate& g = nl.gate(id);
-    switch (g.kind) {
-      case GateKind::Input:
-      case GateKind::Dff:
-        break;  // already assigned
-      case GateKind::Const0:
-        out.fn[id] = kFalse;
-        break;
-      case GateKind::Const1:
-        out.fn[id] = kTrue;
-        break;
-      case GateKind::Buf:
-        out.fn[id] = out.fn[g.fanins[0]];
-        break;
-      case GateKind::Not:
-        out.fn[id] = mgr.bdd_not(out.fn[g.fanins[0]]);
-        break;
-      case GateKind::And:
-      case GateKind::Nand: {
-        NodeRef r = kTrue;
-        for (GateId f : g.fanins) r = mgr.bdd_and(r, out.fn[f]);
-        out.fn[id] = g.kind == GateKind::Nand ? mgr.bdd_not(r) : r;
-        break;
-      }
-      case GateKind::Or:
-      case GateKind::Nor: {
-        NodeRef r = kFalse;
-        for (GateId f : g.fanins) r = mgr.bdd_or(r, out.fn[f]);
-        out.fn[id] = g.kind == GateKind::Nor ? mgr.bdd_not(r) : r;
-        break;
-      }
-      case GateKind::Xor:
-      case GateKind::Xnor: {
-        NodeRef r = kFalse;
-        for (GateId f : g.fanins) r = mgr.bdd_xor(r, out.fn[f]);
-        out.fn[id] = g.kind == GateKind::Xnor ? mgr.bdd_not(r) : r;
-        break;
-      }
-      case GateKind::Mux:
-        out.fn[id] = mgr.ite(out.fn[g.fanins[0]], out.fn[g.fanins[2]],
-                             out.fn[g.fanins[1]]);
-        break;
-    }
+    if (g.kind != GateKind::Input && g.kind != GateKind::Dff)
+      out.fn[id] = gate_bdd(mgr, g, out.fn);
   }
   return out;
 }

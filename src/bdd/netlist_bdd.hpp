@@ -22,6 +22,12 @@ struct NetlistBdds {
   }
 };
 
+/// BDD of one non-source gate from its fanins' BDDs (`fn` indexed by
+/// GateId). Input and Dff gates are sources that the caller maps to
+/// variables; passing one throws std::invalid_argument.
+NodeRef gate_bdd(Manager& mgr, const netlist::Gate& g,
+                 std::span<const NodeRef> fn);
+
 /// Build BDDs for every gate. Variable order: primary inputs first (in
 /// declaration order), then DFF outputs. Throws if the netlist has a
 /// combinational cycle.

@@ -12,9 +12,11 @@
 namespace hlp::model {
 
 /// Artifact format version. Bumps when the feature layout (kFeatureCount /
-/// feature order) or the wire fields change; a registry never silently
-/// evaluates a model whose version it does not understand.
-inline constexpr int kModelVersion = 1;
+/// feature order), a feature's meaning or the wire fields change; a
+/// registry never silently evaluates a model whose version it does not
+/// understand. Version 2: the static features (5-8) come from the exact
+/// single-time BDD refinement.
+inline constexpr int kModelVersion = 2;
 
 /// A fitted power macromodel: everything needed to answer a prediction
 /// *with a confidence interval* and to refuse extrapolation.

@@ -31,8 +31,7 @@ FeatureVector extract_features(const std::string& design, double input_p) {
   netlist::Module mod = jobs::make_module(design);
   const netlist::NetlistIndex ix = netlist::build_index(mod.netlist);
   analysis::StaticOptions sopts;
-  sopts.inputs.pair_mode = true;
-  sopts.inputs.default_p = input_p;
+  sopts.inputs.p = input_p;
   // No meter: extraction must be a pure function of (design, input_p) so
   // training rows and serve-time queries agree bit for bit.
   const analysis::StaticEstimate est =

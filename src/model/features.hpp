@@ -43,7 +43,7 @@ struct FeatureVector {
 };
 
 /// Extract the canonical feature vector for a netlist design spec under
-/// i.i.d. pair-mode inputs with signal probability `input_p` on every bit.
+/// i.i.d. inputs with signal probability `input_p` on every bit.
 /// Throws std::invalid_argument for an unbuildable design (same contract as
 /// jobs::make_module) or input_p outside [0, 1].
 FeatureVector extract_features(const std::string& design, double input_p);

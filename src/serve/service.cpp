@@ -396,6 +396,10 @@ Service::Keys Service::keys(const Request& rq) {
   k.cache_key = base;
   k.cache_key += "|seed=";
   append_u64(k.cache_key, k.seed);
+  // Version of the tier-0 values, bumped whenever the static estimator's
+  // numbers change, so a persisted segment never serves stale ones. It sits
+  // after the seed, which it must not move.
+  if (rq.kind == jobs::JobKind::Static) k.cache_key += "|static-v2";
   // Flight key adds the budget fields (and the cache opt-out): only
   // requests that would do byte-identical work under the same limits may
   // share one execution.

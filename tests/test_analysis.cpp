@@ -161,6 +161,24 @@ TEST(StaticPoint, BddRefinementRecoversExactValueOnReconvergentCone) {
   EXPECT_NEAR(est.upper, est.lower, 1e-9 * std::max(1.0, truth));
 }
 
+TEST(StaticPoint, DefaultBudgetIsExactOnSmallCones) {
+  // These cones fit the default refinement budget in the kernel's own
+  // variable order, so every gate is refined and the point is the symbolic
+  // kernel's value to the bit, with the bounds collapsed onto it.
+  for (const char* spec : {"adder:8", "adder:16", "comparator:12", "mult:6"}) {
+    jobs::KernelRequest krq;
+    krq.kind = jobs::JobKind::Symbolic;
+    krq.design = spec;
+    const double truth = jobs::run_kernel(krq, {}).out.value;
+    const Module m = jobs::make_module(spec);
+    const netlist::NetlistIndex ix = netlist::build_index(m.netlist);
+    const StaticEstimate est = analysis::static_estimate(m.netlist, ix);
+    EXPECT_FALSE(est.activity.refine_budget_hit) << spec;
+    EXPECT_EQ(est.point, truth) << spec;
+    EXPECT_EQ(est.upper, est.lower) << spec;
+  }
+}
+
 // --- Determinism / worklist-order independence ------------------------------
 
 TEST(Fixpoint, ResultsAreIndependentOfWorklistSalt) {

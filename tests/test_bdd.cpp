@@ -50,6 +50,44 @@ TEST(Bdd, SatFraction) {
   EXPECT_DOUBLE_EQ(m.sat_fraction(m.bdd_or(a, b)), 0.75);
 }
 
+// The uniform counter as a plain recursive average of the two branches.
+double average_fraction(const Manager& m, NodeRef f) {
+  if (m.is_terminal(f)) return f == kTrue ? 1.0 : 0.0;
+  return 0.5 * (average_fraction(m, m.node_lo(f)) +
+                average_fraction(m, m.node_hi(f)));
+}
+
+TEST(Bdd, WeightedSatProbabilityMatchesEnumeration) {
+  // Weighted counts against brute force over every input vector, with
+  // each input 1 at probability p; the p = 0.5 case must be the uniform
+  // average bit for bit.
+  for (const char* spec : {"adder:4", "mult:3"}) {
+    const auto mod = hlp::jobs::make_module(spec);
+    const auto& nl = mod.netlist;
+    const std::size_t n = nl.inputs().size();
+    Manager m;
+    const NetlistBdds bdds = build_bdds(m, nl);  // variable i = input i
+    for (std::size_t o = 0; o < nl.outputs().size(); ++o) {
+      const NodeRef f = bdds.output(nl, o);
+      for (double p : {0.3, 0.7}) {
+        double expect = 0.0;
+        for (std::uint64_t in = 0; in < (std::uint64_t{1} << n); ++in) {
+          if (!m.eval(f, in)) continue;
+          double w = 1.0;
+          for (std::size_t i = 0; i < n; ++i) w *= ((in >> i) & 1u) ? p : 1 - p;
+          expect += w;
+        }
+        EXPECT_NEAR(m.sat_probability(f, p), expect, 1e-12)
+            << spec << " output " << o << " p " << p;
+      }
+      EXPECT_EQ(m.sat_probability(f, 0.5), average_fraction(m, f))
+          << spec << " output " << o;
+      EXPECT_EQ(m.sat_fraction(f), average_fraction(m, f))
+          << spec << " output " << o;
+    }
+  }
+}
+
 TEST(Bdd, Quantification) {
   Manager m;
   auto a = m.var(0), b = m.var(1);

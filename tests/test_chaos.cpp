@@ -120,6 +120,53 @@ TEST(ServePersist, RestartServesWarmByteIdenticalWithoutExecuting) {
   std::remove(path.c_str());
 }
 
+TEST(ServePersist, StaticEntryUnderPreTagKeyIsRecomputedAfterRestart) {
+  // A segment persisted before the static kind's key carried its version
+  // tag: the symbolic entry keeps its key and must load warm, while the
+  // static entry sits under the untagged key and must never be served.
+  const std::string path = temp_segment_path("static_tag");
+  std::remove(path.c_str());
+  const Request sym = estimate_request("adder:8");
+  const Request stat = estimate_request("adder:8", jobs::JobKind::Static);
+  std::string sym_first;
+  std::string untagged;
+  {
+    ServiceOptions opts;
+    opts.cache_path = path;
+    Service cold(opts);
+    sym_first = cold.handle_line(sym.serialize());
+    ASSERT_NE(sym_first.find("\"ok\":true"), std::string::npos) << sym_first;
+    EXPECT_EQ(cold.keys(sym).cache_key.find("|static-v"), std::string::npos);
+    const std::string tagged = cold.keys(stat).cache_key;
+    const std::size_t cut = tagged.rfind("|static-v");
+    ASSERT_NE(cut, std::string::npos) << tagged;
+    untagged = tagged.substr(0, cut);
+  }
+  {
+    // A well-formed response body with the wrong value, as a stale entry.
+    CacheSegmentFile seg(path);
+    seg.load([](std::string&&, std::string&&) {});
+    seg.append(untagged, sym_first);
+  }
+
+  std::string fresh;
+  {
+    Service uncached;
+    fresh = uncached.handle_line(stat.serialize());
+  }
+  ServiceOptions opts;
+  opts.cache_path = path;
+  Service warm(opts);
+  EXPECT_EQ(warm.metrics().warm_entries, 2u);
+  EXPECT_EQ(warm.handle_line(sym.serialize()), sym_first);
+  EXPECT_EQ(warm.metrics().hits, 1u);
+  EXPECT_EQ(warm.handle_line(stat.serialize()), fresh)
+      << "a static entry persisted under the untagged key must recompute";
+  EXPECT_EQ(warm.metrics().hits, 1u);
+  EXPECT_EQ(warm.metrics().misses, 1u);
+  std::remove(path.c_str());
+}
+
 TEST(ServePersist, TornTailIsTruncatedAndEarlierEntriesSurvive) {
   const std::string path = temp_segment_path("torn");
   std::remove(path.c_str());

@@ -345,7 +345,9 @@ Request accuracy_request(const std::string& design, double accuracy,
 }
 
 /// Shared expensive fixture: one real characterization campaign over the
-/// adder family (symbolic labels at p = 0.5), fitted and saved once.
+/// adder family, fitted and saved once. The static features are exact on
+/// adders, so a grid at p = 0.5 alone would fit y = static-point with zero
+/// residual variance; the three-point input-p grid keeps a real interval.
 class ServeModelE2E : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -353,14 +355,14 @@ class ServeModelE2E : public ::testing::Test {
     spec.family = "adder";
     spec.kind = jobs::JobKind::Symbolic;
     spec.params = {4, 6, 8, 10, 12};
-    spec.input_p = {0.5};
+    spec.input_p = {0.3, 0.5, 0.7};
     jobs::RunnerOptions ropts;
     ropts.workers = 2;
     const model::Characterization ch = model::characterize(spec, ropts);
     ASSERT_TRUE(ch.complete());
-    ASSERT_EQ(ch.rows.size(), 5u);
+    ASSERT_EQ(ch.rows.size(), 15u);
     model::FitOptions fopts;
-    fopts.holdout_frac = 0.0;  // 5 rows: train on all of them
+    fopts.holdout_frac = 0.0;  // 15 rows: train on all of them
     const model::FitReport rep =
         model::fit_macromodel(ch.rows, "adder", "symbolic", fopts);
     path_ = temp_model_path("e2e");
