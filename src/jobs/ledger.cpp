@@ -1,11 +1,12 @@
 #include "jobs/ledger.hpp"
 
-#include <unistd.h>
+#include <fcntl.h>
 
 #include <algorithm>
 #include <stdexcept>
 
 #include "util/json.hpp"
+#include "util/recordfile.hpp"
 
 namespace hlp::jobs {
 
@@ -127,7 +128,8 @@ bool LedgerRecord::parse(std::string_view line, LedgerRecord& out) {
     } else if (key == "design") {
       if (!mark(4) || !parse_json_string(c, r.design)) return false;
     } else if (key == "attempt") {
-      if (!mark(5) || !number_as(number_token(c), r.attempt)) return false;
+      if (!mark(5) || !number_as(number_token(c), r.attempt) || r.attempt < 0)
+        return false;  // serialize() would clamp a negative count to 0
     } else if (key == "error") {
       if (!mark(6) || !parse_json_string(c, r.error)) return false;
     } else if (key == "detail") {
@@ -142,7 +144,9 @@ bool LedgerRecord::parse(std::string_view line, LedgerRecord& out) {
     } else if (key == "ckpt") {
       if (!mark(11) || !parse_json_string(c, r.checkpoint)) return false;
     } else if (key == "attempts") {
-      if (!mark(12) || !number_as(number_token(c), r.attempts)) return false;
+      if (!mark(12) || !number_as(number_token(c), r.attempts) ||
+          r.attempts < 0)
+        return false;
     } else if (key == "degraded") {
       if (!mark(13) || !util::parse_json_bool(c, r.degraded)) return false;
     } else if (key == "value") {
@@ -154,44 +158,28 @@ bool LedgerRecord::parse(std::string_view line, LedgerRecord& out) {
   // Only trailing whitespace may follow the closing brace.
   if (!util::only_trailing_ws(c)) return false;
   if (!have_rec || !have_seq || !have_job) return false;
+  // serialize() writes only the kind's fields (bits as marked, indexed by
+  // RecordKind); a record carrying another could not round-trip.
+  constexpr std::uint32_t kKindFields[] = {0x1f,  0x27,  0xe7,  0x127,
+                                           0x627, 0x827, 0x7087};
+  if (seen & ~kKindFields[static_cast<int>(r.kind)]) return false;
   out = std::move(r);
   return true;
 }
 
-LedgerWriter::LedgerWriter(const std::string& path, bool truncate) {
-  f_ = std::fopen(path.c_str(), truncate ? "wb" : "ab");
-  if (!f_)
+LedgerWriter::LedgerWriter(const std::string& path, bool truncate)
+    : log_(::open(path.c_str(),
+                  O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC |
+                      (truncate ? O_TRUNC : 0),
+                  0644)) {
+  if (log_.wedged())
     throw std::runtime_error("jobs: cannot open ledger file '" + path + "'");
-}
-
-LedgerWriter::~LedgerWriter() {
-  // Well-behaved use never destroys the writer with appenders in flight
-  // (every append blocks until its records are durable), so pending_ is
-  // empty here unless a failure already closed the file.
-  std::lock_guard<std::mutex> lk(mu_);
-  if (f_) std::fclose(f_);
-  f_ = nullptr;
-}
-
-bool LedgerWriter::open() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return f_ != nullptr;
-}
-
-std::uint64_t LedgerWriter::records_committed() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return durable_;
-}
-
-std::uint64_t LedgerWriter::flush_batches() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return flushes_;
 }
 
 void LedgerWriter::append(const LedgerRecord& rec) {
   std::string line = rec.serialize();
   line.push_back('\n');
-  commit_lines(std::move(line), 1);
+  log_.append(line, 1);
 }
 
 void LedgerWriter::append_batch(std::span<const LedgerRecord> recs) {
@@ -201,51 +189,7 @@ void LedgerWriter::append_batch(std::span<const LedgerRecord> recs) {
     text += rec.serialize();
     text.push_back('\n');
   }
-  commit_lines(std::move(text), recs.size());
-}
-
-void LedgerWriter::commit_lines(std::string&& text, std::uint64_t n) {
-  std::unique_lock<std::mutex> lk(mu_);
-  if (!f_) return;
-  pending_ += text;
-  const std::uint64_t my_horizon = enqueued_ + n;
-  enqueued_ = my_horizon;
-  // Leader-flush group commit: whoever finds the flush slot free takes the
-  // whole pending buffer to disk; everyone else sleeps until a leader's
-  // durable horizon covers their records. Write-ahead discipline holds —
-  // the caller returns only once its records are fsync'd (or the writer
-  // has failed).
-  while (durable_ < my_horizon && f_) {
-    if (!flushing_) {
-      flushing_ = true;
-      std::string buf;
-      buf.swap(pending_);
-      const std::uint64_t upto = enqueued_;
-      std::FILE* f = f_;
-      lk.unlock();
-      // An I/O failure (disk full) silently closes the ledger rather than
-      // killing the campaign — the ledger is a durability optimization,
-      // and a later resume simply re-runs whatever the lost records
-      // covered. fsync errors are ignored, matching the historical
-      // per-record writer.
-      const bool ok =
-          std::fwrite(buf.data(), 1, buf.size(), f) == buf.size() &&
-          std::fflush(f) == 0;
-      if (ok) ::fsync(::fileno(f));
-      lk.lock();
-      flushing_ = false;
-      if (ok) {
-        durable_ = upto;
-        ++flushes_;
-      } else {
-        std::fclose(f_);
-        f_ = nullptr;
-      }
-      cv_.notify_all();
-    } else {
-      cv_.wait(lk);
-    }
-  }
+  log_.append(text, recs.size());
 }
 
 std::uint64_t LedgerScan::max_seq() const {
@@ -282,13 +226,8 @@ LedgerScan scan_ledger_text(std::string_view text) {
 }
 
 LedgerScan read_ledger(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) return {};
   std::string text;
-  char buf[65536];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
-  std::fclose(f);
+  if (util::read_file(path, text) == util::ReadStatus::Missing) return {};
   return scan_ledger_text(text);
 }
 

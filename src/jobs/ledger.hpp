@@ -1,13 +1,12 @@
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
-#include <cstdio>
-#include <mutex>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "util/recordfile.hpp"
 
 namespace hlp::jobs {
 
@@ -83,27 +82,27 @@ struct LedgerRecord {
   std::string serialize() const;
 
   /// Parse one ledger line. Accepts the known keys in any order (unknown
-  /// keys are rejected — a truncated line that happens to re-synchronize
-  /// must not be half-read). Returns false on any malformation, leaving
-  /// `out` untouched.
+  /// keys, and known keys the record's kind does not carry, are rejected —
+  /// a truncated line that happens to re-synchronize must not be
+  /// half-read). Returns false on any malformation, leaving `out`
+  /// untouched.
   static bool parse(std::string_view line, LedgerRecord& out);
 
   bool operator==(const LedgerRecord&) const = default;
 };
 
-/// Append-only writer with group commit. Every append is durable (written,
-/// flushed, and fsync'd) before it returns — the write-ahead discipline is
-/// unchanged — but when several threads complete records concurrently, one
-/// of them becomes the *flush leader*: it takes every line enqueued so far
-/// and retires them with a single fwrite+fflush+fsync while the others wait
-/// on a condition variable for their record's durable horizon. N records
-/// racing through the commit path thus cost one fsync, not N, without
-/// weakening the crash model (a record is never acknowledged before it is
-/// on disk; the only kill artifact is still a truncated final line).
+/// Append-only writer with group commit (util::GroupCommitAppender): every
+/// append is durable (written and fsync'd) before it returns — the
+/// write-ahead discipline — while records that several threads complete
+/// concurrently share one write + fsync. A record is never acknowledged
+/// before it is on disk; the only kill artifact is a truncated final line.
 ///
 /// `append_batch` extends the same protocol to a caller who already holds
 /// several records (the runner's enqueue burst): the whole batch rides one
 /// enqueue and is covered by one fsync.
+///
+/// A failed write or fsync closes the ledger rather than killing the
+/// campaign; a later resume re-runs whatever the lost records covered.
 ///
 /// All members are thread-safe. File order may interleave records from
 /// concurrent appenders in any order — `seq` is campaign-monotone but the
@@ -115,36 +114,23 @@ class LedgerWriter {
   /// `truncate` starts a fresh ledger; otherwise appends to an existing
   /// one (resume). Throws std::runtime_error if the file cannot be opened.
   explicit LedgerWriter(const std::string& path, bool truncate = true);
-  ~LedgerWriter();
   LedgerWriter(const LedgerWriter&) = delete;
   LedgerWriter& operator=(const LedgerWriter&) = delete;
 
-  bool open() const;
+  bool open() const { return !log_.wedged(); }
   void append(const LedgerRecord& rec);
   /// Append several records with one durable commit (single fsync for the
   /// batch, possibly shared with concurrent appenders).
   void append_batch(std::span<const LedgerRecord> recs);
 
   /// Records durably retired so far (monotone; for benches/diagnostics).
-  std::uint64_t records_committed() const;
+  std::uint64_t records_committed() const { return log_.records_committed(); }
   /// Physical fsync batches issued. records_committed / flush_batches is
   /// the group-commit amortization factor (1.0 = no batching happened).
-  std::uint64_t flush_batches() const;
+  std::uint64_t flush_batches() const { return log_.flush_batches(); }
 
  private:
-  /// Enqueue pre-serialized text covering `n` records and block until it
-  /// is durable (or the writer has failed). Implements the leader-flush
-  /// protocol shared by append and append_batch.
-  void commit_lines(std::string&& text, std::uint64_t n);
-
-  std::FILE* f_ = nullptr;
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::string pending_;           ///< serialized lines awaiting flush
-  std::uint64_t enqueued_ = 0;    ///< records ever enqueued
-  std::uint64_t durable_ = 0;     ///< records known on disk
-  bool flushing_ = false;         ///< a leader currently owns the buffer
-  std::uint64_t flushes_ = 0;     ///< physical fsync batches issued
+  util::GroupCommitAppender log_;
 };
 
 /// Result of scanning a ledger: every well-formed record in file order,

@@ -2,9 +2,10 @@
 
 #include <cerrno>
 #include <charconv>
-#include <cstdio>
 #include <cstring>
 #include <unordered_set>
+
+#include "util/recordfile.hpp"
 
 namespace hlp::jobs {
 
@@ -140,8 +141,8 @@ CampaignSpec parse_campaign_spec(std::string_view text) {
 }
 
 CampaignSpec read_campaign_spec(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) {
+  std::string text;
+  if (util::read_file(path, text) != util::ReadStatus::Ok) {
     // The errno text turns "cannot read" into an actionable message — a
     // missing file, a permission problem, and a directory-as-file all read
     // identically without it.
@@ -149,11 +150,6 @@ CampaignSpec read_campaign_spec(const std::string& path) {
     throw std::runtime_error("jobs: cannot read campaign spec '" + path +
                              "': " + std::strerror(err));
   }
-  std::string text;
-  char buf[65536];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
-  std::fclose(f);
   return parse_campaign_spec(text);
 }
 

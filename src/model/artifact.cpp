@@ -1,32 +1,19 @@
 #include "model/artifact.hpp"
 
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <cerrno>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 
 #include "stats/descriptive.hpp"
-#include "util/fileio.hpp"
-#include "util/hash.hpp"
 #include "util/json.hpp"
+#include "util/recordfile.hpp"
 
 namespace hlp::model {
 
-using util::fsync_parent_dir;
-using util::get_u32le;
-using util::put_u32le;
-using util::write_all_fd;
-
 namespace {
 
-constexpr char kMagic[8] = {'H', 'L', 'P', 'M', 'O', 'D', 'L', '1'};
-constexpr std::size_t kFrameLenBytes = 4;
-constexpr std::size_t kFrameCrcBytes = 4;
+constexpr std::string_view kMagic = "HLPMODL1";
 /// Sanity cap per record: a serialized model is a few KiB; anything larger
 /// is corruption, not data.
 constexpr std::uint32_t kMaxRecordBytes = 1u << 20;
@@ -277,103 +264,51 @@ const char* to_string(ModelFileStatus s) {
 
 ModelLoad decode_models(std::string_view bytes) {
   ModelLoad out;
-  if (bytes.size() < sizeof(kMagic) ||
-      std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
+  const util::FrameScan scan =
+      util::scan_frames(bytes, kMagic, kMaxRecordBytes);
+  if (scan.good == 0) {
     out.status = ModelFileStatus::BadMagic;
     out.error = "not a model registry file (bad magic)";
     return out;
   }
-  const auto* raw = reinterpret_cast<const unsigned char*>(bytes.data());
-  std::size_t off = sizeof(kMagic);
-  while (bytes.size() - off >= kFrameLenBytes + kFrameCrcBytes) {
-    const std::uint32_t len = get_u32le(raw + off);
-    if (len == 0 || len > kMaxRecordBytes) break;  // unframable: torn tail
-    const std::size_t payload = kFrameLenBytes + len;
-    if (payload + kFrameCrcBytes > bytes.size() - off) break;  // torn tail
-    if (util::crc32(bytes.data() + off, payload) !=
-        get_u32le(raw + off + payload))
-      break;  // torn or bit-flipped: everything after is unframable
+  for (std::string_view payload : scan.payloads) {
     // CRC verified: the payload is what the writer wrote, so a parse
     // failure here is real corruption (or a future version), not a torn
     // write — reject the whole file with a typed status.
     Macromodel m;
     std::string perr;
-    const Macromodel::ParseStatus ps = Macromodel::parse(
-        std::string_view(bytes.data() + off + kFrameLenBytes, len), m, perr);
+    const Macromodel::ParseStatus ps = Macromodel::parse(payload, m, perr);
     if (ps != Macromodel::ParseStatus::Ok) {
       out.error = "record " + std::to_string(out.models.size()) + ": " + perr;
       out.models.clear();
       out.status = ps == Macromodel::ParseStatus::VersionMismatch
                        ? ModelFileStatus::VersionMismatch
                        : ModelFileStatus::BadRecord;
-      out.torn_bytes = 0;
       return out;
     }
     out.models.push_back(std::move(m));
-    off += payload + kFrameCrcBytes;
   }
-  out.torn_bytes = static_cast<std::uint64_t>(bytes.size() - off);
+  out.torn_bytes = static_cast<std::uint64_t>(bytes.size() - scan.good);
   return out;
 }
 
 ModelLoad load_models_file(const std::string& path) {
-  ModelLoad out;
-  FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) {
-    out.status = ModelFileStatus::Missing;
-    out.error = "cannot open " + path + ": " + std::strerror(errno);
-    return out;
-  }
   std::string data;
-  char buf[1 << 16];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) data.append(buf, n);
-  const bool read_err = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_err) {
-    out.status = ModelFileStatus::IoError;
-    out.error = "read error on " + path;
-    return out;
-  }
-  return decode_models(data);
+  const util::ReadStatus rs = util::read_file(path, data);
+  if (rs == util::ReadStatus::Ok) return decode_models(data);
+  ModelLoad out;
+  const bool missing = rs == util::ReadStatus::Missing;
+  out.status = missing ? ModelFileStatus::Missing : ModelFileStatus::IoError;
+  out.error = missing ? "cannot open " + path + ": " + std::strerror(errno)
+                      : "read error on " + path;
+  return out;
 }
 
 bool save_models_file(const std::string& path,
                       std::span<const Macromodel> models, std::string& error) {
-  std::string out(kMagic, sizeof(kMagic));
-  for (const Macromodel& m : models) {
-    const std::string payload = m.serialize();
-    const std::size_t frame_start = out.size();
-    put_u32le(out, static_cast<std::uint32_t>(payload.size()));
-    out += payload;
-    out.append(4, '\0');  // crc placeholder
-    const std::uint32_t crc = util::crc32(out.data() + frame_start,
-                                          out.size() - frame_start - 4);
-    out.resize(out.size() - 4);
-    put_u32le(out, crc);
-  }
-  const std::string tmp = path + ".tmp";
-  const int fd =
-      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) {
-    error = "cannot create " + tmp + ": " + std::strerror(errno);
-    return false;
-  }
-  if (!write_all_fd(fd, out.data(), out.size())) {
-    error = "write failed on " + tmp + ": " + std::strerror(errno);
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    return false;
-  }
-  ::fsync(fd);
-  ::close(fd);
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    error = "rename to " + path + " failed: " + std::strerror(errno);
-    ::unlink(tmp.c_str());
-    return false;
-  }
-  fsync_parent_dir(path);
-  return true;
+  std::string out(kMagic);
+  for (const Macromodel& m : models) util::append_frame(out, m.serialize());
+  return util::replace_file(path, out, error);
 }
 
 }  // namespace hlp::model

@@ -76,8 +76,8 @@ struct Macromodel {
 ///   record := len:u32le payload[len] crc:u32le
 ///
 /// with crc = CRC-32 (IEEE) over len + payload and each payload one
-/// serialized Macromodel line — the serve::cachefile framing discipline
-/// applied to model artifacts. A torn tail (crashed writer) is truncated
+/// serialized Macromodel line — util/recordfile framing, shared with the
+/// serve cache segment. A torn tail (crashed writer) is truncated
 /// at the first unframable record and the intact prefix loads; a record
 /// whose CRC verifies but whose payload does not parse is *corruption in
 /// sound framing* and rejects the whole file with a typed status (a model

@@ -155,6 +155,7 @@ std::string serialize_metrics(const ServiceMetrics& m) {
   util::append_field(s, "warm-entries", m.warm_entries);
   util::append_field(s, "persist-appends", m.persist_appends);
   util::append_field(s, "persist-torn-bytes", m.persist_torn_bytes);
+  util::append_field(s, "memo-entries", m.memo_entries);
   util::append_field(s, "ewma-service-us", m.ewma_service_us);
   util::append_field(s, "cache-entries",
                      static_cast<std::uint64_t>(m.cache.entries));
@@ -270,12 +271,13 @@ std::shared_ptr<const model::ModelRegistry> Service::models() const {
 
 model::FeatureVector Service::features_for(const std::string& design) {
   {
-    std::lock_guard<std::mutex> lock(feat_mu_);
+    std::lock_guard<std::mutex> lock(memo_mu_);
     auto it = feat_memo_.find(design);
     if (it != feat_memo_.end()) return it->second;
   }
   const model::FeatureVector x = model::extract_features(design, 0.5);
-  std::lock_guard<std::mutex> lock(feat_mu_);
+  std::lock_guard<std::mutex> lock(memo_mu_);
+  if (feat_memo_.size() >= kMemoCap) feat_memo_.clear();
   feat_memo_.emplace(design, x);
   return x;
 }
@@ -340,7 +342,7 @@ std::uint64_t Service::fingerprint(jobs::JobKind kind,
   memo_key += '|';
   memo_key += design;
   {
-    std::lock_guard<std::mutex> lock(fp_mu_);
+    std::lock_guard<std::mutex> lock(memo_mu_);
     auto it = fp_memo_.find(memo_key);
     if (it != fp_memo_.end()) return it->second;
   }
@@ -356,7 +358,8 @@ std::uint64_t Service::fingerprint(jobs::JobKind kind,
       fp = netlist::structural_hash(jobs::make_module(design).netlist);
       break;
   }
-  std::lock_guard<std::mutex> lock(fp_mu_);
+  std::lock_guard<std::mutex> lock(memo_mu_);
+  if (fp_memo_.size() >= kMemoCap) fp_memo_.clear();
   fp_memo_.emplace(std::move(memo_key), fp);
   return fp;
 }
@@ -945,6 +948,10 @@ ServiceMetrics Service::metrics() const {
     const SegmentStats ss = segment_->stats();
     m.persist_appends = ss.appends;
     m.persist_torn_bytes = ss.torn_bytes;
+  }
+  {
+    std::lock_guard<std::mutex> lock(memo_mu_);
+    m.memo_entries = fp_memo_.size() + feat_memo_.size();
   }
   m.ewma_service_us = ewma_us_.load(std::memory_order_relaxed);
   m.cache = cache_.stats();

@@ -125,6 +125,7 @@ struct ServiceMetrics {
   std::uint64_t warm_entries = 0;  ///< cache entries loaded from the segment
   std::uint64_t persist_appends = 0;
   std::uint64_t persist_torn_bytes = 0;
+  std::uint64_t memo_entries = 0;  ///< fingerprint + feature memo entries
   std::uint64_t ewma_service_us = 0;  ///< smoothed kernel service time
   CacheStats cache;
   std::uint64_t p50_us = 0;  ///< estimate-latency percentiles (log buckets)
@@ -326,17 +327,18 @@ class Service {
   LatencyHistogram latency_;
   std::unique_ptr<CacheSegmentFile> segment_;
 
-  std::mutex fp_mu_;
+  /// Client-keyed memos, each cleared when it reaches kMemoCap entries.
+  /// Feature extraction builds the netlist and runs static analysis (~ms);
+  /// the predicted tier must answer in µs on repeats.
+  static constexpr std::size_t kMemoCap = 1024;
+  mutable std::mutex memo_mu_;
   std::unordered_map<std::string, std::uint64_t> fp_memo_;
+  std::unordered_map<std::string, model::FeatureVector> feat_memo_;
 
   /// Registry snapshot pointer, swapped whole under model_mu_ (readers
   /// copy the shared_ptr and predict lock-free on an immutable registry).
   mutable std::mutex model_mu_;
   std::shared_ptr<const model::ModelRegistry> models_;
-  /// Feature-vector memo: extraction builds the netlist and runs static
-  /// analysis (~ms); the predicted tier must answer in µs on repeats.
-  std::mutex feat_mu_;
-  std::unordered_map<std::string, model::FeatureVector> feat_memo_;
 
   std::mutex task_mu_;
   std::unordered_map<std::uint64_t, std::shared_ptr<Task>> active_tasks_;

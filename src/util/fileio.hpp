@@ -1,11 +1,10 @@
 #pragma once
 
-// Byte-level helpers shared by the durable record files (the serve result
-// cache segment, the macromodel artifact) and the sandbox's pipe frames:
-// little-endian u32 framing, a short-write/EINTR-safe write loop, and the
-// directory fsync that makes a rename durable. POSIX only.
+// Byte-level helpers shared by util/recordfile (the frame codec and durable
+// writers behind the cache segment, model artifact and jobs ledger) and the
+// sandbox's pipe frames: little-endian u32 framing and a
+// short-write/EINTR-safe write loop. POSIX only.
 
-#include <fcntl.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -42,20 +41,6 @@ inline bool write_all_fd(int fd, const char* p, std::size_t n) {
     n -= static_cast<std::size_t>(w);
   }
   return true;
-}
-
-/// Best-effort fsync of the directory holding `path`, so a rename into
-/// place survives a crash of the metadata journal too.
-inline void fsync_parent_dir(const std::string& path) {
-  const std::size_t slash = path.rfind('/');
-  const std::string dir =
-      slash == std::string::npos ? "." : path.substr(0, slash);
-  const int dfd = ::open(dir.empty() ? "/" : dir.c_str(),
-                         O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (dfd >= 0) {
-    ::fsync(dfd);
-    ::close(dfd);
-  }
 }
 
 }  // namespace hlp::util

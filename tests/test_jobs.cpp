@@ -127,6 +127,23 @@ TEST(Ledger, ParseRejectsMalformedLines) {
   }
 }
 
+TEST(Ledger, ParseRejectsWhatSerializeCannotReproduce) {
+  // serialize() writes only the kind's fields, so accepting another one
+  // would parse a record that cannot round-trip.
+  LedgerRecord out;
+  EXPECT_FALSE(LedgerRecord::parse(
+      "{\"rec\":\"degraded\",\"seq\":6,\"job\":\"j\",\"attempt\":2,"
+      "\"from\":\"a\",\"design\":\"mult:8\"}",
+      out));
+  EXPECT_FALSE(LedgerRecord::parse(
+      "{\"rec\":\"started\",\"seq\":1,\"job\":\"j\",\"value\":1.5}", out));
+  EXPECT_FALSE(LedgerRecord::parse(
+      "{\"rec\":\"started\",\"seq\":1,\"job\":\"j\",\"attempt\":-1}", out))
+      << "a negative count would serialize clamped to 0";
+  EXPECT_TRUE(LedgerRecord::parse(
+      "{\"rec\":\"started\",\"seq\":1,\"job\":\"j\",\"attempt\":1}", out));
+}
+
 TEST(Ledger, ScanSkipsGarbageAndTruncatedFinalLine) {
   std::string text = sample_record(RecordKind::Enqueued).serialize() + "\n" +
                      "garbage line\n" +

@@ -434,6 +434,25 @@ TEST(ServeKeys, InvalidDesignThrows) {
                std::invalid_argument);
 }
 
+TEST(ServeKeys, ClientKeyedMemosStayBounded) {
+  // Every distinct design spec is a memo key, and random:...:<seed> alone
+  // admits 2^62 of them: the memos must stay capped, and a design whose
+  // entry was dropped must recompute the same fingerprint.
+  Service service;
+  const Request first = estimate_request("random:4:8:2:0");
+  const std::uint64_t fp0 = service.keys(first).fp;
+  for (int seed = 1; seed <= 2048; ++seed) {
+    service.keys(estimate_request("random:4:8:2:" + std::to_string(seed)));
+  }
+  EXPECT_LE(service.metrics().memo_entries, 2048u);
+  EXPECT_EQ(service.keys(first).fp, fp0);
+
+  Request metrics;
+  metrics.op = Op::Metrics;
+  EXPECT_NE(service.handle_line(metrics.serialize()).find("\"memo-entries\":"),
+            std::string::npos);
+}
+
 // --- Service: request handling ---------------------------------------------
 
 TEST(Serve, EightConcurrentIdenticalRequestsExecuteOnceBitIdentically) {
