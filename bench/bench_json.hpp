@@ -8,6 +8,8 @@
 // protocol); doubles here use %.6g — report files trade round-trip
 // exactness for readability, unlike the ledger.
 
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -15,6 +17,7 @@
 #include <variant>
 #include <vector>
 
+#include "sim/engine.hpp"
 #include "util/json.hpp"
 
 namespace hlp::benchjson {
@@ -87,6 +90,18 @@ inline void write_value(std::FILE* f, const Value& val, int indent) {
   } else if (const auto* a = std::get_if<Array>(&val.v)) {
     write_array(f, *a, indent);
   }
+}
+
+/// The host a report was measured on, in the fields perfbench stamps:
+/// online cores, SIMD dispatch level, compiler and build type
+/// (HLP_BENCH_BUILD_TYPE comes from bench/CMakeLists.txt).
+inline Object machine() {
+  return Object{
+      {"nproc", static_cast<std::uint64_t>(::sysconf(_SC_NPROCESSORS_ONLN))},
+      {"dispatch", sim::to_string(sim::active_dispatch())},
+      {"compiler", "gcc " __VERSION__},
+      {"build_type", HLP_BENCH_BUILD_TYPE},
+  };
 }
 
 /// Write `root` to `path` (overwrites). Returns false on I/O failure.

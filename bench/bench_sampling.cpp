@@ -11,13 +11,16 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <vector>
 
 #include "bench_json.hpp"
 #include "core/compaction.hpp"
 #include "core/sampling_power.hpp"
+#include "netlist/generators.hpp"
 #include "stats/descriptive.hpp"
 #include "sim/streams.hpp"
 
@@ -186,51 +189,98 @@ void print_accuracy_tables() {
   }
 }
 
-/// Scalar vs packed Monte Carlo throughput on the 8x8 multiplier, written
-/// to BENCH_sampling.json (same schema as BENCH_simengine.json) for the
-/// perf trajectory.
+/// Monte Carlo cost per vector pair at the default block width on the two
+/// designs the perfbench campaign samples (mult:8, random:24:2000:8) and
+/// two more, plus the scalar vs packed throughput row on the 8x8
+/// multiplier, written to BENCH_sampling.json with the host it ran on.
 void write_engine_report(const char* path) {
   using clock = std::chrono::steady_clock;
-  auto mod = netlist::multiplier_module(8);
-  const int n_in = mod.total_input_bits();
+  // One Monte Carlo run of `pairs` pairs (epsilon too small to stop early,
+  // so every pair also pays the stop-rule test); returns seconds.
+  auto run = [](const netlist::Module& mod, std::size_t pairs,
+                sim::EngineKind engine) {
+    const int n_in = mod.total_input_bits();
+    stats::Rng vg(23);
+    auto t0 = clock::now();
+    auto res = monte_carlo_power(
+        mod, [&] { return vg.uniform_bits(n_in); }, 1e-9, 0.95, 30, pairs,
+        {}, sim::SimOptions{engine});
+    auto t1 = clock::now();
+    benchmark::DoNotOptimize(res.mean_energy);
+    return std::chrono::duration<double>(t1 - t0).count();
+  };
+
+  auto mult8 = netlist::multiplier_module(8);
   const std::size_t pairs = 20000;
   const double gate_evals = static_cast<double>(
-      mod.netlist.logic_gate_count() * pairs * 2);  // two vectors per pair
-
-  auto measure = [&](sim::EngineKind engine) {
+      mult8.netlist.logic_gate_count() * pairs * 2);  // two vectors per pair
+  auto best_evals = [&](sim::EngineKind engine) {
     double best = 0.0;
     for (int r = 0; r < 3; ++r) {
-      stats::Rng vg(23);
-      auto t0 = clock::now();
-      auto res = monte_carlo_power(
-          mod, [&] { return vg.uniform_bits(n_in); }, 1e-9, 0.95, 30, pairs,
-          {}, sim::SimOptions{engine});
-      auto t1 = clock::now();
-      benchmark::DoNotOptimize(res.mean_energy);
-      double secs = std::chrono::duration<double>(t1 - t0).count();
+      const double secs = run(mult8, pairs, engine);
       if (secs > 0.0) best = std::max(best, gate_evals / secs);
     }
     return best;
   };
-  double scalar = measure(sim::EngineKind::Scalar);
-  double packed = measure(sim::EngineKind::Packed);
+  double scalar = best_evals(sim::EngineKind::Scalar);
+  double packed = best_evals(sim::EngineKind::Packed);
   double speedup = scalar > 0.0 ? packed / scalar : 0.0;
   std::printf("\nMonte Carlo engine throughput (multiplier8, %zu pairs): "
               "scalar %.3e packed %.3e gate-evals/sec (%.1fx)\n",
               pairs, scalar, packed, speedup);
+
+  struct Design {
+    const char* name;
+    netlist::Module mod;
+  };
+  const Design designs[] = {
+      {"mult:8", netlist::multiplier_module(8)},
+      {"mult:16", netlist::multiplier_module(16)},
+      {"adder:16", netlist::adder_module(16)},
+      {"random:24:2000:8", netlist::random_logic_module(24, 2000, 8, 8)},
+  };
+  const std::size_t mc_pairs = 65536;
+  constexpr int kReps = 9;
+  std::printf("\nMonte Carlo ns/pair (packed, W=%d, %zu pairs, median "
+              "[p25, p75] of %d runs):\n",
+              sim::default_block_words(), mc_pairs, kReps);
+  benchjson::Array per_pair;
+  for (const Design& d : designs) {
+    std::vector<double> ns;
+    for (int r = 0; r < kReps; ++r)
+      ns.push_back(run(d.mod, mc_pairs, sim::EngineKind::Packed) * 1e9 /
+                   static_cast<double>(mc_pairs));
+    std::sort(ns.begin(), ns.end());
+    const double p25 = ns[kReps / 4], p50 = ns[kReps / 2],
+                 p75 = ns[kReps - 1 - kReps / 4];
+    std::printf("%18s %6zu gates %9.1f [%.1f, %.1f]\n", d.name,
+                d.mod.netlist.gate_count(), p50, p25, p75);
+    per_pair.push_back(benchjson::Object{
+        {"design", d.name},
+        {"gates", d.mod.netlist.gate_count()},
+        {"pairs", mc_pairs},
+        {"ns_per_pair_p50", p50},
+        {"ns_per_pair_p25", p25},
+        {"ns_per_pair_p75", p75},
+    });
+  }
+
   benchjson::Object root{
       {"bench", "sampling"},
+      {"machine", benchjson::machine()},
       {"metric", "gate_evals_per_sec"},
       {"engines", benchjson::Array{"scalar", "packed"}},
       {"circuits",
        benchjson::Array{benchjson::Object{
            {"name", "multiplier8_monte_carlo"},
-           {"gates", mod.netlist.logic_gate_count()},
+           {"gates", mult8.netlist.logic_gate_count()},
            {"cycles", pairs * 2},
            {"scalar_gate_evals_per_sec", scalar},
            {"packed_gate_evals_per_sec", packed},
            {"speedup", speedup},
        }}},
+      {"block_words", sim::default_block_words()},
+      {"monte_carlo_ns_per_pair", std::move(per_pair)},
   };
   if (benchjson::save(path, root)) std::printf("wrote %s\n", path);
 }

@@ -233,6 +233,7 @@ void write_report(const std::string& path) {
 
   benchjson::Object root{
       {"bench", "simengine"},
+      {"machine", benchjson::machine()},
       {"metric", "gate_evals_per_sec"},
       {"engines", benchjson::Array{"scalar", "packed", "block"}},
       {"dispatch", sim::to_string(sim::active_dispatch())},

@@ -8,6 +8,7 @@
 #include "netlist/index.hpp"
 #include "sim/block_simulator.hpp"
 #include "sim/simulator.hpp"
+#include "sim/toggle_energy.hpp"
 #include "stats/descriptive.hpp"
 
 namespace hlp::core {
@@ -44,20 +45,22 @@ void push_transition(ModuleCharacterization& chr,
 }
 
 /// Packed characterization sweep (combinational modules): lane w·64+k of a
-/// block carries cycle base+w·64+k; per-gate toggle words are scattered
-/// into the per-transition energies in ascending gate order, which
-/// reproduces the scalar per-cycle load summation bit-exactly at every
-/// block width.
+/// block carries cycle base+w·64+k; per-gate toggle words go through the
+/// block toggle-energy counter, which reproduces the scalar per-cycle load
+/// summation bit-exactly at every block width (sim/toggle_energy.hpp).
 ModuleCharacterization characterize_packed(
     ModuleCharacterization chr, const netlist::Netlist& nl,
     const stats::VectorStream& input, const netlist::CapacitanceModel& cap,
     int block_words) {
-  auto loads = nl.loads(cap);
+  const sim::LoadClasses classes(nl.loads(cap));
   sim::BlockSimulator bs(nl, block_words);
+  sim::ToggleEnergy energy(classes, bs.words());
+  const auto W = static_cast<std::size_t>(bs.words());
   const auto lanes = static_cast<std::size_t>(bs.lane_count());
   const std::size_t n = nl.gate_count();
   const std::size_t total = input.words.size();
   std::vector<std::uint8_t> last(n, 0);
+  std::vector<std::uint64_t> toggles(n * W);
   std::uint64_t prev_out = 0;
   std::vector<double> e_buf(lanes);
   std::vector<std::uint64_t> ob(lanes);
@@ -67,8 +70,6 @@ ModuleCharacterization characterize_packed(
     bs.set_inputs_from_cycles(std::span(input.words).subspan(base, count));
     bs.eval();
     const std::size_t sub_words = (count + 63) / 64;
-    std::fill(e_buf.begin(), e_buf.begin() + static_cast<std::ptrdiff_t>(count),
-              0.0);
     for (netlist::GateId g = 0; g < n; ++g) {
       const auto lw = bs.lane_words(g);
       std::uint8_t lg = last[g];
@@ -82,15 +83,12 @@ ModuleCharacterization characterize_packed(
             (x ^ ((x << 1) | static_cast<std::uint64_t>(lg))) & mask;
         if (base == 0 && w == 0)
           d &= ~std::uint64_t{1};  // no transition into cycle 0
-        while (d) {
-          e_buf[w * 64 + static_cast<std::size_t>(std::countr_zero(d))] +=
-              loads[g];
-          d &= d - 1;
-        }
+        toggles[std::size_t{g} * W + w] = d;
         lg = static_cast<std::uint8_t>((x >> (c - 1)) & 1u);
       }
       last[g] = lg;
     }
+    energy.energies(toggles, count, e_buf.data());
     bs.outputs_to_cycles(std::span(ob).first(count));
     for (std::size_t k = 0; k < count; ++k) {
       const std::size_t t = base + k;

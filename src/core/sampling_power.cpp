@@ -1,7 +1,6 @@
 #include "core/sampling_power.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <charconv>
 #include <mutex>
 #include <optional>
@@ -13,6 +12,7 @@
 #include "lint/lint.hpp"
 #include "sim/block_simulator.hpp"
 #include "sim/simulator.hpp"
+#include "sim/toggle_energy.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/sampling.hpp"
 
@@ -163,43 +163,44 @@ void finish_monte_carlo(MonteCarloResult& res, const stats::RunningStats& rs,
   res.checkpoint = {rs.count(), rs.mean(), rs.m2()};
 }
 
-/// Simulate one block of `count` vector pairs (pair k in bit lane k of the
-/// block) and scatter per-pair switched-cap energies into e_lane[0..count).
-/// Fanout buffers are caller-owned so campaign loops don't reallocate.
-/// Ascending gate order per lane keeps the floating-point summation order
-/// identical to the scalar per-pair loop, at every width and dispatch.
-void simulate_pair_block(sim::BlockSimulator& bs,
-                         std::span<const double> loads,
+/// The CI stop rule `ci_halfwidth(rs) <= epsilon * mean` (mean > 0),
+/// evaluated for every pair past min_pairs. A squared pre-test with a
+/// 1e-9 relative margin, far wider than the few ulps the two sides can
+/// round by, rejects the unconverged majority without the two square
+/// roots; whenever it cannot reject, the original expression decides, so
+/// the stopping pair and `hw` are exactly those of the plain rule.
+bool ci_converged(const stats::RunningStats& rs, double epsilon,
+                  double confidence, double& hw) {
+  const double mean = rs.mean();
+  if (!(mean > 0.0)) return false;
+  const double z = stats::normal_quantile_two_sided(confidence);
+  const double target = epsilon * mean;
+  if (z * z * rs.variance() / static_cast<double>(rs.count()) >
+      target * target * (1.0 + 1e-9))
+    return false;
+  const double h = stats::ci_halfwidth(rs, confidence);
+  if (!(h <= target)) return false;
+  hw = h;
+  return true;
+}
+
+/// Simulate one block of vector pairs (pair k in bit lane k of the block)
+/// and write per-pair switched-cap energies into e_lane[0..w1.size()).
+/// The toggle buffer (gate-major, gate_count·W words) is caller-owned so
+/// campaign loops don't reallocate.
+void simulate_pair_block(sim::BlockSimulator& bs, sim::ToggleEnergy& energy,
                          std::span<const std::uint64_t> w1,
                          std::span<const std::uint64_t> w2,
-                         std::vector<std::uint64_t>& prev, double* e_lane) {
-  const std::size_t n = bs.netlist().gate_count();
-  const auto W = static_cast<std::size_t>(bs.words());
-  const std::size_t count = w1.size();
+                         std::vector<std::uint64_t>& toggles, double* e_lane) {
   bs.set_inputs_from_cycles(w1);
   bs.eval();
-  for (netlist::GateId g = 0; g < n; ++g) {
-    const auto lw = bs.lane_words(g);
-    for (std::size_t w = 0; w < W; ++w) prev[std::size_t{g} * W + w] = lw[w];
-  }
+  const auto first = bs.lanes();
+  std::copy(first.begin(), first.end(), toggles.begin());
   bs.set_inputs_from_cycles(w2);
   bs.eval();
-  std::fill(e_lane, e_lane + count, 0.0);
-  const std::size_t sub_words = (count + 63) / 64;
-  for (netlist::GateId g = 0; g < n; ++g) {
-    const auto lw = bs.lane_words(g);
-    for (std::size_t w = 0; w < sub_words; ++w) {
-      const std::size_t c = std::min<std::size_t>(64, count - w * 64);
-      const std::uint64_t mask =
-          c == 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << c) - 1);
-      std::uint64_t d = (prev[std::size_t{g} * W + w] ^ lw[w]) & mask;
-      while (d) {
-        e_lane[w * 64 + static_cast<std::size_t>(std::countr_zero(d))] +=
-            loads[g];
-        d &= d - 1;
-      }
-    }
-  }
+  const auto second = bs.lanes();
+  for (std::size_t i = 0; i < toggles.size(); ++i) toggles[i] ^= second[i];
+  energy.energies(toggles, w1.size(), e_lane);
 }
 
 /// 64·W independent vector pairs per block step: pair k occupies bit lane
@@ -217,13 +218,15 @@ MonteCarloResult monte_carlo_power_packed(
     const netlist::CapacitanceModel& cap, exec::Meter* meter,
     const MonteCarloCheckpoint& resume, int block_words) {
   MonteCarloResult res;
-  auto loads = nl.loads(cap);
+  fi::alloc_checkpoint();
+  const sim::LoadClasses classes(nl.loads(cap));
   fi::alloc_checkpoint();
   sim::BlockSimulator bs(nl, block_words);
   const std::size_t n = nl.gate_count();
   const auto lanes = static_cast<std::size_t>(bs.lane_count());
   fi::alloc_checkpoint();
-  std::vector<std::uint64_t> prev(n * static_cast<std::size_t>(bs.words()), 0);
+  sim::ToggleEnergy energy(classes, bs.words());
+  std::vector<std::uint64_t> toggles(n * static_cast<std::size_t>(bs.words()));
   std::vector<std::uint64_t> w1(lanes), w2(lanes);
   std::vector<double> e_lane(lanes);
   stats::RunningStats rs =
@@ -251,18 +254,15 @@ MonteCarloResult monte_carlo_power_packed(
       w1[k] = vector_gen();
       w2[k] = vector_gen();
     }
-    simulate_pair_block(bs, loads, std::span(w1).first(batch),
-                        std::span(w2).first(batch), prev, e_lane.data());
+    simulate_pair_block(bs, energy, std::span(w1).first(batch),
+                        std::span(w2).first(batch), toggles, e_lane.data());
     for (std::size_t k = 0; k < batch; ++k) {
       rs.add(e_lane[k]);
-      if (rs.count() >= min_pairs) {
-        double hw = stats::ci_halfwidth(rs, confidence);
-        if (rs.mean() > 0.0 && hw <= epsilon * rs.mean()) {
-          res.converged = true;
-          res.ci_halfwidth = hw;
-          stopped = true;
-          break;
-        }
+      if (rs.count() >= min_pairs &&
+          ci_converged(rs, epsilon, confidence, res.ci_halfwidth)) {
+        res.converged = true;
+        stopped = true;
+        break;
       }
     }
   }
@@ -302,13 +302,10 @@ MonteCarloResult monte_carlo_power_scalar(
     for (netlist::GateId g = 0; g < nl.gate_count(); ++g)
       if ((s.value(g) ? 1 : 0) != prev[g]) e += loads[g];
     rs.add(e);
-    if (rs.count() >= min_pairs) {
-      double hw = stats::ci_halfwidth(rs, confidence);
-      if (rs.mean() > 0.0 && hw <= epsilon * rs.mean()) {
-        res.converged = true;
-        res.ci_halfwidth = hw;
-        break;
-      }
+    if (rs.count() >= min_pairs &&
+        ci_converged(rs, epsilon, confidence, res.ci_halfwidth)) {
+      res.converged = true;
+      break;
     }
   }
   finish_monte_carlo(res, rs, confidence, budget_stop);
@@ -376,6 +373,9 @@ exec::Outcome<MonteCarloResult> monte_carlo_power_sharded(
   fi::alloc_checkpoint();
   auto loads = nl.loads(cap);
   fi::alloc_checkpoint();
+  // Immutable and shared by every worker; each keeps its own counter.
+  const sim::LoadClasses classes(loads);
+  fi::alloc_checkpoint();
 
   exec::Meter meter(budget);
 
@@ -413,13 +413,9 @@ exec::Outcome<MonteCarloResult> monte_carlo_power_sharded(
     while (merged_upto < n_chunks && done[merged_upto] && !converged) {
       rs.merge(*done[merged_upto]);
       ++merged_upto;
-      if (opts.epsilon > 0.0 && rs.count() >= opts.min_pairs) {
-        double hw = stats::ci_halfwidth(rs, opts.confidence);
-        if (rs.mean() > 0.0 && hw <= opts.epsilon * rs.mean()) {
-          converged = true;  // chunks past this prefix are discarded
-          conv_hw = hw;
-        }
-      }
+      if (opts.epsilon > 0.0 && rs.count() >= opts.min_pairs &&
+          ci_converged(rs, opts.epsilon, opts.confidence, conv_hw))
+        converged = true;  // chunks past this prefix are discarded
     }
   };
 
@@ -428,8 +424,9 @@ exec::Outcome<MonteCarloResult> monte_carlo_power_sharded(
     if (engine == sim::EngineKind::Packed) {
       sim::BlockSimulator bs(nl, opts.sim.block_words);
       const auto lanes = static_cast<std::size_t>(bs.lane_count());
-      std::vector<std::uint64_t> prev(
-          nl.gate_count() * static_cast<std::size_t>(bs.words()), 0);
+      sim::ToggleEnergy energy(classes, bs.words());
+      std::vector<std::uint64_t> toggles(
+          nl.gate_count() * static_cast<std::size_t>(bs.words()));
       std::vector<std::uint64_t> w1(lanes), w2(lanes);
       std::vector<double> e_lane(lanes);
       while (claim(c, pairs_c)) {
@@ -441,8 +438,8 @@ exec::Outcome<MonteCarloResult> monte_carlo_power_sharded(
             w1[k] = rng.uniform_bits(n_in);
             w2[k] = rng.uniform_bits(n_in);
           }
-          simulate_pair_block(bs, loads, std::span(w1).first(batch),
-                              std::span(w2).first(batch), prev,
+          simulate_pair_block(bs, energy, std::span(w1).first(batch),
+                              std::span(w2).first(batch), toggles,
                               e_lane.data());
           for (std::size_t k = 0; k < batch; ++k) rc.add(e_lane[k]);
           p += batch;

@@ -4,6 +4,7 @@
 #include <cstdint>
 
 #include "netlist/netlist.hpp"
+#include "sim/engine.hpp"
 
 namespace hlp::sim::detail {
 
@@ -25,13 +26,51 @@ using EvalKernelFn = void (*)(std::uint64_t* lanes, int words,
                               const BlockOp* ops, std::size_t n_ops,
                               const netlist::GateId* fanins);
 
+/// One load class of the toggle counter: the gates
+/// gates[gate_begin .. gate_end) share one load, and their per-lane toggle
+/// count is written as `planes` vertical bit planes (bit j of the count in
+/// plane `plane + j`); planes = bit_width(gate_end - gate_begin).
+struct ToggleClass {
+  std::uint32_t gate_begin;
+  std::uint32_t gate_end;
+  std::uint32_t plane;
+  std::uint32_t planes;
+};
+
+/// Most planes one class can need: a count of up to 2^32 - 1 gates.
+inline constexpr std::uint32_t kMaxClassPlanes = 32;
+
+/// Toggle-count kernel: for every class, count per lane how many of its
+/// gates toggled and store the counts bit-sliced, plane p's W words at
+/// planes[p*words .. p*words+words). Gate g's toggle words live at
+/// toggles[g*words .. g*words+words). Integer counts, so every dispatch
+/// level stores identical planes.
+using CountKernelFn = void (*)(const std::uint64_t* toggles, int words,
+                               const ToggleClass* classes,
+                               std::size_t n_classes,
+                               const netlist::GateId* gates,
+                               std::uint64_t* planes);
+
+struct Kernels {
+  EvalKernelFn eval;
+  CountKernelFn count;
+};
+
 /// Always available; any W >= 1.
-EvalKernelFn portable_kernel();
+Kernels portable_kernels();
 /// Compiled only when the toolchain has -mavx2 (HLP_SIM_HAVE_AVX2);
 /// requires W % 4 == 0 and a CPU with AVX2.
-EvalKernelFn avx2_kernel();
+Kernels avx2_kernels();
 /// Compiled only when the toolchain has -mavx512f (HLP_SIM_HAVE_AVX512);
 /// requires W % 8 == 0 and a CPU with AVX-512F.
-EvalKernelFn avx512_kernel();
+Kernels avx512_kernels();
+
+struct KernelChoice {
+  Kernels kernels;
+  SimDispatch dispatch;
+};
+
+/// The widest kernels `active_dispatch()` allows for a W-word block.
+KernelChoice select_kernels(int words);
 
 }  // namespace hlp::sim::detail

@@ -29,7 +29,7 @@ struct VAvx2 {
 
 }  // namespace
 
-EvalKernelFn avx2_kernel() { return &eval_ops<VAvx2>; }
+Kernels avx2_kernels() { return kernels_for<VAvx2>(); }
 
 }  // namespace hlp::sim::detail
 #endif  // HLP_SIM_HAVE_AVX2

@@ -29,7 +29,7 @@ struct VAvx512 {
 
 }  // namespace
 
-EvalKernelFn avx512_kernel() { return &eval_ops<VAvx512>; }
+Kernels avx512_kernels() { return kernels_for<VAvx512>(); }
 
 }  // namespace hlp::sim::detail
 #endif  // HLP_SIM_HAVE_AVX512

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 
@@ -7,7 +8,8 @@
 
 // Included by exactly one translation unit per dispatch level, each compiled
 // with its own -m flags; the V traits parameter supplies the register type
-// and bitwise ops, so the gate semantics below are written once.
+// and bitwise ops, so the gate semantics and the toggle counter below are
+// written once.
 
 namespace hlp::sim::detail {
 
@@ -86,6 +88,76 @@ void eval_ops(std::uint64_t* lanes, int words, const BlockOp* ops,
         break;
     }
   }
+}
+
+/// Carry-save adder: (h, l) = a + b + c, bitwise over the lanes.
+template <class V>
+void csa(typename V::Reg& h, typename V::Reg& l, typename V::Reg a,
+         typename V::Reg b, typename V::Reg c) {
+  const auto u = V::xor_(a, b);
+  h = V::or_(V::and_(a, b), V::and_(u, c));
+  l = V::xor_(u, c);
+}
+
+/// Count each class's toggles per lane into vertical bit planes with a
+/// Harley–Seal carry-save tree: eight toggle words at a time fold into the
+/// one/two/four planes and one carry of weight eight, which ripples into
+/// the higher planes. One V::kWords stripe at a time keeps a class's whole
+/// counter in registers; a count never exceeds its class's gate count, so
+/// its bit_width planes cannot overflow.
+template <class V>
+void count_toggles(const std::uint64_t* toggles, int words,
+                   const ToggleClass* classes, std::size_t n_classes,
+                   const netlist::GateId* gates, std::uint64_t* planes) {
+  using Reg = typename V::Reg;
+  const auto W = static_cast<std::size_t>(words);
+  for (std::size_t c = 0; c < n_classes; ++c) {
+    const ToggleClass& tc = classes[c];
+    const netlist::GateId* g = gates + tc.gate_begin;
+    const std::uint32_t m = tc.gate_end - tc.gate_begin;
+    for (int w = 0; w < words; w += V::kWords) {
+      const std::uint64_t* t = toggles + w;
+      auto at = [&](std::uint32_t i) { return V::load(t + g[i] * W); };
+      // p[0..2] are the one/two/four planes; p[3..] count eights.
+      Reg p[kMaxClassPlanes];
+      for (std::uint32_t j = 0; j < tc.planes; ++j) p[j] = V::zero();
+      std::uint32_t i = 0;
+      for (std::uint32_t q = 1; i + 8 <= m; i += 8, ++q) {
+        Reg twos_a, twos_b, fours_a, fours_b, eights;
+        csa<V>(twos_a, p[0], p[0], at(i), at(i + 1));
+        csa<V>(twos_b, p[0], p[0], at(i + 2), at(i + 3));
+        csa<V>(fours_a, p[1], p[1], twos_a, twos_b);
+        csa<V>(twos_a, p[0], p[0], at(i + 4), at(i + 5));
+        csa<V>(twos_b, p[0], p[0], at(i + 6), at(i + 7));
+        csa<V>(fours_b, p[1], p[1], twos_a, twos_b);
+        csa<V>(eights, p[2], p[2], fours_a, fours_b);
+        // After q groups the eights count is at most q, so the carry dies
+        // within bit_width(q) planes.
+        const std::uint32_t top = 3 + static_cast<std::uint32_t>(
+                                          std::bit_width(q));
+        for (std::uint32_t j = 3; j < top; ++j) {
+          const Reg s = V::xor_(p[j], eights);
+          eights = V::and_(p[j], eights);
+          p[j] = s;
+        }
+      }
+      for (; i < m; ++i) {  // the last m % 8 gates ripple in one by one
+        Reg carry = at(i);
+        for (std::uint32_t j = 0; j < tc.planes; ++j) {
+          const Reg s = V::xor_(p[j], carry);
+          carry = V::and_(p[j], carry);
+          p[j] = s;
+        }
+      }
+      for (std::uint32_t j = 0; j < tc.planes; ++j)
+        V::store(planes + (tc.plane + j) * W + w, p[j]);
+    }
+  }
+}
+
+template <class V>
+Kernels kernels_for() {
+  return {&eval_ops<V>, &count_toggles<V>};
 }
 
 }  // namespace hlp::sim::detail

@@ -19,6 +19,6 @@ struct VPortable {
 
 }  // namespace
 
-EvalKernelFn portable_kernel() { return &eval_ops<VPortable>; }
+Kernels portable_kernels() { return kernels_for<VPortable>(); }
 
 }  // namespace hlp::sim::detail

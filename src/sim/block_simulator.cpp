@@ -8,33 +8,24 @@ using netlist::Gate;
 using netlist::GateId;
 using netlist::GateKind;
 
-namespace {
-
-struct KernelChoice {
-  detail::EvalKernelFn fn;
-  SimDispatch dispatch;
-};
-
-KernelChoice select_kernel(int words) {
+detail::KernelChoice detail::select_kernels(int words) {
   const SimDispatch cap = active_dispatch();
 #if defined(HLP_SIM_HAVE_AVX512)
   if (cap >= SimDispatch::Avx512 && words % 8 == 0)
-    return {detail::avx512_kernel(), SimDispatch::Avx512};
+    return {avx512_kernels(), SimDispatch::Avx512};
 #endif
 #if defined(HLP_SIM_HAVE_AVX2)
   if (cap >= SimDispatch::Avx2 && words % 4 == 0)
-    return {detail::avx2_kernel(), SimDispatch::Avx2};
+    return {avx2_kernels(), SimDispatch::Avx2};
 #endif
   (void)cap;
-  return {detail::portable_kernel(), SimDispatch::Portable};
+  return {portable_kernels(), SimDispatch::Portable};
 }
-
-}  // namespace
 
 BlockSimulator::BlockSimulator(const netlist::Netlist& nl, int words)
     : nl_(&nl), words_(resolve_block_words(words)) {
-  const KernelChoice kc = select_kernel(words_);
-  kernel_ = kc.fn;
+  const detail::KernelChoice kc = detail::select_kernels(words_);
+  kernel_ = kc.kernels.eval;
   dispatch_ = kc.dispatch;
   for (GateId id : nl.topo_order()) {
     const Gate& g = nl.gate(id);

@@ -60,6 +60,10 @@ class BlockSimulator {
             static_cast<std::size_t>(words_)};
   }
 
+  /// Every gate's lane block, gate-major: gate g's words start at
+  /// g·words().
+  std::span<const std::uint64_t> lanes() const { return lanes_; }
+
   /// Transpose primary-output lanes back to cycle words: out[k] bit i =
   /// output i under pattern k. Writes min(out.size(), 64·W) words; requires
   /// <= 64 primary outputs.

@@ -92,19 +92,33 @@ const char* engine_name(EngineKind k) {
   return "?";
 }
 
+namespace {
+
+/// One block-swap round: exchange bit c+J of row r with bit c of row r+J
+/// for every row r whose bit J is clear. A compile-time J gives fixed
+/// strides the compiler can unroll and vectorize.
+template <int J>
+void swap_round(std::uint64_t m[64], std::uint64_t mask) {
+  for (int b = 0; b < 64; b += 2 * J)
+    for (int k = b; k < b + J; ++k) {
+      const std::uint64_t t = ((m[k] >> J) ^ m[k + J]) & mask;
+      m[k] ^= t << J;
+      m[k + J] ^= t;
+    }
+}
+
+}  // namespace
+
 void transpose64(std::uint64_t m[64]) {
   // Block-swap transpose: exchange the off-diagonal quadrants of
-  // progressively smaller 2j x 2j blocks. Convention: element (row r,
-  // column c) lives at bit c of m[r], so the swap pairs bit c+j of row r
-  // with bit c of row r+j.
-  std::uint64_t mask = 0x00000000FFFFFFFFull;
-  for (int j = 32; j != 0; j >>= 1, mask ^= mask << j) {
-    for (int k = 0; k < 64; k = ((k | j) + 1) & ~j) {
-      std::uint64_t t = ((m[k] >> j) ^ m[k | j]) & mask;
-      m[k] ^= t << j;
-      m[k | j] ^= t;
-    }
-  }
+  // progressively smaller 2J x 2J blocks. Convention: element (row r,
+  // column c) lives at bit c of m[r].
+  swap_round<32>(m, 0x00000000FFFFFFFFull);
+  swap_round<16>(m, 0x0000FFFF0000FFFFull);
+  swap_round<8>(m, 0x00FF00FF00FF00FFull);
+  swap_round<4>(m, 0x0F0F0F0F0F0F0F0Full);
+  swap_round<2>(m, 0x3333333333333333ull);
+  swap_round<1>(m, 0x5555555555555555ull);
 }
 
 }  // namespace hlp::sim

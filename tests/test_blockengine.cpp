@@ -145,7 +145,7 @@ TEST(BlockDifferential, CharacterizeAcrossWidths) {
   auto in = sim::random_stream(mod.total_input_bits(), 520, 0.5, rng);
   auto cs =
       core::characterize(mod, in, {}, sim::SimOptions{sim::EngineKind::Scalar});
-  for (int w : {1, 2, 4, 8}) {
+  for (int w : {1, 2, 3, 4, 8, 16, 64}) {
     sim::SimOptions packed{sim::EngineKind::Packed};
     packed.block_words = w;
     auto cp = core::characterize(mod, in, {}, packed);
@@ -234,6 +234,8 @@ TEST(BlockReplicaLanes, SequentialFsmMatches128ScalarRuns) {
 }
 
 // --- Monte Carlo: widths bit-identical, quota trips on the same pair ------
+// W=16 is the AVX-512 default; 3 and 64 take the portable toggle counter
+// with an odd and the widest block.
 
 TEST(BlockMonteCarlo, WidthsBitIdenticalToScalar) {
   auto mod = netlist::multiplier_module(4);
@@ -242,7 +244,7 @@ TEST(BlockMonteCarlo, WidthsBitIdenticalToScalar) {
   auto rs = core::monte_carlo_power(
       mod, [&] { return rng_s.uniform_bits(n_in); }, 0.05, 0.95, 30, 4000, {},
       sim::SimOptions{sim::EngineKind::Scalar});
-  for (int w : {1, 2, 4, 8}) {
+  for (int w : {1, 2, 3, 4, 8, 16, 64}) {
     stats::Rng rng_p(9);
     sim::SimOptions packed{sim::EngineKind::Packed};
     packed.block_words = w;
@@ -268,7 +270,7 @@ TEST(BlockMonteCarlo, QuotaTripsOnTheSamePairAcrossWidths) {
       mod, [&] { return rng_s.uniform_bits(n_in); }, bs, 1e-9, 0.95, 30, 4000,
       {}, sim::SimOptions{sim::EngineKind::Scalar});
   EXPECT_EQ(out_s->pairs, quota);
-  for (int w : {1, 2, 4, 8}) {
+  for (int w : {1, 2, 3, 4, 8, 16, 64}) {
     stats::Rng rng_p(4);
     sim::SimOptions packed{sim::EngineKind::Packed};
     packed.block_words = w;

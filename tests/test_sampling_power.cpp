@@ -3,7 +3,9 @@
 #include <cmath>
 
 #include "core/sampling_power.hpp"
+#include "sim/simulator.hpp"
 #include "sim/streams.hpp"
+#include "stats/descriptive.hpp"
 
 namespace {
 
@@ -96,6 +98,68 @@ TEST(Adaptive, UsesFewGateLevelCycles) {
   auto adaptive = adaptive_estimate(s.eval, s.model(), 100, rng);
   EXPECT_LE(adaptive.gate_cycle_sims * 10,
             s.eval.transitions());  // ground truth mostly untouched
+}
+
+// --- Monte Carlo stop rule: the squared pre-test changes nothing ----------
+
+/// Scalar Monte Carlo with the plain stop rule, `ci_halfwidth` evaluated
+/// for every pair past min_pairs.
+MonteCarloResult plain_rule_monte_carlo(const netlist::Module& mod,
+                                        std::uint64_t seed, double epsilon,
+                                        std::size_t min_pairs,
+                                        std::size_t max_pairs) {
+  const auto& nl = mod.netlist;
+  const auto loads = nl.loads();
+  const int n_in = mod.total_input_bits();
+  stats::Rng rng(seed);
+  sim::Simulator s(nl);
+  std::vector<bool> prev(nl.gate_count());
+  stats::RunningStats rs;
+  MonteCarloResult res;
+  while (rs.count() < max_pairs) {
+    s.set_all_inputs(rng.uniform_bits(n_in));
+    s.eval();
+    for (netlist::GateId g = 0; g < nl.gate_count(); ++g) prev[g] = s.value(g);
+    s.set_all_inputs(rng.uniform_bits(n_in));
+    s.eval();
+    double e = 0.0;
+    for (netlist::GateId g = 0; g < nl.gate_count(); ++g)
+      if (s.value(g) != prev[g]) e += loads[g];
+    rs.add(e);
+    if (rs.count() >= min_pairs) {
+      const double hw = stats::ci_halfwidth(rs, 0.95);
+      if (rs.mean() > 0.0 && hw <= epsilon * rs.mean()) {
+        res.converged = true;
+        res.ci_halfwidth = hw;
+        break;
+      }
+    }
+  }
+  res.pairs = rs.count();
+  res.mean_energy = rs.mean();
+  if (!res.converged) res.ci_halfwidth = stats::ci_halfwidth(rs, 0.95);
+  return res;
+}
+
+TEST(MonteCarloStopRule, StopsOnTheSamePairAsThePlainRule) {
+  for (const auto& mod :
+       {netlist::multiplier_module(8), netlist::adder_module(8)}) {
+    const int n_in = mod.total_input_bits();
+    for (double eps : {0.3, 0.2, 0.1, 0.07, 0.05, 0.03, 0.02, 0.015, 0.01}) {
+      const auto ref = plain_rule_monte_carlo(mod, 77, eps, 30, 20000);
+      ASSERT_TRUE(ref.converged) << "eps=" << eps;
+      for (auto engine : {sim::EngineKind::Scalar, sim::EngineKind::Packed}) {
+        stats::Rng rng(77);
+        auto r = monte_carlo_power(
+            mod, [&] { return rng.uniform_bits(n_in); }, eps, 0.95, 30, 20000,
+            {}, sim::SimOptions{engine});
+        EXPECT_EQ(r.pairs, ref.pairs) << "eps=" << eps;
+        EXPECT_EQ(r.ci_halfwidth, ref.ci_halfwidth) << "eps=" << eps;
+        EXPECT_EQ(r.mean_energy, ref.mean_energy) << "eps=" << eps;
+        EXPECT_TRUE(r.converged) << "eps=" << eps;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -133,45 +133,59 @@ TEST(PackedDifferential, ShortAndPartialStreams) {
 }
 
 // --- Monte Carlo power: packed == scalar, bit for bit --------------------
+// Each packed run sweeps the block width: the default (0), the odd and
+// widest portable widths, and the AVX2/AVX-512 widths.
+
+constexpr int kWidths[] = {0, 1, 2, 3, 4, 8, 16, 64};
+
+sim::SimOptions packed_at(int words) {
+  sim::SimOptions o{sim::EngineKind::Packed};
+  o.block_words = words;
+  return o;
+}
 
 TEST(PackedMonteCarlo, BitIdenticalToScalar) {
   for (std::uint64_t seed : {2u, 9u}) {
     auto mod = netlist::multiplier_module(4);
     const int n_in = mod.total_input_bits();
-    stats::Rng rng_s(seed), rng_p(seed);
+    stats::Rng rng_s(seed);
     auto gen_s = [&] { return rng_s.uniform_bits(n_in); };
-    auto gen_p = [&] { return rng_p.uniform_bits(n_in); };
     auto rs = core::monte_carlo_power(
         mod, gen_s, 0.05, 0.95, 30, 4000, {},
         sim::SimOptions{sim::EngineKind::Scalar});
-    auto rp = core::monte_carlo_power(
-        mod, gen_p, 0.05, 0.95, 30, 4000, {},
-        sim::SimOptions{sim::EngineKind::Packed});
-    EXPECT_EQ(rs.mean_energy, rp.mean_energy);
-    EXPECT_EQ(rs.pairs, rp.pairs);
-    EXPECT_EQ(rs.ci_halfwidth, rp.ci_halfwidth);
-    EXPECT_EQ(rs.converged, rp.converged);
+    for (int w : kWidths) {
+      stats::Rng rng_p(seed);
+      auto gen_p = [&] { return rng_p.uniform_bits(n_in); };
+      auto rp = core::monte_carlo_power(mod, gen_p, 0.05, 0.95, 30, 4000, {},
+                                        packed_at(w));
+      EXPECT_EQ(rs.mean_energy, rp.mean_energy) << "W=" << w;
+      EXPECT_EQ(rs.pairs, rp.pairs) << "W=" << w;
+      EXPECT_EQ(rs.ci_halfwidth, rp.ci_halfwidth) << "W=" << w;
+      EXPECT_EQ(rs.converged, rp.converged) << "W=" << w;
+    }
   }
 }
 
 TEST(PackedMonteCarlo, ExhaustsMaxPairsIdentically) {
   auto mod = netlist::adder_module(6);
   const int n_in = mod.total_input_bits();
-  stats::Rng rng_s(4), rng_p(4);
+  stats::Rng rng_s(4);
   auto gen_s = [&] { return rng_s.uniform_bits(n_in); };
-  auto gen_p = [&] { return rng_p.uniform_bits(n_in); };
   // Impossible epsilon: both paths must run to max_pairs (not a multiple
   // of 64, so the last packed block is partial).
   auto rs = core::monte_carlo_power(
       mod, gen_s, 1e-9, 0.95, 30, 100, {},
       sim::SimOptions{sim::EngineKind::Scalar});
-  auto rp = core::monte_carlo_power(
-      mod, gen_p, 1e-9, 0.95, 30, 100, {},
-      sim::SimOptions{sim::EngineKind::Packed});
-  EXPECT_FALSE(rp.converged);
-  EXPECT_EQ(rs.pairs, rp.pairs);
-  EXPECT_EQ(rs.mean_energy, rp.mean_energy);
-  EXPECT_EQ(rs.ci_halfwidth, rp.ci_halfwidth);
+  for (int w : kWidths) {
+    stats::Rng rng_p(4);
+    auto gen_p = [&] { return rng_p.uniform_bits(n_in); };
+    auto rp = core::monte_carlo_power(mod, gen_p, 1e-9, 0.95, 30, 100, {},
+                                      packed_at(w));
+    EXPECT_FALSE(rp.converged) << "W=" << w;
+    EXPECT_EQ(rs.pairs, rp.pairs) << "W=" << w;
+    EXPECT_EQ(rs.mean_energy, rp.mean_energy) << "W=" << w;
+    EXPECT_EQ(rs.ci_halfwidth, rp.ci_halfwidth) << "W=" << w;
+  }
 }
 
 // --- macro-model characterization: packed == scalar ----------------------
@@ -182,20 +196,21 @@ TEST(PackedCharacterize, BitIdenticalToScalar) {
   auto in = sim::random_stream(mod.total_input_bits(), 300, 0.5, rng);
   auto cs =
       core::characterize(mod, in, {}, sim::SimOptions{sim::EngineKind::Scalar});
-  auto cp =
-      core::characterize(mod, in, {}, sim::SimOptions{sim::EngineKind::Packed});
-  ASSERT_EQ(cs.transitions(), cp.transitions());
-  EXPECT_EQ(cs.n_in, cp.n_in);
-  EXPECT_EQ(cs.n_out, cp.n_out);
-  EXPECT_EQ(cs.total_cap, cp.total_cap);
-  for (std::size_t t = 0; t < cs.transitions(); ++t) {
-    EXPECT_EQ(cs.energy[t], cp.energy[t]) << "t=" << t;
-    EXPECT_EQ(cs.in_activity[t], cp.in_activity[t]);
-    EXPECT_EQ(cs.in_prob[t], cp.in_prob[t]);
-    EXPECT_EQ(cs.out_activity[t], cp.out_activity[t]);
-    EXPECT_EQ(cs.cur_word[t], cp.cur_word[t]);
-    EXPECT_EQ(cs.prev_word[t], cp.prev_word[t]);
-    EXPECT_EQ(cs.pin_toggle[t], cp.pin_toggle[t]);
+  for (int w : kWidths) {
+    auto cp = core::characterize(mod, in, {}, packed_at(w));
+    ASSERT_EQ(cs.transitions(), cp.transitions()) << "W=" << w;
+    EXPECT_EQ(cs.n_in, cp.n_in);
+    EXPECT_EQ(cs.n_out, cp.n_out);
+    EXPECT_EQ(cs.total_cap, cp.total_cap);
+    for (std::size_t t = 0; t < cs.transitions(); ++t) {
+      EXPECT_EQ(cs.energy[t], cp.energy[t]) << "W=" << w << " t=" << t;
+      EXPECT_EQ(cs.in_activity[t], cp.in_activity[t]);
+      EXPECT_EQ(cs.in_prob[t], cp.in_prob[t]);
+      EXPECT_EQ(cs.out_activity[t], cp.out_activity[t]);
+      EXPECT_EQ(cs.cur_word[t], cp.cur_word[t]);
+      EXPECT_EQ(cs.prev_word[t], cp.prev_word[t]);
+      EXPECT_EQ(cs.pin_toggle[t], cp.pin_toggle[t]);
+    }
   }
 }
 
