@@ -7,6 +7,7 @@
 #include <new>
 #include <stdexcept>
 #include <thread>
+#include <type_traits>
 #include <utility>
 
 #include "analysis/estimate.hpp"
@@ -66,10 +67,46 @@ std::size_t clamp_cap(std::size_t requested, std::size_t ceiling) {
 }
 
 /// Kinds whose design spec elaborates to a netlist — the ones the tier-0
-/// static bound can stand in for on a deadline trip.
+/// static bound can stand in for on a deadline trip or a quarantine.
 bool netlist_backed(jobs::JobKind kind) {
   return kind == jobs::JobKind::Symbolic ||
          kind == jobs::JobKind::MonteCarlo || kind == jobs::JobKind::Static;
+}
+
+/// Wall budget of the tier-0 static fallback.
+constexpr double kStaticFallbackSeconds = 0.25;
+
+/// Tier-0 stand-in for a netlist-backed request: the static estimate's
+/// point value, degraded, with `prefix` and the [lower, upper] bounds as
+/// detail. "" for other kinds or when the estimate does not finish.
+std::string static_fallback(const Request& rq, std::string_view prefix) {
+  if (!netlist_backed(rq.kind)) return {};
+  try {
+    // The zero-simulation static estimate with guaranteed bounds, under its
+    // own small budget so the fallback is never the thing that hangs.
+    netlist::Module mod = jobs::make_module(rq.design);
+    const netlist::NetlistIndex ix = netlist::build_index(mod.netlist);
+    exec::Meter meter(exec::Budget::with_deadline(kStaticFallbackSeconds));
+    const analysis::StaticEstimate est =
+        analysis::static_estimate(mod.netlist, ix, {}, &meter);
+    if (est.stop != exec::StopReason::None) return {};
+    std::string detail(prefix);
+    detail += " [";
+    util::append_json_double(detail, est.lower);
+    detail += ", ";
+    util::append_json_double(detail, est.upper);
+    detail += "]";
+    return make_value_response({}, est.point, detail, /*degraded=*/true);
+  } catch (...) {
+    return {};  // degradation is best-effort
+  }
+}
+
+std::uint64_t micros_since(std::chrono::steady_clock::time_point t0) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count());
 }
 
 /// How long the waiter lets the wall clock run past the cooperative
@@ -104,25 +141,22 @@ bool parse_isolate_mode(std::string_view s, IsolateMode& out) {
 }
 
 void LatencyHistogram::record(std::uint64_t us) {
-  int idx = std::bit_width(us);
-  if (idx >= kBuckets) idx = kBuckets - 1;
-  buckets_[static_cast<std::size_t>(idx)].fetch_add(
+  buckets_[std::min<std::size_t>(std::bit_width(us), kBuckets - 1)].fetch_add(
       1, std::memory_order_relaxed);
 }
 
 std::uint64_t LatencyHistogram::percentile(double p) const {
   std::array<std::uint64_t, kBuckets> snap;
   std::uint64_t total = 0;
-  for (int i = 0; i < kBuckets; ++i) {
-    snap[static_cast<std::size_t>(i)] =
-        buckets_[static_cast<std::size_t>(i)].load(std::memory_order_relaxed);
-    total += snap[static_cast<std::size_t>(i)];
+  for (std::size_t i = 0; i < kBuckets; ++i) {
+    snap[i] = buckets_[i].load(std::memory_order_relaxed);
+    total += snap[i];
   }
   if (total == 0) return 0;
   const double target = p * static_cast<double>(total);
   std::uint64_t seen = 0;
-  for (int i = 0; i < kBuckets; ++i) {
-    seen += snap[static_cast<std::size_t>(i)];
+  for (std::size_t i = 0; i < kBuckets; ++i) {
+    seen += snap[i];
     if (static_cast<double>(seen) >= target) {
       // Upper bound of bucket i: largest value with bit width i.
       return i == 0 ? 0 : (std::uint64_t{1} << i) - 1;
@@ -131,86 +165,131 @@ std::uint64_t LatencyHistogram::percentile(double p) const {
   return (std::uint64_t{1} << (kBuckets - 1)) - 1;
 }
 
-std::string serialize_metrics(const ServiceMetrics& m) {
-  std::string s = "{\"ok\":true,\"op\":\"metrics\"";
-  util::append_field(s, "hits", m.hits);
-  util::append_field(s, "misses", m.misses);
-  util::append_field(s, "coalesced", m.coalesced);
-  util::append_field(s, "shed", m.shed);
-  util::append_field(s, "requests", m.requests);
-  util::append_field(s, "estimates", m.estimates);
-  util::append_field(s, "refused", m.refused);
-  util::append_field(s, "errors", m.errors);
-  util::append_field(s, "deadline-exceeded", m.deadline_exceeded);
-  util::append_field(s, "cancelled", m.cancelled);
-  util::append_field(s, "degraded-deadline", m.degraded_deadline);
-  util::append_field(s, "inflight",
-                     static_cast<std::uint64_t>(m.inflight < 0 ? 0 : m.inflight));
-  util::append_field(s, "draining", m.draining);
-  util::append_field(s, "queue-depth",
-                     static_cast<std::uint64_t>(m.queue_depth));
-  util::append_field(
-      s, "busy-workers",
-      static_cast<std::uint64_t>(m.busy_workers < 0 ? 0 : m.busy_workers));
-  util::append_field(s, "warm-entries", m.warm_entries);
-  util::append_field(s, "persist-appends", m.persist_appends);
-  util::append_field(s, "persist-torn-bytes", m.persist_torn_bytes);
-  util::append_field(s, "memo-entries", m.memo_entries);
-  util::append_field(s, "ewma-service-us", m.ewma_service_us);
-  util::append_field(s, "cache-entries",
-                     static_cast<std::uint64_t>(m.cache.entries));
-  util::append_field(s, "cache-bytes",
-                     static_cast<std::uint64_t>(m.cache.bytes));
-  util::append_field(s, "cache-evictions", m.cache.evictions);
-  util::append_field(s, "p50-us", m.p50_us);
-  util::append_field(s, "p90-us", m.p90_us);
-  util::append_field(s, "p99-us", m.p99_us);
-  s.push_back('}');
-  return s;
-}
-
-std::string serialize_health(const ServiceHealth& h) {
-  std::string s = "{\"ok\":true,\"op\":\"health\"";
-  util::append_field(s, "workers",
-                     static_cast<std::uint64_t>(h.workers < 0 ? 0 : h.workers));
-  util::append_field(s, "live",
-                     static_cast<std::uint64_t>(h.live < 0 ? 0 : h.live));
-  util::append_field(s, "busy",
-                     static_cast<std::uint64_t>(h.busy < 0 ? 0 : h.busy));
-  util::append_field(s, "wedged",
-                     static_cast<std::uint64_t>(h.wedged < 0 ? 0 : h.wedged));
-  util::append_field(s, "queue-depth",
-                     static_cast<std::uint64_t>(h.queue_depth));
-  util::append_field(s, "respawns", h.respawns);
-  util::append_field(s, "draining", h.draining);
-  util::append_field(s, "isolated", h.isolated);
-  util::append_field(s, "child-crashes", h.child_crashes);
-  // One counter per crash class, named by the sandbox taxonomy
-  // ("crash-signal", "crash-oom-kill", ...). Index 0 is CrashKind::None —
-  // never counted, never emitted.
-  for (std::size_t i = 1; i < h.crashes_by_kind.size(); ++i) {
-    std::string key = "crash-";
-    key += sandbox::to_string(static_cast<sandbox::CrashKind>(i));
-    util::append_field(s, key.c_str(), h.crashes_by_kind[i]);
-  }
-  util::append_field(s, "quarantine-trips", h.quarantine_trips);
-  util::append_field(s, "quarantine-served", h.quarantine_served);
-  util::append_field(s, "quarantine-probes", h.quarantine_probes);
-  util::append_field(s, "quarantine-reopens", h.quarantine_reopens);
-  util::append_field(s, "quarantine-rehabilitated", h.quarantine_rehabilitated);
-  util::append_field(s, "quarantine-open",
-                     static_cast<std::uint64_t>(h.quarantine_open));
-  util::append_field(s, "models",
-                     static_cast<std::uint64_t>(h.models_loaded));
-  util::append_field(s, "model-predicted", h.model_predicted);
-  util::append_field(s, "model-escalated", h.model_escalated);
-  util::append_field(s, "model-out-of-hull", h.model_out_of_hull);
-  util::append_field(s, "model-miss", h.model_miss);
-  s.push_back('}');
-  return s;
-}
-
 namespace {
+
+using Emit = void (*)(std::string& out, const char* key, const ServiceStats& s);
+
+/// Emits the gauge the member path reaches in the snapshot (a member, or a
+/// member of a member): the pool's ints clamped at zero, draining as a
+/// bool, everything else as an unsigned number.
+template <auto... Path>
+void gauge(std::string& out, const char* key, const ServiceStats& s) {
+  auto v = (s .* ... .* Path);
+  using T = decltype(v);
+  if constexpr (std::is_same_v<T, int> || std::is_same_v<T, bool>)
+    util::append_field(out, key, v);
+  else
+    util::append_field(out, key, static_cast<std::uint64_t>(v));
+}
+
+/// One counter per crash class, keyed by the prefix and the sandbox
+/// taxonomy ("crash-signal", "crash-oom-kill", ...). CrashKind::None is
+/// never counted, never emitted.
+void crash_block(std::string& out, const char* prefix, const ServiceStats& s) {
+  for (std::size_t i = 1; i < kCrashKinds; ++i) {
+    std::string key = prefix;
+    key += sandbox::to_string(static_cast<sandbox::CrashKind>(i));
+    util::append_field(out, key.c_str(), s.crashes_by_kind[i]);
+  }
+}
+
+/// One field of the metrics or health reply. A counter row names the
+/// table slot the gather copies into its snapshot field; every other row
+/// emits a gauge.
+struct Row {
+  constexpr Row(const char* k, Op o, Counter c, std::uint64_t ServiceStats::*f)
+      : key(k), op(o), counter(c), field(f) {}
+  constexpr Row(const char* k, Op o, Emit e) : key(k), op(o), emit(e) {}
+  const char* key;
+  Op op;
+  Counter counter = Counter::kCount;
+  std::uint64_t ServiceStats::*field = nullptr;
+  Emit emit = nullptr;
+};
+
+using S = ServiceStats;
+
+/// Both replies, each in wire order. Keys and order are client-visible
+/// (parse_response, CI greps) and pinned by the ServeStats tests.
+constexpr Row kRows[] = {
+    {"hits", Op::Metrics, Counter::Hits, &S::hits},
+    {"misses", Op::Metrics, Counter::Misses, &S::misses},
+    {"coalesced", Op::Metrics, Counter::Coalesced, &S::coalesced},
+    {"shed", Op::Metrics, Counter::Shed, &S::shed},
+    {"requests", Op::Metrics, Counter::Requests, &S::requests},
+    {"estimates", Op::Metrics, Counter::Estimates, &S::estimates},
+    {"refused", Op::Metrics, Counter::Refused, &S::refused},
+    {"errors", Op::Metrics, Counter::Errors, &S::errors},
+    {"deadline-exceeded", Op::Metrics, Counter::DeadlineExceeded,
+     &S::deadline_exceeded},
+    {"cancelled", Op::Metrics, Counter::Cancelled, &S::cancelled},
+    {"degraded-deadline", Op::Metrics, Counter::DegradedDeadline,
+     &S::degraded_deadline},
+    {"inflight", Op::Metrics, gauge<&S::inflight>},
+    {"draining", Op::Metrics, gauge<&S::draining>},
+    {"queue-depth", Op::Metrics, gauge<&S::queue_depth>},
+    {"busy-workers", Op::Metrics, gauge<&S::busy_workers>},
+    {"warm-entries", Op::Metrics, gauge<&S::warm_entries>},
+    {"persist-appends", Op::Metrics, gauge<&S::persist_appends>},
+    {"persist-torn-bytes", Op::Metrics, gauge<&S::persist_torn_bytes>},
+    {"memo-entries", Op::Metrics, gauge<&S::memo_entries>},
+    {"ewma-service-us", Op::Metrics, gauge<&S::ewma_service_us>},
+    {"cache-entries", Op::Metrics, gauge<&S::cache, &CacheStats::entries>},
+    {"cache-bytes", Op::Metrics, gauge<&S::cache, &CacheStats::bytes>},
+    {"cache-evictions", Op::Metrics, gauge<&S::cache, &CacheStats::evictions>},
+    {"p50-us", Op::Metrics, gauge<&S::p50_us>},
+    {"p90-us", Op::Metrics, gauge<&S::p90_us>},
+    {"p99-us", Op::Metrics, gauge<&S::p99_us>},
+
+    {"workers", Op::Health, gauge<&S::workers>},
+    {"live", Op::Health, gauge<&S::live>},
+    {"busy", Op::Health, gauge<&S::busy>},
+    {"wedged", Op::Health, gauge<&S::wedged>},
+    {"queue-depth", Op::Health, gauge<&S::queue_depth>},
+    {"respawns", Op::Health, gauge<&S::respawns>},
+    {"draining", Op::Health, gauge<&S::draining>},
+    {"isolated", Op::Health, Counter::Isolated, &S::isolated},
+    {"child-crashes", Op::Health, Counter::ChildCrashes, &S::child_crashes},
+    {"crash-", Op::Health, crash_block},
+    {"quarantine-trips", Op::Health, gauge<&S::quarantine_trips>},
+    {"quarantine-served", Op::Health, gauge<&S::quarantine_served>},
+    {"quarantine-probes", Op::Health, gauge<&S::quarantine_probes>},
+    {"quarantine-reopens", Op::Health, gauge<&S::quarantine_reopens>},
+    {"quarantine-rehabilitated", Op::Health,
+     gauge<&S::quarantine_rehabilitated>},
+    {"quarantine-open", Op::Health, gauge<&S::quarantine_open>},
+    {"models", Op::Health, gauge<&S::models_loaded>},
+    {"model-predicted", Op::Health, Counter::ModelPredicted,
+     &S::model_predicted},
+    {"model-escalated", Op::Health, Counter::ModelEscalated,
+     &S::model_escalated},
+    {"model-out-of-hull", Op::Health, Counter::ModelOutOfHull,
+     &S::model_out_of_hull},
+    {"model-miss", Op::Health, Counter::ModelMiss, &S::model_miss},
+};
+
+// Each counter outside the crash block has exactly one row.
+static_assert([] {
+  std::array<int, static_cast<std::size_t>(Counter::Crash)> rows{};
+  for (const Row& r : kRows)
+    if (r.field) ++rows[static_cast<std::size_t>(r.counter)];
+  return std::all_of(rows.begin(), rows.end(), [](int n) { return n == 1; });
+}());
+
+/// The metrics or health reply: the rows of `op`, in table order.
+std::string serialize(const ServiceStats& s, Op op) {
+  std::string out = "{\"ok\":true";
+  util::append_field(out, "op", to_string(op));
+  for (const Row& r : kRows) {
+    if (r.op != op) continue;
+    if (r.emit)
+      r.emit(out, r.key, s);
+    else
+      util::append_field(out, r.key, s.*r.field);
+  }
+  out.push_back('}');
+  return out;
+}
 
 sandbox::Quarantine::Options quarantine_options(const ServiceOptions& o) {
   sandbox::Quarantine::Options q;
@@ -241,7 +320,7 @@ Service::Service(ServiceOptions opts)
       cache_.insert(key, std::move(value));
       ++warm;
     });
-    warm_entries_.store(warm, std::memory_order_relaxed);
+    warm_entries_ = warm;
   }
   if (!opts_.model_path.empty()) load_models(opts_.model_path);
   if (opts_.workers > 0) {
@@ -289,7 +368,7 @@ std::string Service::predicted_response(const Request& rq) {
     return {};
   const std::shared_ptr<const model::ModelRegistry> reg = models();
   if (!reg || reg->empty()) {
-    model_miss_.fetch_add(1, std::memory_order_relaxed);
+    count(Counter::ModelMiss);
     return {};
   }
   model::FeatureVector x;
@@ -297,28 +376,28 @@ std::string Service::predicted_response(const Request& rq) {
     x = features_for(rq.design);
   } catch (...) {
     // Unextractable features: let the real kernel produce the typed error.
-    model_miss_.fetch_add(1, std::memory_order_relaxed);
+    count(Counter::ModelMiss);
     return {};
   }
   const std::string family = model::design_family(rq.design);
   const model::Prediction p =
       reg->predict(family, jobs::to_string(rq.kind), x, rq.confidence);
   if (p.status == model::PredictStatus::NoModel) {
-    model_miss_.fetch_add(1, std::memory_order_relaxed);
+    count(Counter::ModelMiss);
     return {};
   }
   if (p.status == model::PredictStatus::OutOfHull) {
-    model_out_of_hull_.fetch_add(1, std::memory_order_relaxed);
+    count(Counter::ModelOutOfHull);
     return {};
   }
   // The accuracy contract: answer from the model only when the prediction
   // interval's relative half-width is within what the client asked for.
   const double denom = std::max(std::abs(p.value), 1e-12);
   if (!(p.halfwidth / denom <= rq.accuracy)) {
-    model_escalated_.fetch_add(1, std::memory_order_relaxed);
+    count(Counter::ModelEscalated);
     return {};
   }
-  model_predicted_.fetch_add(1, std::memory_order_relaxed);
+  count(Counter::ModelPredicted);
   std::string detail = "macromodel ";
   detail += family;
   detail += '/';
@@ -469,7 +548,7 @@ std::string Service::response_for_current_exception() {
     throw;
   } catch (const exec::BudgetExceeded& e) {
     if (e.reason() == exec::StopReason::Cancelled) {
-      cancelled_.fetch_add(1, std::memory_order_relaxed);
+      count(Counter::Cancelled);
       return make_error_response({}, "cancelled", e.what());
     }
     if (e.reason() == exec::StopReason::Deadline)
@@ -496,35 +575,33 @@ bool Service::isolated(jobs::JobKind kind) const {
 }
 
 std::string Service::quarantined_response(const Request& rq) {
-  if (netlist_backed(rq.kind)) {
-    try {
-      // Same tier-0 fallback as a deadline trip, but the detail names the
-      // breaker so clients can tell "slow" from "poison". Never cached
-      // (degraded), so a rehabilitated design recomputes for real.
-      netlist::Module mod = jobs::make_module(rq.design);
-      const netlist::NetlistIndex ix = netlist::build_index(mod.netlist);
-      exec::Meter meter(exec::Budget::with_deadline(0.25));
-      const analysis::StaticEstimate est =
-          analysis::static_estimate(mod.netlist, ix, {}, &meter);
-      if (est.stop == exec::StopReason::None) {
-        std::string detail =
-            "quarantined: repeated kernel crashes on this design; serving "
-            "tier-0 static bounds [";
-        util::append_json_double(detail, est.lower);
-        detail += ", ";
-        util::append_json_double(detail, est.upper);
-        detail += "]";
-        return make_value_response({}, est.point, detail, /*degraded=*/true);
-      }
-    } catch (...) {
-      // Fall through to the typed error; degradation is best-effort.
-    }
-  }
-  errors_.fetch_add(1, std::memory_order_relaxed);
+  // The detail names the breaker so clients can tell "slow" from "poison".
+  // Never cached (degraded), so a rehabilitated design recomputes for real.
+  std::string body = static_fallback(
+      rq,
+      "quarantined: repeated kernel crashes on this design; serving tier-0 "
+      "static bounds");
+  if (!body.empty()) return body;
+  count(Counter::Errors);
   return make_error_response(
       {}, "quarantined",
       "repeated kernel crashes on this design fingerprint; retry after the "
       "quarantine expires");
+}
+
+std::string Service::outcome_response(const jobs::AttemptOutcome& out) {
+  if (out.ok) {
+    return make_value_response({}, out.out.value, out.out.detail,
+                               out.out.degraded);
+  }
+  count(Counter::Errors);
+  if (out.stop == exec::StopReason::Cancelled) {
+    count(Counter::Cancelled);
+    return make_error_response({}, "cancelled", out.detail);
+  }
+  if (out.stop == exec::StopReason::Deadline)
+    return make_error_response({}, "deadline-exceeded", out.detail);
+  return make_error_response({}, "budget-exhausted", out.detail);
 }
 
 std::string Service::isolated_response(const Request& rq, const Keys& k,
@@ -537,69 +614,46 @@ std::string Service::isolated_response(const Request& rq, const Keys& k,
   if (lim.wall_deadline_seconds <= 0.0)
     lim.wall_deadline_seconds = opts_.isolate_wall_ceiling_seconds;
 
-  isolated_.fetch_add(1, std::memory_order_relaxed);
+  count(Counter::Isolated);
   const auto t0 = std::chrono::steady_clock::now();
   const sandbox::RunResult r =
       sandbox::run_isolated(krq, budget, lim, opts_.executor, &budget.cancel);
-  const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
-  note_service_time(static_cast<std::uint64_t>(us < 0 ? 0 : us));
+  note_service_time(micros_since(t0));
 
   if (r.delivered) {
     if (opts_.quarantine_threshold > 0) quarantine_.record_success(k.fp);
     if (r.caught == jobs::ErrorClass::InvalidInput) {
-      errors_.fetch_add(1, std::memory_order_relaxed);
+      count(Counter::Errors);
       return make_error_response({}, "invalid-input", r.caught_detail);
     }
     if (r.caught != jobs::ErrorClass::None) {
-      errors_.fetch_add(1, std::memory_order_relaxed);
+      count(Counter::Errors);
       return make_error_response({}, "internal", r.caught_detail);
     }
-    const jobs::AttemptOutcome& out = r.outcome;
-    if (!out.ok) {
-      errors_.fetch_add(1, std::memory_order_relaxed);
-      if (out.stop == exec::StopReason::Cancelled) {
-        cancelled_.fetch_add(1, std::memory_order_relaxed);
-        return make_error_response({}, "cancelled", out.detail);
-      }
-      if (out.stop == exec::StopReason::Deadline)
-        return make_error_response({}, "deadline-exceeded", out.detail);
-      return make_error_response({}, "budget-exhausted", out.detail);
-    }
-    return make_value_response({}, out.out.value, out.out.detail,
-                               out.out.degraded);
+    return outcome_response(r.outcome);
   }
 
   // The child died without delivering a frame: a typed crash, never a lost
   // response and never a dead daemon.
-  child_crashes_.fetch_add(1, std::memory_order_relaxed);
-  crashes_by_kind_[static_cast<std::size_t>(r.crash.kind)].fetch_add(
-      1, std::memory_order_relaxed);
+  count(Counter::ChildCrashes);
+  count(static_cast<Counter>(static_cast<std::size_t>(Counter::Crash) +
+                             static_cast<std::size_t>(r.crash.kind)));
   const bool hard = r.crash.kind != sandbox::CrashKind::Cancelled;
   if (hard && opts_.quarantine_threshold > 0)
     quarantine_.record_failure(k.fp, sandbox::Quarantine::Clock::now());
 
-  switch (r.crash.kind) {
-    case sandbox::CrashKind::Cancelled:
-      errors_.fetch_add(1, std::memory_order_relaxed);
-      cancelled_.fetch_add(1, std::memory_order_relaxed);
-      return make_error_response({}, "cancelled", r.crash.detail);
-    case sandbox::CrashKind::WallTimeout:
-      // Same client contract as an in-process wall abandonment, including
-      // the degrade-on-deadline tier-0 fallback.
-      deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
-      return deadline_response(rq, budget.deadline_seconds > 0.0
-                                       ? budget.deadline_seconds
-                                       : lim.wall_deadline_seconds);
-    case sandbox::CrashKind::OomKill:
-    case sandbox::CrashKind::CpuLimit:
-      errors_.fetch_add(1, std::memory_order_relaxed);
-      return make_error_response({}, "budget-exhausted", r.crash.detail);
-    default:
-      errors_.fetch_add(1, std::memory_order_relaxed);
-      return make_error_response({}, "internal", r.crash.detail);
+  if (r.crash.kind == sandbox::CrashKind::WallTimeout) {
+    // Same client contract as an in-process wall abandonment, including
+    // the degrade-on-deadline tier-0 fallback.
+    count(Counter::DeadlineExceeded);
+    return deadline_response(rq, budget.deadline_seconds > 0.0
+                                     ? budget.deadline_seconds
+                                     : lim.wall_deadline_seconds);
   }
+  count(Counter::Errors);
+  if (!hard) count(Counter::Cancelled);
+  return make_error_response(
+      {}, jobs::to_string(sandbox::error_class_for(r.crash)), r.crash.detail);
 }
 
 std::string Service::compute_response(const Request& rq, const Keys& k,
@@ -633,25 +687,11 @@ std::string Service::compute_response(const Request& rq, const Keys& k,
 
   const auto t0 = std::chrono::steady_clock::now();
   try {
-    jobs::AttemptOutcome out = opts_.executor(krq, budget);
-    const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-    note_service_time(static_cast<std::uint64_t>(us < 0 ? 0 : us));
-    if (!out.ok) {
-      errors_.fetch_add(1, std::memory_order_relaxed);
-      if (out.stop == exec::StopReason::Cancelled) {
-        cancelled_.fetch_add(1, std::memory_order_relaxed);
-        return make_error_response({}, "cancelled", out.detail);
-      }
-      if (out.stop == exec::StopReason::Deadline)
-        return make_error_response({}, "deadline-exceeded", out.detail);
-      return make_error_response({}, "budget-exhausted", out.detail);
-    }
-    return make_value_response({}, out.out.value, out.out.detail,
-                               out.out.degraded);
+    const jobs::AttemptOutcome out = opts_.executor(krq, budget);
+    note_service_time(micros_since(t0));
+    return outcome_response(out);
   } catch (...) {
-    errors_.fetch_add(1, std::memory_order_relaxed);
+    count(Counter::Errors);
     return response_for_current_exception();
   }
 }
@@ -661,30 +701,16 @@ std::string Service::deadline_response(const Request& rq,
   std::string what = "wall deadline exceeded (";
   util::append_json_double(what, limit_seconds);
   what += "s); kernel cancelled";
-  if (opts_.degrade_on_deadline && netlist_backed(rq.kind)) {
-    try {
-      // Tier-0 fallback (PR 7): the zero-simulation static estimate with
-      // guaranteed bounds, under its own small budget so the fallback is
-      // never the thing that hangs. Degraded answers are never cached.
-      netlist::Module mod = jobs::make_module(rq.design);
-      const netlist::NetlistIndex ix = netlist::build_index(mod.netlist);
-      exec::Meter meter(exec::Budget::with_deadline(0.25));
-      const analysis::StaticEstimate est =
-          analysis::static_estimate(mod.netlist, ix, {}, &meter);
-      if (est.stop == exec::StopReason::None) {
-        degraded_deadline_.fetch_add(1, std::memory_order_relaxed);
-        std::string detail = "deadline-degraded to static bounds [";
-        util::append_json_double(detail, est.lower);
-        detail += ", ";
-        util::append_json_double(detail, est.upper);
-        detail += "]";
-        return make_value_response({}, est.point, detail, /*degraded=*/true);
-      }
-    } catch (...) {
-      // Fall through to the typed error; degradation is best-effort.
+  if (opts_.degrade_on_deadline) {
+    // Degraded answers are never cached.
+    std::string body =
+        static_fallback(rq, "deadline-degraded to static bounds");
+    if (!body.empty()) {
+      count(Counter::DegradedDeadline);
+      return body;
     }
   }
-  errors_.fetch_add(1, std::memory_order_relaxed);
+  count(Counter::Errors);
   return make_error_response({}, "deadline-exceeded", what);
 }
 
@@ -768,7 +794,7 @@ std::string Service::lead_execute(const Request& rq, const Keys& k) {
           // compute_response catches everything itself; this guards the
           // injected faults and the response plumbing. A worker must never
           // rethrow — that would terminate the process.
-          errors_.fetch_add(1, std::memory_order_relaxed);
+          count(Counter::Errors);
           body = response_for_current_exception();
         }
         {
@@ -782,7 +808,7 @@ std::string Service::lead_execute(const Request& rq, const Keys& k) {
       wall > 0.0 ? wall_deadline : WorkerPool::Clock::time_point{});
   if (!submitted) {
     unregister_task(task_id);
-    shed_.fetch_add(1, std::memory_order_relaxed);
+    count(Counter::Shed);
     return make_error_response({}, "shed",
                                "admission control: kernel queue is full",
                                retry_after_ms());
@@ -793,8 +819,8 @@ std::string Service::lead_execute(const Request& rq, const Keys& k) {
     if (task->done) return std::move(task->body);
     if (abort_.load(std::memory_order_acquire)) {
       task->cancel.request_cancel();
-      cancelled_.fetch_add(1, std::memory_order_relaxed);
-      errors_.fetch_add(1, std::memory_order_relaxed);
+      count(Counter::Cancelled);
+      count(Counter::Errors);
       return make_error_response({}, "cancelled",
                                  "drain deadline abandoned the request");
     }
@@ -806,7 +832,7 @@ std::string Service::lead_execute(const Request& rq, const Keys& k) {
       // merely waited in the queue. The worker still publishes a completed
       // result to the cache when it finishes.
       if (!isolated(rq.kind)) task->cancel.request_cancel();
-      deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
+      count(Counter::DeadlineExceeded);
       lock.unlock();
       return deadline_response(rq, cooperative);
     }
@@ -827,43 +853,38 @@ void Service::maybe_cache(const Request& rq, const Keys& k,
 
 std::string Service::handle_estimate(const Request& rq) {
   if (draining()) {
-    refused_.fetch_add(1, std::memory_order_relaxed);
+    count(Counter::Refused);
     return make_error_response(rq.id, "draining",
                                "service is shutting down");
   }
-  if (opts_.max_inflight > 0) {
-    int now = inflight_.fetch_add(1, std::memory_order_acq_rel) + 1;
-    if (now > opts_.max_inflight) {
-      inflight_.fetch_sub(1, std::memory_order_acq_rel);
-      shed_.fetch_add(1, std::memory_order_relaxed);
-      return make_error_response(rq.id, "shed",
-                                 "admission control: too many in-flight "
-                                 "requests",
-                                 retry_after_ms());
-    }
-  } else {
-    inflight_.fetch_add(1, std::memory_order_acq_rel);
+  const int now = inflight_.fetch_add(1, std::memory_order_acq_rel) + 1;
+  if (opts_.max_inflight > 0 && now > opts_.max_inflight) {
+    inflight_.fetch_sub(1, std::memory_order_acq_rel);
+    count(Counter::Shed);
+    return make_error_response(
+        rq.id, "shed", "admission control: too many in-flight requests",
+        retry_after_ms());
   }
   struct InflightGuard {
     std::atomic<int>& n;
     ~InflightGuard() { n.fetch_sub(1, std::memory_order_acq_rel); }
   } guard{inflight_};
 
-  estimates_.fetch_add(1, std::memory_order_relaxed);
+  count(Counter::Estimates);
   const auto t0 = std::chrono::steady_clock::now();
 
   Keys k;
   try {
     k = keys(rq);
   } catch (const std::invalid_argument& e) {
-    errors_.fetch_add(1, std::memory_order_relaxed);
+    count(Counter::Errors);
     return make_error_response(rq.id, "invalid-input", e.what());
   }
 
   std::string body;
   bool predicted = false;
   if (rq.use_cache && cache_.lookup(k.cache_key, body)) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
+    count(Counter::Hits);
   } else if (rq.has_accuracy && !(body = predicted_response(rq)).empty()) {
     // Predicted tier (DESIGN.md §12): answered from the macromodel in
     // microseconds, interval attached, never cached. An empty return means
@@ -881,115 +902,91 @@ std::string Service::handle_estimate(const Request& rq) {
       SingleFlight::Result fr =
           flights_.run(k.flight_key, [&] { return lead_execute(rq, k); });
       body = std::move(fr.value);
-      (fr.leader ? misses_ : coalesced_)
-          .fetch_add(1, std::memory_order_relaxed);
+      count(fr.leader ? Counter::Misses : Counter::Coalesced);
     } catch (...) {
       // Whatever escaped the flight — the leader's publication failing
       // (fi alloc injection) or the rethrow a waiter received — becomes a
       // typed error response. Waiters are *woken with the error class*,
       // never left blocking (satellite: single-flight waiter leak).
-      errors_.fetch_add(1, std::memory_order_relaxed);
+      count(Counter::Errors);
       body = response_for_current_exception();
     }
   }
 
   if (rq.has_accuracy && !predicted) body = attach_tier_exact(std::move(body));
 
-  const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
-  latency_.record(static_cast<std::uint64_t>(us < 0 ? 0 : us));
+  latency_.record(micros_since(t0));
   return attach_id(body, rq.id);
 }
 
 std::string Service::handle_line(std::string_view line) {
-  requests_.fetch_add(1, std::memory_order_relaxed);
+  count(Counter::Requests);
   Request rq;
   std::string error;
   if (!Request::parse(line, rq, error)) {
-    errors_.fetch_add(1, std::memory_order_relaxed);
+    count(Counter::Errors);
     return make_error_response({}, "malformed", error);
   }
   switch (rq.op) {
     case Op::Ping:
       return attach_id(make_ping_response(), rq.id);
     case Op::Metrics:
-      return attach_id(serialize_metrics(metrics()), rq.id);
     case Op::Health:
-      return attach_id(serialize_health(health()), rq.id);
+      return attach_id(serialize(metrics(), rq.op), rq.id);
     case Op::Estimate:
       return handle_estimate(rq);
   }
-  errors_.fetch_add(1, std::memory_order_relaxed);
+  count(Counter::Errors);
   return make_error_response(rq.id, "internal", "unhandled op");
 }
 
-ServiceMetrics Service::metrics() const {
-  ServiceMetrics m;
-  m.requests = requests_.load(std::memory_order_relaxed);
-  m.estimates = estimates_.load(std::memory_order_relaxed);
-  m.hits = hits_.load(std::memory_order_relaxed);
-  m.misses = misses_.load(std::memory_order_relaxed);
-  m.coalesced = coalesced_.load(std::memory_order_relaxed);
-  m.shed = shed_.load(std::memory_order_relaxed);
-  m.refused = refused_.load(std::memory_order_relaxed);
-  m.errors = errors_.load(std::memory_order_relaxed);
-  m.deadline_exceeded = deadline_exceeded_.load(std::memory_order_relaxed);
-  m.cancelled = cancelled_.load(std::memory_order_relaxed);
-  m.degraded_deadline = degraded_deadline_.load(std::memory_order_relaxed);
-  m.inflight = inflight_.load(std::memory_order_relaxed);
-  m.draining = draining();
-  if (pool_) {
-    m.queue_depth = pool_->queue_depth();
-    m.busy_workers = pool_->busy();
+ServiceStats Service::metrics() const {
+  ServiceStats s;
+  for (const Row& r : kRows) {
+    if (r.field)
+      s.*r.field = counters_[static_cast<std::size_t>(r.counter)].load(
+          std::memory_order_relaxed);
   }
-  m.warm_entries = warm_entries_.load(std::memory_order_relaxed);
+  for (std::size_t i = 0; i < kCrashKinds; ++i) {
+    s.crashes_by_kind[i] =
+        counters_[static_cast<std::size_t>(Counter::Crash) + i].load(
+            std::memory_order_relaxed);
+  }
+  s.inflight = inflight_.load(std::memory_order_relaxed);
+  s.draining = draining();
+  s.workers = opts_.workers;
+  if (pool_) {
+    s.queue_depth = pool_->queue_depth();
+    s.busy_workers = s.busy = pool_->busy();
+    s.live = pool_->live();
+    s.wedged = pool_->wedged();
+    s.respawns = pool_->respawns();
+  }
+  s.warm_entries = warm_entries_;
   if (segment_) {
     const SegmentStats ss = segment_->stats();
-    m.persist_appends = ss.appends;
-    m.persist_torn_bytes = ss.torn_bytes;
+    s.persist_appends = ss.appends;
+    s.persist_torn_bytes = ss.torn_bytes;
   }
   {
     std::lock_guard<std::mutex> lock(memo_mu_);
-    m.memo_entries = fp_memo_.size() + feat_memo_.size();
+    s.memo_entries = fp_memo_.size() + feat_memo_.size();
   }
-  m.ewma_service_us = ewma_us_.load(std::memory_order_relaxed);
-  m.cache = cache_.stats();
-  m.p50_us = latency_.percentile(0.50);
-  m.p90_us = latency_.percentile(0.90);
-  m.p99_us = latency_.percentile(0.99);
-  return m;
-}
-
-ServiceHealth Service::health() const {
-  ServiceHealth h;
-  h.workers = opts_.workers;
-  h.draining = draining();
-  if (pool_) {
-    h.live = pool_->live();
-    h.busy = pool_->busy();
-    h.wedged = pool_->wedged();
-    h.queue_depth = pool_->queue_depth();
-    h.respawns = pool_->respawns();
-  }
-  h.isolated = isolated_.load(std::memory_order_relaxed);
-  h.child_crashes = child_crashes_.load(std::memory_order_relaxed);
-  for (std::size_t i = 0; i < crashes_by_kind_.size(); ++i)
-    h.crashes_by_kind[i] = crashes_by_kind_[i].load(std::memory_order_relaxed);
+  s.ewma_service_us = ewma_us_.load(std::memory_order_relaxed);
+  s.cache = cache_.stats();
+  s.p50_us = latency_.percentile(0.50);
+  s.p90_us = latency_.percentile(0.90);
+  s.p99_us = latency_.percentile(0.99);
   const sandbox::Quarantine::Counters q = quarantine_.counters();
-  h.quarantine_trips = q.trips;
-  h.quarantine_served = q.served_open;
-  h.quarantine_probes = q.probes;
-  h.quarantine_reopens = q.reopens;
-  h.quarantine_rehabilitated = q.rehabilitated;
-  h.quarantine_open = q.open_now;
+  s.quarantine_trips = q.trips;
+  s.quarantine_served = q.served_open;
+  s.quarantine_probes = q.probes;
+  s.quarantine_reopens = q.reopens;
+  s.quarantine_rehabilitated = q.rehabilitated;
+  s.quarantine_open = q.open_now;
   const std::shared_ptr<const model::ModelRegistry> reg = models();
-  h.models_loaded = reg ? reg->size() : 0;
-  h.model_predicted = model_predicted_.load(std::memory_order_relaxed);
-  h.model_escalated = model_escalated_.load(std::memory_order_relaxed);
-  h.model_out_of_hull = model_out_of_hull_.load(std::memory_order_relaxed);
-  h.model_miss = model_miss_.load(std::memory_order_relaxed);
-  return h;
+  s.models_loaded = reg ? reg->size() : 0;
+  return s;
 }
 
 }  // namespace hlp::serve

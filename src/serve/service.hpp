@@ -104,9 +104,28 @@ struct ServiceOptions {
   double quarantine_max_expiry_seconds = 1800.0;
 };
 
-/// Point-in-time service counters (monotone except inflight/draining and
-/// the working-set gauges).
-struct ServiceMetrics {
+/// One counter slot per sandbox::CrashKind, indexed by the kind.
+inline constexpr std::size_t kCrashKinds = 8;
+static_assert(static_cast<std::size_t>(sandbox::CrashKind::PipeError) + 1 ==
+                  kCrashKinds,
+              "one crash counter per sandbox::CrashKind");
+
+/// The service's monotone counters, one slot each in Service's counter
+/// table. Each is named on the wire once, by the row table in service.cpp.
+enum class Counter : std::uint8_t {
+  Requests, Estimates, Hits, Misses, Coalesced, Shed, Refused, Errors,
+  DeadlineExceeded, Cancelled, DegradedDeadline,
+  Isolated, ChildCrashes,
+  ModelPredicted, ModelEscalated, ModelOutOfHull, ModelMiss,
+  Crash,  ///< first of kCrashKinds slots, indexed by sandbox::CrashKind
+  kCount = Crash + kCrashKinds
+};
+
+/// Point-in-time service state: one snapshot answers both {"op":"metrics"}
+/// and {"op":"health"} (DESIGN.md §9, §11). Counters are monotone; the
+/// rest are gauges.
+struct ServiceStats {
+  // Request counters (metrics).
   std::uint64_t requests = 0;   ///< lines received (any op, incl. malformed)
   std::uint64_t estimates = 0;  ///< estimate requests admitted past shed/drain
   std::uint64_t hits = 0;       ///< served from the result cache
@@ -118,10 +137,25 @@ struct ServiceMetrics {
   std::uint64_t deadline_exceeded = 0;  ///< wall-deadline abandonments
   std::uint64_t cancelled = 0;  ///< drain/abort-cancelled requests
   std::uint64_t degraded_deadline = 0;  ///< deadline trips degraded to tier-0
+  // Sandbox and predicted-tier counters (health, DESIGN.md §11, §12).
+  std::uint64_t isolated = 0;       ///< kernel attempts run in a child
+  std::uint64_t child_crashes = 0;  ///< children that died without a frame
+  std::array<std::uint64_t, kCrashKinds> crashes_by_kind{};
+  std::uint64_t model_predicted = 0;    ///< answered from a macromodel
+  std::uint64_t model_escalated = 0;    ///< interval too wide for accuracy
+  std::uint64_t model_out_of_hull = 0;  ///< extrapolation refused
+  std::uint64_t model_miss = 0;         ///< no model for the family/kind
+
+  // Admission, pool and working-set gauges.
   int inflight = 0;
   bool draining = false;
   std::size_t queue_depth = 0;  ///< kernel tasks queued, not yet started
   int busy_workers = 0;
+  int workers = 0;  ///< configured pool size (0 = inline execution)
+  int live = 0;     ///< threads currently serving the queue
+  int busy = 0;     ///< tasks executing (incl. wedged/superseded)
+  int wedged = 0;   ///< busy past deadline, not yet superseded
+  std::uint64_t respawns = 0;      ///< supervisor replacements (one per wedge)
   std::uint64_t warm_entries = 0;  ///< cache entries loaded from the segment
   std::uint64_t persist_appends = 0;
   std::uint64_t persist_torn_bytes = 0;
@@ -131,44 +165,17 @@ struct ServiceMetrics {
   std::uint64_t p50_us = 0;  ///< estimate-latency percentiles (log buckets)
   std::uint64_t p90_us = 0;
   std::uint64_t p99_us = 0;
-};
-
-/// Metrics wire form: {"ok":true,"op":"metrics",...} — counters first
-/// (hits/misses/coalesced/shed are what parse_response surfaces), then
-/// cache and latency detail.
-std::string serialize_metrics(const ServiceMetrics& m);
-
-/// Supervision-tree state answered by {"op":"health"} (DESIGN.md §11):
-/// pool capacity and wedge/respawn counters, sandbox crash counters by
-/// class, quarantine circuit-breaker state.
-struct ServiceHealth {
-  int workers = 0;       ///< configured pool size (0 = inline execution)
-  int live = 0;          ///< threads currently serving the queue
-  int busy = 0;          ///< tasks executing (incl. wedged/superseded)
-  int wedged = 0;        ///< busy past deadline, not yet superseded
-  std::size_t queue_depth = 0;
-  std::uint64_t respawns = 0;  ///< supervisor replacements (one per wedge)
-  bool draining = false;
-  std::uint64_t isolated = 0;       ///< kernel attempts run in a child
-  std::uint64_t child_crashes = 0;  ///< children that died without a frame
-  /// Crash counts by sandbox::CrashKind (indexed by the enum).
-  std::array<std::uint64_t, 8> crashes_by_kind{};
+  // Quarantine circuit breaker and model registry.
   std::uint64_t quarantine_trips = 0;
   std::uint64_t quarantine_served = 0;  ///< answered without execution
   std::uint64_t quarantine_probes = 0;
   std::uint64_t quarantine_reopens = 0;
   std::uint64_t quarantine_rehabilitated = 0;
   std::size_t quarantine_open = 0;  ///< fingerprints open right now
-  /// Predicted-tier state (DESIGN.md §12).
-  std::size_t models_loaded = 0;         ///< registry entries live right now
-  std::uint64_t model_predicted = 0;     ///< answered from a macromodel
-  std::uint64_t model_escalated = 0;     ///< interval too wide for accuracy
-  std::uint64_t model_out_of_hull = 0;   ///< extrapolation refused
-  std::uint64_t model_miss = 0;          ///< no model for the family/kind
+  std::size_t models_loaded = 0;    ///< registry entries live right now
 };
-
-/// Health wire form: {"ok":true,"op":"health",...}.
-std::string serialize_health(const ServiceHealth& h);
+using ServiceMetrics = ServiceStats;
+using ServiceHealth = ServiceStats;
 
 /// Lock-free log-scale latency histogram: bucket i holds samples whose
 /// microsecond count has bit width i, so percentiles are exact to a factor
@@ -181,7 +188,7 @@ class LatencyHistogram {
   std::uint64_t percentile(double p) const;
 
  private:
-  static constexpr int kBuckets = 40;
+  static constexpr std::size_t kBuckets = 40;
   std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
 };
 
@@ -220,8 +227,10 @@ class Service {
   /// {"ok":false,...} responses.
   std::string handle_line(std::string_view line);
 
-  ServiceMetrics metrics() const;
-  ServiceHealth health() const;
+  /// The one snapshot of every counter and gauge, under the name of
+  /// either op it answers.
+  ServiceStats metrics() const;
+  ServiceStats health() const { return metrics(); }
 
   /// After begin_drain(), estimate requests are answered "draining";
   /// metrics and ping still work so shutdown can be observed.
@@ -295,6 +304,9 @@ class Service {
   std::string isolated_response(const Request& rq, const Keys& k,
                                 const jobs::KernelRequest& krq,
                                 const exec::Budget& budget);
+  /// Map a delivered kernel outcome (in-process or from a sandbox child)
+  /// to a value response or its typed budget error.
+  std::string outcome_response(const jobs::AttemptOutcome& out);
   /// Answer an open-quarantined fingerprint without executing: tier-0
   /// static bound (degraded, "quarantined" detail) for netlist-backed
   /// kinds, the "quarantined" error class otherwise. Never cached.
@@ -318,6 +330,10 @@ class Service {
   exec::Budget budget_for(const Request& rq) const;
   std::uint64_t retry_after_ms() const;
   void note_service_time(std::uint64_t us);
+  void count(Counter c) {
+    counters_[static_cast<std::size_t>(c)].fetch_add(
+        1, std::memory_order_relaxed);
+  }
   std::uint64_t register_task(const std::shared_ptr<Task>& task);
   void unregister_task(std::uint64_t id);
 
@@ -347,26 +363,11 @@ class Service {
   std::atomic<bool> draining_{false};
   std::atomic<bool> abort_{false};
   std::atomic<int> inflight_{0};
-  std::atomic<std::uint64_t> requests_{0};
-  std::atomic<std::uint64_t> estimates_{0};
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> coalesced_{0};
-  std::atomic<std::uint64_t> shed_{0};
-  std::atomic<std::uint64_t> refused_{0};
-  std::atomic<std::uint64_t> errors_{0};
-  std::atomic<std::uint64_t> deadline_exceeded_{0};
-  std::atomic<std::uint64_t> cancelled_{0};
-  std::atomic<std::uint64_t> degraded_deadline_{0};
-  std::atomic<std::uint64_t> warm_entries_{0};
   std::atomic<std::uint64_t> ewma_us_{0};
-  std::atomic<std::uint64_t> isolated_{0};
-  std::atomic<std::uint64_t> child_crashes_{0};
-  std::atomic<std::uint64_t> model_predicted_{0};
-  std::atomic<std::uint64_t> model_escalated_{0};
-  std::atomic<std::uint64_t> model_out_of_hull_{0};
-  std::atomic<std::uint64_t> model_miss_{0};
-  std::array<std::atomic<std::uint64_t>, 8> crashes_by_kind_{};
+  std::array<std::atomic<std::uint64_t>,
+             static_cast<std::size_t>(Counter::kCount)>
+      counters_{};
+  std::uint64_t warm_entries_ = 0;  ///< set once, in the constructor
 
   sandbox::Quarantine quarantine_;
 
