@@ -69,25 +69,7 @@ ModuleCharacterization characterize_packed(
     const std::size_t count = std::min(lanes, total - base);
     bs.set_inputs_from_cycles(std::span(input.words).subspan(base, count));
     bs.eval();
-    const std::size_t sub_words = (count + 63) / 64;
-    for (netlist::GateId g = 0; g < n; ++g) {
-      const auto lw = bs.lane_words(g);
-      std::uint8_t lg = last[g];
-      for (std::size_t w = 0; w < sub_words; ++w) {
-        const std::size_t c = std::min<std::size_t>(64, count - w * 64);
-        const std::uint64_t mask =
-            c == 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << c) - 1);
-        const std::uint64_t x = lw[w] & mask;
-        // Bit k of d = toggle on the transition into cycle base+w*64+k.
-        std::uint64_t d =
-            (x ^ ((x << 1) | static_cast<std::uint64_t>(lg))) & mask;
-        if (base == 0 && w == 0)
-          d &= ~std::uint64_t{1};  // no transition into cycle 0
-        toggles[std::size_t{g} * W + w] = d;
-        lg = static_cast<std::uint8_t>((x >> (c - 1)) & 1u);
-      }
-      last[g] = lg;
-    }
+    bs.temporal_toggles(count, base == 0, last, toggles);
     energy.energies(toggles, count, e_buf.data());
     bs.outputs_to_cycles(std::span(ob).first(count));
     for (std::size_t k = 0; k < count; ++k) {

@@ -163,6 +163,19 @@ void finish_monte_carlo(MonteCarloResult& res, const stats::RunningStats& rs,
   res.checkpoint = {rs.count(), rs.mean(), rs.m2()};
 }
 
+/// A budgeted run's outcome: the meter's diagnostics, and for a budget
+/// stop a note on how to resume.
+exec::Outcome<MonteCarloResult> budgeted_outcome(const MonteCarloResult& res,
+                                                 const exec::Meter& meter) {
+  exec::Outcome<MonteCarloResult> out;
+  out.value = res;
+  out.diag = meter.diag();
+  if (res.stop_reason == MonteCarloResult::StopReason::BudgetExhausted)
+    out.diag.note = "partial estimate over " + std::to_string(res.pairs) +
+                    " pairs; resume via result.checkpoint";
+  return out;
+}
+
 /// The CI stop rule `ci_halfwidth(rs) <= epsilon * mean` (mean > 0),
 /// evaluated for every pair past min_pairs. A squared pre-test with a
 /// 1e-9 relative margin, far wider than the few ulps the two sides can
@@ -184,135 +197,121 @@ bool ci_converged(const stats::RunningStats& rs, double epsilon,
   return true;
 }
 
-/// Simulate one block of vector pairs (pair k in bit lane k of the block)
-/// and write per-pair switched-cap energies into e_lane[0..w1.size()).
-/// The toggle buffer (gate-major, gate_count·W words) is caller-owned so
-/// campaign loops don't reallocate.
-void simulate_pair_block(sim::BlockSimulator& bs, sim::ToggleEnergy& energy,
-                         std::span<const std::uint64_t> w1,
-                         std::span<const std::uint64_t> w2,
-                         std::vector<std::uint64_t>& toggles, double* e_lane) {
-  bs.set_inputs_from_cycles(w1);
-  bs.eval();
-  const auto first = bs.lanes();
-  std::copy(first.begin(), first.end(), toggles.begin());
-  bs.set_inputs_from_cycles(w2);
-  bs.eval();
-  const auto second = bs.lanes();
-  for (std::size_t i = 0; i < toggles.size(); ++i) toggles[i] ^= second[i];
-  energy.energies(toggles, w1.size(), e_lane);
-}
+/// Packed backend: 64·W independent vector pairs per step, pair k in bit
+/// lane k of a W-word block, energies from the gate-major toggle words.
+class PackedPairs {
+ public:
+  PackedPairs(const netlist::Netlist& nl, const sim::LoadClasses& classes,
+              int block_words)
+      : bs_(nl, block_words),
+        energy_(classes, bs_.words()),
+        toggles_(bs_.lanes().size()) {}
 
-/// 64·W independent vector pairs per block step: pair k occupies bit lane
-/// k, drawn in the same interleaved order (v1_k, v2_k) the scalar loop
-/// uses. Lane energies are drained into the running stats in draw order, so
-/// the sequential stop rule fires at exactly the same pair as the scalar
-/// path. The meter is charged the whole block's pair count in one probe
-/// *before* the block is drawn — budget accounting is O(1) per block, and a
-/// quota-stopped run leaves the generator exactly where the scalar engine
-/// would (the batch never exceeds the remaining quota).
-MonteCarloResult monte_carlo_power_packed(
-    const netlist::Netlist& nl,
-    const std::function<std::uint64_t()>& vector_gen, double epsilon,
-    double confidence, std::size_t min_pairs, std::size_t max_pairs,
-    const netlist::CapacitanceModel& cap, exec::Meter* meter,
-    const MonteCarloCheckpoint& resume, int block_words) {
-  MonteCarloResult res;
-  fi::alloc_checkpoint();
-  const sim::LoadClasses classes(nl.loads(cap));
-  fi::alloc_checkpoint();
-  sim::BlockSimulator bs(nl, block_words);
-  const std::size_t n = nl.gate_count();
-  const auto lanes = static_cast<std::size_t>(bs.lane_count());
-  fi::alloc_checkpoint();
-  sim::ToggleEnergy energy(classes, bs.words());
-  std::vector<std::uint64_t> toggles(n * static_cast<std::size_t>(bs.words()));
-  std::vector<std::uint64_t> w1(lanes), w2(lanes);
-  std::vector<double> e_lane(lanes);
-  stats::RunningStats rs =
-      stats::RunningStats::restore(resume.count, resume.mean, resume.m2);
-
-  bool stopped = false, budget_stop = false;
-  while (rs.count() < max_pairs && !stopped) {
-    // Never draw past a step quota: a quota-stopped run must leave the
-    // shared generator at the same position as the scalar engine, or a
-    // resumed run would diverge from an uninterrupted one.
-    std::size_t batch = std::min(lanes, max_pairs - rs.count());
-    if (meter) batch = std::min(batch, meter->steps_remaining());
-    if (batch == 0) {  // quota exactly spent: the next pair's probe trips
-      budget_stop = meter->over_budget(1);
-      break;
-    }
-    // One probe pays for the whole block up front; a deadline/cancel trip
-    // here costs nothing (the generator has not been advanced for this
-    // block) and a quota trip is impossible (batch <= steps_remaining).
-    if (meter && meter->over_budget(batch)) {
-      budget_stop = true;
-      break;
-    }
-    for (std::size_t k = 0; k < batch; ++k) {
-      w1[k] = vector_gen();
-      w2[k] = vector_gen();
-    }
-    simulate_pair_block(bs, energy, std::span(w1).first(batch),
-                        std::span(w2).first(batch), toggles, e_lane.data());
-    for (std::size_t k = 0; k < batch; ++k) {
-      rs.add(e_lane[k]);
-      if (rs.count() >= min_pairs &&
-          ci_converged(rs, epsilon, confidence, res.ci_halfwidth)) {
-        res.converged = true;
-        stopped = true;
-        break;
-      }
-    }
+  std::size_t lanes() const {
+    return static_cast<std::size_t>(bs_.lane_count());
   }
-  finish_monte_carlo(res, rs, confidence, budget_stop);
-  return res;
-}
 
-MonteCarloResult monte_carlo_power_scalar(
-    const netlist::Netlist& nl,
-    const std::function<std::uint64_t()>& vector_gen, double epsilon,
-    double confidence, std::size_t min_pairs, std::size_t max_pairs,
-    const netlist::CapacitanceModel& cap, exec::Meter* meter,
-    const MonteCarloCheckpoint& resume) {
-  MonteCarloResult res;
-  auto loads = nl.loads(cap);
-  fi::alloc_checkpoint();
-  sim::Simulator s(nl);
-  fi::alloc_checkpoint();
-  std::vector<std::uint8_t> prev(nl.gate_count(), 0);
-  stats::RunningStats rs =
-      stats::RunningStats::restore(resume.count, resume.mean, resume.m2);
+  void simulate(std::span<const std::uint64_t> w1,
+                std::span<const std::uint64_t> w2, double* e) {
+    bs_.set_inputs_from_cycles(w1);
+    bs_.eval();
+    const auto first = bs_.lanes();
+    std::copy(first.begin(), first.end(), toggles_.begin());
+    bs_.set_inputs_from_cycles(w2);
+    bs_.eval();
+    const auto second = bs_.lanes();
+    for (std::size_t i = 0; i < toggles_.size(); ++i) toggles_[i] ^= second[i];
+    energy_.energies(toggles_, w1.size(), e);
+  }
 
-  bool budget_stop = false;
-  while (rs.count() < max_pairs) {
-    if (meter && meter->over_budget(1)) {
-      budget_stop = true;
-      break;
-    }
-    // One independent vector pair: apply v1, settle, then v2, count.
-    s.set_all_inputs(vector_gen());
-    s.eval();
-    for (netlist::GateId g = 0; g < nl.gate_count(); ++g)
-      prev[g] = s.value(g) ? 1 : 0;
-    s.set_all_inputs(vector_gen());
-    s.eval();
+ private:
+  sim::BlockSimulator bs_;
+  sim::ToggleEnergy energy_;
+  std::vector<std::uint64_t> toggles_;
+};
+
+/// Scalar backend: one pair per step, its energy summed over the gates in
+/// ascending order — the reference the packed backend reproduces bit for
+/// bit. Registers are never clocked, so every pair sees their initial
+/// state.
+class ScalarPairs {
+ public:
+  ScalarPairs(const netlist::Netlist& nl, const sim::LoadClasses& classes)
+      : nl_(nl), s_(nl), loads_(classes.loads()), prev_(nl.gate_count(), 0) {}
+
+  double energy(std::uint64_t v1, std::uint64_t v2) {
+    s_.set_all_inputs(v1);
+    s_.eval();
+    for (netlist::GateId g = 0; g < nl_.gate_count(); ++g)
+      prev_[g] = s_.value(g) ? 1 : 0;
+    s_.set_all_inputs(v2);
+    s_.eval();
     double e = 0.0;
-    for (netlist::GateId g = 0; g < nl.gate_count(); ++g)
-      if ((s.value(g) ? 1 : 0) != prev[g]) e += loads[g];
-    rs.add(e);
-    if (rs.count() >= min_pairs &&
-        ci_converged(rs, epsilon, confidence, res.ci_halfwidth)) {
-      res.converged = true;
-      break;
+    for (netlist::GateId g = 0; g < nl_.gate_count(); ++g)
+      if ((s_.value(g) ? 1 : 0) != prev_[g]) e += loads_[g];
+    return e;
+  }
+
+ private:
+  const netlist::Netlist& nl_;
+  sim::Simulator s_;
+  std::span<const double> loads_;
+  std::vector<std::uint8_t> prev_;
+};
+
+/// One thread's pair sampler on the engine the caller resolved once.
+/// `run` is the one Monte Carlo pair loop: until `next_batch()` returns 0
+/// (it never returns more than lanes()), draw that many pairs from `draw`
+/// in (v1_k, v2_k) order, simulate them, and pass each energy to `take`
+/// in draw order; `take` returns false to stop.
+class PairSampler {
+ public:
+  PairSampler(const netlist::Netlist& nl, const sim::LoadClasses& classes,
+              sim::EngineKind engine, int block_words) {
+    if (engine == sim::EngineKind::Packed)
+      packed_.emplace(nl, classes, block_words);
+    else
+      scalar_.emplace(nl, classes);
+    lanes_ = packed_ ? packed_->lanes() : 1;
+    w1_.resize(lanes_);
+    w2_.resize(lanes_);
+    e_.resize(lanes_);
+  }
+
+  std::size_t lanes() const { return lanes_; }
+
+  template <typename NextBatch, typename Draw, typename Take>
+  void run(NextBatch&& next_batch, Draw&& draw, Take&& take) {
+    while (const std::size_t batch = next_batch()) {
+      for (std::size_t k = 0; k < batch; ++k) {
+        w1_[k] = draw();
+        w2_[k] = draw();
+      }
+      if (packed_)
+        packed_->simulate(std::span(w1_).first(batch),
+                          std::span(w2_).first(batch), e_.data());
+      else
+        e_[0] = scalar_->energy(w1_[0], w2_[0]);
+      for (std::size_t k = 0; k < batch; ++k)
+        if (!take(e_[k])) return;
     }
   }
-  finish_monte_carlo(res, rs, confidence, budget_stop);
-  return res;
-}
 
-MonteCarloResult monte_carlo_power_impl(
+ private:
+  std::optional<PackedPairs> packed_;
+  std::optional<ScalarPairs> scalar_;
+  std::size_t lanes_;
+  std::vector<std::uint64_t> w1_, w2_;
+  std::vector<double> e_;
+};
+
+/// The sequential estimator. Each batch is paid for in one meter probe
+/// before it is drawn and never exceeds the remaining step quota, so a
+/// trip costs no draws and a quota stop leaves the generator where a
+/// one-pair-per-step run would; on one lane the meter sees exactly one
+/// one-step probe per pair. The stop rule runs per pair in draw order, so
+/// every engine stops on the same pair.
+MonteCarloResult sequential_monte_carlo(
     const netlist::Module& mod,
     const std::function<std::uint64_t()>& vector_gen, double epsilon,
     double confidence, std::size_t min_pairs, std::size_t max_pairs,
@@ -320,12 +319,36 @@ MonteCarloResult monte_carlo_power_impl(
     exec::Meter* meter, const MonteCarloCheckpoint& resume) {
   lint::enforce_module(mod, opts.lint, "monte_carlo_power");
   const auto& nl = mod.netlist;
-  if (sim::resolve_engine(nl, opts.engine) == sim::EngineKind::Packed)
-    return monte_carlo_power_packed(nl, vector_gen, epsilon, confidence,
-                                    min_pairs, max_pairs, cap, meter, resume,
-                                    opts.block_words);
-  return monte_carlo_power_scalar(nl, vector_gen, epsilon, confidence,
-                                  min_pairs, max_pairs, cap, meter, resume);
+  const sim::EngineKind engine = sim::resolve_engine(nl, opts.engine);
+  fi::alloc_checkpoint();
+  const sim::LoadClasses classes(nl.loads(cap));
+  fi::alloc_checkpoint();
+  PairSampler sampler(nl, classes, engine, opts.block_words);
+  stats::RunningStats rs =
+      stats::RunningStats::restore(resume.count, resume.mean, resume.m2);
+  MonteCarloResult res;
+  bool budget_stop = false;
+  sampler.run(
+      [&]() -> std::size_t {
+        if (rs.count() >= max_pairs) return 0;
+        const std::size_t batch =
+            std::min(sampler.lanes(), max_pairs - rs.count());
+        if (!meter) return batch;
+        // A spent quota gives 0 here, and the one-pair probe trips it.
+        const std::size_t paid = std::min(batch, meter->steps_remaining());
+        budget_stop = meter->over_budget(std::max<std::size_t>(paid, 1));
+        return budget_stop ? 0 : paid;
+      },
+      vector_gen,
+      [&](double e) {
+        rs.add(e);
+        res.converged =
+            rs.count() >= min_pairs &&
+            ci_converged(rs, epsilon, confidence, res.ci_halfwidth);
+        return !res.converged;
+      });
+  finish_monte_carlo(res, rs, confidence, budget_stop);
+  return res;
 }
 
 }  // namespace
@@ -335,7 +358,7 @@ MonteCarloResult monte_carlo_power(
     const std::function<std::uint64_t()>& vector_gen, double epsilon,
     double confidence, std::size_t min_pairs, std::size_t max_pairs,
     const netlist::CapacitanceModel& cap, const sim::SimOptions& opts) {
-  return monte_carlo_power_impl(mod, vector_gen, epsilon, confidence,
+  return sequential_monte_carlo(mod, vector_gen, epsilon, confidence,
                                 min_pairs, max_pairs, cap, opts, nullptr, {});
 }
 
@@ -347,16 +370,10 @@ exec::Outcome<MonteCarloResult> monte_carlo_power_budgeted(
     const netlist::CapacitanceModel& cap, const sim::SimOptions& opts,
     const MonteCarloCheckpoint& resume) {
   exec::Meter meter(budget);
-  exec::Outcome<MonteCarloResult> out;
-  out.value = monte_carlo_power_impl(mod, vector_gen, epsilon, confidence,
-                                     min_pairs, max_pairs, cap, opts, &meter,
-                                     resume);
-  out.diag = meter.diag();
-  if (out.value.stop_reason == MonteCarloResult::StopReason::BudgetExhausted)
-    out.diag.note = "partial estimate over " +
-                    std::to_string(out.value.pairs) +
-                    " pairs; resume via result.checkpoint";
-  return out;
+  return budgeted_outcome(
+      sequential_monte_carlo(mod, vector_gen, epsilon, confidence, min_pairs,
+                             max_pairs, cap, opts, &meter, resume),
+      meter);
 }
 
 exec::Outcome<MonteCarloResult> monte_carlo_power_sharded(
@@ -371,10 +388,8 @@ exec::Outcome<MonteCarloResult> monte_carlo_power_sharded(
   const std::size_t total = opts.total_pairs;
   const std::size_t n_chunks = (total + chunk - 1) / chunk;
   fi::alloc_checkpoint();
-  auto loads = nl.loads(cap);
-  fi::alloc_checkpoint();
   // Immutable and shared by every worker; each keeps its own counter.
-  const sim::LoadClasses classes(loads);
+  const sim::LoadClasses classes(nl.loads(cap));
   fi::alloc_checkpoint();
 
   exec::Meter meter(budget);
@@ -420,52 +435,24 @@ exec::Outcome<MonteCarloResult> monte_carlo_power_sharded(
   };
 
   auto worker = [&] {
+    PairSampler sampler(nl, classes, engine, opts.sim.block_words);
     std::size_t c = 0, pairs_c = 0;
-    if (engine == sim::EngineKind::Packed) {
-      sim::BlockSimulator bs(nl, opts.sim.block_words);
-      const auto lanes = static_cast<std::size_t>(bs.lane_count());
-      sim::ToggleEnergy energy(classes, bs.words());
-      std::vector<std::uint64_t> toggles(
-          nl.gate_count() * static_cast<std::size_t>(bs.words()));
-      std::vector<std::uint64_t> w1(lanes), w2(lanes);
-      std::vector<double> e_lane(lanes);
-      while (claim(c, pairs_c)) {
-        stats::Rng rng(stats::shard_seed(seed, c));
-        stats::RunningStats rc;
-        for (std::size_t p = 0; p < pairs_c;) {
-          const std::size_t batch = std::min(lanes, pairs_c - p);
-          for (std::size_t k = 0; k < batch; ++k) {
-            w1[k] = rng.uniform_bits(n_in);
-            w2[k] = rng.uniform_bits(n_in);
-          }
-          simulate_pair_block(bs, energy, std::span(w1).first(batch),
-                              std::span(w2).first(batch), toggles,
-                              e_lane.data());
-          for (std::size_t k = 0; k < batch; ++k) rc.add(e_lane[k]);
-          p += batch;
-        }
-        commit(c, rc);
-      }
-    } else {
-      sim::Simulator s(nl);
-      std::vector<std::uint8_t> prev(nl.gate_count(), 0);
-      while (claim(c, pairs_c)) {
-        stats::Rng rng(stats::shard_seed(seed, c));
-        stats::RunningStats rc;
-        for (std::size_t p = 0; p < pairs_c; ++p) {
-          s.set_all_inputs(rng.uniform_bits(n_in));
-          s.eval();
-          for (netlist::GateId g = 0; g < nl.gate_count(); ++g)
-            prev[g] = s.value(g) ? 1 : 0;
-          s.set_all_inputs(rng.uniform_bits(n_in));
-          s.eval();
-          double e = 0.0;
-          for (netlist::GateId g = 0; g < nl.gate_count(); ++g)
-            if ((s.value(g) ? 1 : 0) != prev[g]) e += loads[g];
-          rc.add(e);
-        }
-        commit(c, rc);
-      }
+    while (claim(c, pairs_c)) {
+      stats::Rng rng(stats::shard_seed(seed, c));
+      stats::RunningStats rc;
+      std::size_t left = pairs_c;
+      sampler.run(
+          [&] {
+            const std::size_t batch = std::min(sampler.lanes(), left);
+            left -= batch;
+            return batch;
+          },
+          [&] { return rng.uniform_bits(n_in); },
+          [&](double e) {
+            rc.add(e);
+            return true;
+          });
+      commit(c, rc);
     }
   };
 
@@ -490,13 +477,7 @@ exec::Outcome<MonteCarloResult> monte_carlo_power_sharded(
   res.converged = converged;
   if (converged) res.ci_halfwidth = conv_hw;
   finish_monte_carlo(res, rs, opts.confidence, budget_stop);
-  exec::Outcome<MonteCarloResult> out;
-  out.value = res;
-  out.diag = meter.diag();
-  if (res.stop_reason == MonteCarloResult::StopReason::BudgetExhausted)
-    out.diag.note = "partial estimate over " + std::to_string(res.pairs) +
-                    " pairs; resume via result.checkpoint";
-  return out;
+  return budgeted_outcome(res, meter);
 }
 
 }  // namespace hlp::core

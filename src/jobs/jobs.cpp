@@ -123,6 +123,8 @@ RunnerCounters Runner::counters() const {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+/// Supervisor poll period for attempt deadlines and campaign cancellation.
+constexpr std::chrono::milliseconds kSupervisorPoll{2};
 
 /// Per-worker in-flight attempt, observed by the supervisor. `tripped` is
 /// written (release) *before* the token is signalled, so a worker that
@@ -494,10 +496,10 @@ CampaignResult Runner::run_impl(const std::vector<Job>& jobs, bool resuming) {
 
   // Supervisor: enforces per-attempt wall deadlines and fans campaign
   // cancellation out to every in-flight attempt token.
-  std::thread supervisor([&sh, poll = opts_.supervisor_poll_seconds] {
+  std::thread supervisor([&sh] {
     std::unique_lock<std::mutex> lk(sh.mu);
     while (!sh.stop_supervisor) {
-      sh.cv.wait_for(lk, std::chrono::duration<double>(poll));
+      sh.cv.wait_for(lk, kSupervisorPoll);
       const bool campaign = sh.campaign.cancel_requested();
       const Clock::time_point now = Clock::now();
       for (Inflight& inf : sh.inflight) {

@@ -138,8 +138,6 @@ struct RunnerOptions {
   /// campaign — in-flight attempts are cancelled through their tokens,
   /// queued jobs are not started, and no retries are scheduled.
   exec::CancelToken campaign_cancel;
-  /// Supervisor poll period for deadlines/cancellation.
-  double supervisor_poll_seconds = 0.002;
   /// Kernel execution hook for spec-driven (non-Custom) jobs: empty runs
   /// run_kernel in-process; hlp_run's --isolate wires
   /// sandbox::run_kernel_isolated here so each attempt forks a rlimit-

@@ -195,6 +195,29 @@ cdfg::Cdfg make_cdfg(const std::string& design) {
   bad_spec(design, "unknown cdfg design");
 }
 
+AttemptOutcome sampled_attempt(
+    const exec::Outcome<core::MonteCarloResult>& out, std::string_view method,
+    std::string_view params) {
+  AttemptOutcome ao;
+  ao.out.has_checkpoint = out.value.checkpoint.valid();
+  ao.out.checkpoint = out.value.checkpoint;
+  const std::string pairs = std::to_string(out.value.pairs);
+  if (out.value.stop_reason ==
+      core::MonteCarloResult::StopReason::BudgetExhausted) {
+    ao.ok = false;
+    ao.stop = out.diag.stop;
+    ao.detail = std::string(method) + " stopped at " + pairs + " pairs (" +
+                exec::to_string(out.diag.stop) + ")";
+    return ao;
+  }
+  ao.ok = true;
+  ao.out.value = out.value.mean_energy;
+  ao.detail = ao.out.detail =
+      std::string(method) + " " + std::string(params) + pairs + " pairs, " +
+      (out.value.converged ? "converged" : "pair-budget exhausted");
+  return ao;
+}
+
 namespace {
 
 /// Sampled power estimate — the Monte Carlo kernel and the symbolic
@@ -240,23 +263,7 @@ AttemptOutcome sampled_power(const KernelRequest& rq,
                                            rq.max_pairs, {}, {}, resume);
   }
 
-  AttemptOutcome ao;
-  ao.out.has_checkpoint = out.value.checkpoint.valid();
-  ao.out.checkpoint = out.value.checkpoint;
-  if (out.value.stop_reason ==
-      core::MonteCarloResult::StopReason::BudgetExhausted) {
-    ao.ok = false;
-    ao.stop = out.diag.stop;
-    ao.detail = "monte-carlo stopped at " + std::to_string(out.value.pairs) +
-                " pairs (" + exec::to_string(out.diag.stop) + ")";
-    return ao;
-  }
-  ao.ok = true;
-  ao.out.value = out.value.mean_energy;
-  ao.detail = ao.out.detail =
-      "monte-carlo " + std::to_string(out.value.pairs) + " pairs, " +
-      (out.value.converged ? "converged" : "pair-budget exhausted");
-  return ao;
+  return sampled_attempt(out, "monte-carlo");
 }
 
 AttemptOutcome symbolic_power(const KernelRequest& rq,

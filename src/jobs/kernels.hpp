@@ -56,6 +56,14 @@ struct AttemptOutcome {
   KernelOutput out;  ///< value valid when ok; checkpoint filled either way
 };
 
+/// One attempt from a sampled (Monte Carlo) estimator's outcome. A budget
+/// stop fails with "<method> stopped at N pairs (<reason>)"; otherwise the
+/// mean succeeds with "<method> <params>N pairs, converged" (or
+/// "pair-budget exhausted"). The resume checkpoint is kept either way.
+AttemptOutcome sampled_attempt(
+    const exec::Outcome<core::MonteCarloResult>& out, std::string_view method,
+    std::string_view params = {});
+
 /// Kernel invocation, decoupled from the scheduling-side Job so the kernel
 /// layer has no dependency on the runner.
 struct KernelRequest {

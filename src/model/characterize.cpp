@@ -28,7 +28,6 @@ jobs::AttemptOutcome biased_mc_label(const std::string& design, double p,
                                      std::uint64_t seed, const SweepSpec& spec,
                                      const exec::Budget& budget,
                                      const core::MonteCarloCheckpoint* ckpt) {
-  jobs::AttemptOutcome ao;
   const netlist::Module mod = jobs::make_module(design);
   const int width = mod.total_input_bits();
   stats::Rng rng(seed);
@@ -48,22 +47,8 @@ jobs::AttemptOutcome biased_mc_label(const std::string& design, double p,
       core::monte_carlo_power_budgeted(mod, gen, budget, spec.epsilon,
                                        spec.confidence, spec.min_pairs,
                                        spec.max_pairs, {}, {}, resume);
-  ao.out.has_checkpoint = out.value.checkpoint.valid();
-  ao.out.checkpoint = out.value.checkpoint;
-  const std::string pairs = std::to_string(out.value.pairs);
-  if (out.value.stop_reason ==
-      core::MonteCarloResult::StopReason::BudgetExhausted) {
-    ao.ok = false;
-    ao.stop = out.diag.stop;
-    ao.detail = "biased monte-carlo stopped at " + pairs + " pairs";
-    return ao;
-  }
-  ao.ok = true;
-  ao.out.value = out.value.mean_energy;
-  ao.detail = ao.out.detail =
-      "biased monte-carlo p=" + format_double(p) + ", " + pairs + " pairs, " +
-      (out.value.converged ? "converged" : "pair-budget exhausted");
-  return ao;
+  return jobs::sampled_attempt(out, "biased monte-carlo",
+                               "p=" + format_double(p) + ", ");
 }
 
 }  // namespace

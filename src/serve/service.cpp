@@ -718,6 +718,7 @@ std::uint64_t Service::register_task(const std::shared_ptr<Task>& task) {
   std::lock_guard<std::mutex> lock(task_mu_);
   const std::uint64_t id = next_task_id_++;
   active_tasks_.emplace(id, task);
+  if (cancel_all_) task->cancel.request_cancel();
   return id;
 }
 
@@ -728,6 +729,7 @@ void Service::unregister_task(std::uint64_t id) {
 
 void Service::cancel_inflight() {
   std::lock_guard<std::mutex> lock(task_mu_);
+  cancel_all_ = true;
   for (auto& [id, task] : active_tasks_) task->cancel.request_cancel();
 }
 

@@ -239,7 +239,9 @@ class Service {
 
   /// Request cooperative cancellation of every in-flight kernel through
   /// its CancelToken; well-behaved kernels answer "cancelled" within a
-  /// meter poll. Used by Server::shutdown under a drain deadline.
+  /// meter poll. Sticky: a request admitted earlier that registers its
+  /// task only afterwards is cancelled at registration. Used by
+  /// Server::shutdown under a drain deadline.
   void cancel_inflight();
 
   /// Hard abort: every connection thread still waiting on a kernel answers
@@ -359,6 +361,7 @@ class Service {
   std::mutex task_mu_;
   std::unordered_map<std::uint64_t, std::shared_ptr<Task>> active_tasks_;
   std::uint64_t next_task_id_ = 0;
+  bool cancel_all_ = false;  ///< set by cancel_inflight; guarded by task_mu_
 
   std::atomic<bool> draining_{false};
   std::atomic<bool> abort_{false};

@@ -1,5 +1,6 @@
 #include "sim/block_simulator.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace hlp::sim {
@@ -103,6 +104,29 @@ void BlockSimulator::tick() {
   for (GateId d : nl_->dffs())
     for (std::size_t w = 0; w < W; ++w)
       lanes_[std::size_t{d} * W + w] = dff_next_[i++];
+}
+
+void BlockSimulator::temporal_toggles(std::size_t count, bool first_block,
+                                      std::span<std::uint8_t> last,
+                                      std::span<std::uint64_t> toggles) const {
+  const auto W = static_cast<std::size_t>(words_);
+  const std::size_t sub_words = (count + 63) / 64;
+  for (GateId g = 0; g < nl_->gate_count(); ++g) {
+    const std::uint64_t* lw = lanes_.data() + std::size_t{g} * W;
+    std::uint64_t* t = toggles.data() + std::size_t{g} * W;
+    std::uint8_t lg = last[g];
+    for (std::size_t w = 0; w < sub_words; ++w) {
+      const std::size_t c = std::min<std::size_t>(64, count - w * 64);
+      const std::uint64_t mask =
+          c == 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << c) - 1);
+      const std::uint64_t x = lw[w] & mask;
+      t[w] = (x ^ ((x << 1) | static_cast<std::uint64_t>(lg))) & mask;
+      lg = static_cast<std::uint8_t>((x >> (c - 1)) & 1u);
+    }
+    std::fill(t + sub_words, t + W, std::uint64_t{0});
+    if (first_block) t[0] &= ~std::uint64_t{1};
+    last[g] = lg;
+  }
 }
 
 void BlockSimulator::outputs_to_cycles(std::span<std::uint64_t> out) const {

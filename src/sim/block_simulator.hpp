@@ -64,6 +64,15 @@ class BlockSimulator {
   /// g·words().
   std::span<const std::uint64_t> lanes() const { return lanes_; }
 
+  /// Temporal packing (lane k = cycle base+k, `count` >= 1 lanes): writes
+  /// gate-major toggles[g·W + w], bit k set when gate g changed on the
+  /// transition into lane w·64+k's cycle (lanes >= count read 0). `last`
+  /// carries each gate's last-lane value across blocks; a `first_block`
+  /// has no transition into lane 0.
+  void temporal_toggles(std::size_t count, bool first_block,
+                        std::span<std::uint8_t> last,
+                        std::span<std::uint64_t> toggles) const;
+
   /// Transpose primary-output lanes back to cycle words: out[k] bit i =
   /// output i under pattern k. Writes min(out.size(), 64·W) words; requires
   /// <= 64 primary outputs.

@@ -138,20 +138,19 @@ std::vector<double> ActivityCollector::activities() const {
 namespace {
 
 /// Temporal-lane packed sweep over a combinational netlist: lane w·64+k of
-/// a block carries cycle base+w·64+k. Within each 64-lane sub-word,
-/// consecutive-cycle toggles are popcount(x ^ (x >> 1)); sub-word and block
-/// boundaries compare lane 0 against the previous sub-word's last lane.
-/// Exactly reproduces the scalar record-per-cycle toggle counts for every
-/// block width.
+/// a block carries cycle base+w·64+k, and a gate's toggle count is the
+/// popcount of its temporal toggle words. Exactly reproduces the scalar
+/// record-per-cycle toggle counts for every block width.
 std::vector<double> packed_activities(const netlist::Netlist& nl,
                                       const stats::VectorStream& in_stream,
                                       stats::VectorStream* out_stream,
                                       int block_words) {
   BlockSimulator bs(nl, block_words);
+  const auto W = static_cast<std::size_t>(bs.words());
   const std::size_t lanes = static_cast<std::size_t>(bs.lane_count());
   const std::size_t n = nl.gate_count();
   const std::size_t total = in_stream.words.size();
-  std::vector<std::uint64_t> toggles(n, 0);
+  std::vector<std::uint64_t> counts(n, 0), toggles(n * W);
   std::vector<std::uint8_t> last(n, 0);
   std::vector<std::uint64_t> ob;
   if (out_stream) {
@@ -160,42 +159,26 @@ std::vector<double> packed_activities(const netlist::Netlist& nl,
     out_stream->words.reserve(total);
     ob.resize(lanes);
   }
-  bool first_subword = true;
   for (std::size_t base = 0; base < total; base += lanes) {
     const std::size_t count = std::min(lanes, total - base);
     bs.set_inputs_from_cycles(std::span(in_stream.words).subspan(base, count));
     bs.eval();
-    const int sub_words = static_cast<int>((count + 63) / 64);
-    for (GateId g = 0; g < n; ++g) {
-      const auto lw = bs.lane_words(g);
-      std::uint64_t t = 0;
-      std::uint8_t lg = last[g];
-      for (int w = 0; w < sub_words; ++w) {
-        const int c = static_cast<int>(
-            std::min<std::size_t>(64, count - static_cast<std::size_t>(w) * 64));
-        const std::uint64_t mask =
-            c == 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << c) - 1);
-        const std::uint64_t x = lw[w] & mask;
-        t += static_cast<std::uint64_t>(
-            std::popcount((x ^ (x >> 1)) & (mask >> 1)));
-        if (!(first_subword && w == 0)) t += ((x & 1u) != lg) ? 1u : 0u;
-        lg = static_cast<std::uint8_t>((x >> (c - 1)) & 1u);
-      }
-      toggles[g] += t;
-      last[g] = lg;
-    }
+    bs.temporal_toggles(count, base == 0, last, toggles);
+    for (GateId g = 0; g < n; ++g)
+      for (std::size_t w = 0; w < W; ++w)
+        counts[g] +=
+            static_cast<std::uint64_t>(std::popcount(toggles[g * W + w]));
     if (out_stream) {
       bs.outputs_to_cycles(std::span(ob).first(count));
       for (std::size_t k = 0; k < count; ++k)
         out_stream->words.push_back(ob[k]);
     }
-    first_subword = false;
   }
   std::vector<double> e(n, 0.0);
   if (total >= 2) {
     double denom = static_cast<double>(total - 1);
     for (std::size_t g = 0; g < n; ++g)
-      e[g] = static_cast<double>(toggles[g]) / denom;
+      e[g] = static_cast<double>(counts[g]) / denom;
   }
   return e;
 }

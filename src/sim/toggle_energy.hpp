@@ -25,6 +25,8 @@ class LoadClasses {
  public:
   explicit LoadClasses(std::span<const double> loads);
 
+  /// Per-gate loads, as given.
+  std::span<const double> loads() const { return loads_; }
   /// True when the dyadic check passed and the bit-sliced counter runs.
   bool exact() const { return exact_; }
   /// Distinct nonzero loads (0 on the fallback path).

@@ -678,7 +678,6 @@ TEST(Runner, SupervisorEnforcesWallDeadlineThroughCancelToken) {
   };
   RunnerOptions opts;
   opts.retry.max_attempts = 1;
-  opts.supervisor_poll_seconds = 0.002;
   jobs::CampaignResult cr = Runner(opts).run({j});
   ASSERT_EQ(cr.results.size(), 1u);
   EXPECT_EQ(cr.results[0].status, JobStatus::Failed);

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "core/sampling_power.hpp"
+#include "netlist/words.hpp"
 #include "sim/simulator.hpp"
 #include "sim/streams.hpp"
 #include "stats/descriptive.hpp"
@@ -160,6 +161,86 @@ TEST(MonteCarloStopRule, StopsOnTheSamePairAsThePlainRule) {
       }
     }
   }
+}
+
+// --- Monte Carlo on a sequential netlist (Auto resolves to scalar) --------
+
+/// adder:6 with every sum bit registered: output i is s_i xor q_i, where
+/// q_i is a DFF on s_i initialised to (i odd). Monte Carlo never clocks the
+/// registers, so each pair sees the DFFs at their initial state.
+netlist::Module registered_adder() {
+  netlist::Module m;
+  m.name = "regadd6";
+  auto& nl = m.netlist;
+  const netlist::Word a = netlist::make_input_word(nl, 6, "a");
+  const netlist::Word b = netlist::make_input_word(nl, 6, "b");
+  const netlist::Word sum = netlist::ripple_adder(nl, a, b);
+  netlist::Word y;
+  for (std::size_t i = 0; i < sum.size(); ++i) {
+    const auto q = nl.add_dff(sum[i], i % 2 == 1);
+    y.push_back(nl.add_binary(netlist::GateKind::Xor, q, sum[i]));
+  }
+  netlist::mark_output_word(nl, y, "y");
+  m.input_words = {a, b};
+  m.output_words = {y};
+  return m;
+}
+
+TEST(SequentialMonteCarlo, MatchesTheScalarReferenceLoop) {
+  const auto mod = registered_adder();
+  ASSERT_EQ(sim::resolve_engine(mod.netlist, sim::EngineKind::Auto),
+            sim::EngineKind::Scalar);
+  const int n_in = mod.total_input_bits();
+  // 0.05 converges; 1e-9 runs to max_pairs.
+  for (double eps : {0.05, 1e-9}) {
+    const auto ref = plain_rule_monte_carlo(mod, 13, eps, 30, 3000);
+    ASSERT_EQ(ref.converged, eps > 0.01) << "eps=" << eps;
+    stats::Rng rng(13);
+    const auto r = monte_carlo_power(
+        mod, [&] { return rng.uniform_bits(n_in); }, eps, 0.95, 30, 3000);
+    EXPECT_EQ(r.pairs, ref.pairs) << "eps=" << eps;
+    EXPECT_EQ(r.mean_energy, ref.mean_energy) << "eps=" << eps;
+    EXPECT_EQ(r.ci_halfwidth, ref.ci_halfwidth) << "eps=" << eps;
+    EXPECT_EQ(r.converged, ref.converged) << "eps=" << eps;
+  }
+}
+
+TEST(SequentialMonteCarlo, QuotaStopResumesToTheUninterruptedRun) {
+  const auto mod = registered_adder();
+  const int n_in = mod.total_input_bits();
+  stats::Rng rng_full(8);
+  const auto full = monte_carlo_power_budgeted(
+      mod, [&] { return rng_full.uniform_bits(n_in); }, exec::Budget{}, 1e-9,
+      0.95, 30, 400);
+  ASSERT_EQ(full->pairs, 400u);
+
+  stats::Rng rng(8);
+  auto gen = [&] { return rng.uniform_bits(n_in); };
+  const auto part = monte_carlo_power_budgeted(
+      mod, gen, exec::Budget::with_step_quota(97), 1e-9, 0.95, 30, 400);
+  EXPECT_EQ(part->stop_reason, MonteCarloResult::StopReason::BudgetExhausted);
+  EXPECT_EQ(part->pairs, 97u);
+  const auto resumed = monte_carlo_power_budgeted(
+      mod, gen, exec::Budget{}, 1e-9, 0.95, 30, 400, {}, {},
+      part->checkpoint);
+  EXPECT_EQ(resumed->pairs, full->pairs);
+  EXPECT_EQ(resumed->mean_energy, full->mean_energy);
+  EXPECT_EQ(resumed->ci_halfwidth, full->ci_halfwidth);
+  EXPECT_EQ(resumed->checkpoint.m2, full->checkpoint.m2);
+}
+
+TEST(SequentialMonteCarlo, ShardedThreadCountsBitIdentical) {
+  const auto mod = registered_adder();
+  ShardedMcOptions opts;
+  opts.total_pairs = 1000;
+  opts.chunk_pairs = 128;
+  const auto one = monte_carlo_power_sharded(mod, 19, opts);
+  ASSERT_EQ(one->pairs, 1000u);
+  opts.threads = 4;
+  const auto four = monte_carlo_power_sharded(mod, 19, opts);
+  EXPECT_EQ(four->pairs, one->pairs);
+  EXPECT_EQ(four->mean_energy, one->mean_energy);
+  EXPECT_EQ(four->ci_halfwidth, one->ci_halfwidth);
 }
 
 }  // namespace

@@ -1390,6 +1390,35 @@ TEST(ServeDrain, BoundedDrainCancelsCooperativeKernels) {
   EXPECT_EQ(v.error, "cancelled");
 }
 
+TEST(ServeDrain, CancelReachesTasksRegisteredAfterIt) {
+  // A request admitted before a drain but still building its keys when
+  // cancel_inflight() runs registers its task afterwards; the cancel must
+  // reach it at registration, not only at the drain deadline's abort.
+  ServiceOptions opts;
+  opts.workers = 1;
+  opts.executor = [](const jobs::KernelRequest&, const exec::Budget& b) {
+    wait_until([&] { return b.cancel.cancel_requested(); }, 5.0);
+    jobs::AttemptOutcome ao;
+    ao.ok = false;
+    ao.stop = exec::StopReason::Cancelled;
+    ao.detail = "cancelled mid-kernel";
+    return ao;
+  };
+  Service service(opts);
+  service.cancel_inflight();
+
+  const auto t0 = std::chrono::steady_clock::now();
+  ResponseView v;
+  ASSERT_TRUE(serve::parse_response(
+      service.handle_line(estimate_request("adder:8").serialize()), v));
+  const double took =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  EXPECT_FALSE(v.ok);
+  EXPECT_EQ(v.error, "cancelled");
+  EXPECT_LT(took, 0.5) << "the cancel was lost: the kernel ran to its limit";
+}
+
 TEST(ServeDrain, DrainDeadlineBoundsShutdownOnCancelIgnoringKernel) {
   std::atomic<bool> release{false};
   serve::ServerOptions sopts;
