@@ -164,6 +164,7 @@ void write_report(const std::string& path) {
 
   benchjson::Object root{
       {"bench", "exec"},
+      {"machine", benchjson::machine()},
       {"overhead_target_percent", 2.0},
       {"monte_carlo_overhead", std::move(overhead)},
       {"node_cap_degrade",

@@ -144,10 +144,10 @@ void write_report(const std::string& path) {
 
   benchjson::Object root{
       {"bench", "jobs"},
-      {"campaign_jobs", kJobs},
       // Speedup is bounded by the machine: on a 1-core box every worker
       // count collapses to serial plus handoff overhead.
-      {"hardware_threads", static_cast<int>(cores)},
+      {"machine", benchjson::machine()},
+      {"campaign_jobs", kJobs},
       {"scaling", std::move(scaling)},
       {"ledger_overhead",
        benchjson::Object{

@@ -12,6 +12,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -21,8 +22,10 @@
 #include "core/compaction.hpp"
 #include "core/sampling_power.hpp"
 #include "netlist/generators.hpp"
-#include "stats/descriptive.hpp"
+#include "sim/block_simulator.hpp"
 #include "sim/streams.hpp"
+#include "sim/toggle_energy.hpp"
+#include "stats/descriptive.hpp"
 
 namespace {
 
@@ -189,24 +192,86 @@ void print_accuracy_tables() {
   }
 }
 
+/// One design's Monte Carlo pair loop split into its layers, in ns/pair:
+/// the stages the estimator runs per batch (core/sampling_power.cpp
+/// `PairSampler`), each under its own clock.
+struct Layers {
+  double draw = 0, transpose = 0, eval = 0, copy = 0, count = 0, stop = 0;
+  double sum() const { return draw + transpose + eval + copy + count + stop; }
+};
+
+Layers time_layers(const netlist::Module& mod, std::size_t pairs) {
+  using clock = std::chrono::steady_clock;
+  const auto& nl = mod.netlist;
+  const int n_in = mod.total_input_bits();
+  const sim::LoadClasses classes(nl.loads());
+  sim::BlockSimulator bs(nl, 0);
+  sim::ToggleEnergy energy(classes, bs.words());
+  const auto lanes = static_cast<std::size_t>(bs.lane_count());
+  std::vector<std::uint64_t> drawn(2 * lanes), w1(lanes), w2(lanes),
+      prev(bs.lanes().size());
+  std::vector<double> e(lanes);
+  stats::Rng rng(23);
+  stats::RunningStats rs;
+  double hw = 0.0;
+  bool converged = false;
+  Layers t;
+  auto timed = [](double& acc, auto&& stage) {
+    const auto t0 = clock::now();
+    stage();
+    acc += std::chrono::duration<double, std::nano>(clock::now() - t0).count();
+  };
+  for (std::size_t done = 0; done < pairs;) {
+    const std::size_t batch = std::min(lanes, pairs - done);
+    timed(t.draw, [&] {
+      rng.fill_packed(std::span(drawn).first(2 * batch), n_in);
+      for (std::size_t k = 0; k < batch; ++k) {
+        w1[k] = drawn[2 * k];
+        w2[k] = drawn[2 * k + 1];
+      }
+    });
+    timed(t.transpose,
+          [&] { bs.set_inputs_from_cycles(std::span(w1).first(batch)); });
+    timed(t.eval, [&] { bs.eval(); });
+    timed(t.copy,
+          [&] { std::copy(bs.lanes().begin(), bs.lanes().end(), prev.begin()); });
+    timed(t.transpose,
+          [&] { bs.set_inputs_from_cycles(std::span(w2).first(batch)); });
+    timed(t.eval, [&] { bs.eval(); });
+    timed(t.count, [&] { energy.energies(prev, bs.lanes(), batch, e.data()); });
+    timed(t.stop, [&] {
+      for (std::size_t k = 0; k < batch && !converged; ++k) {
+        rs.add(e[k]);
+        converged = rs.count() >= 30 && core::ci_converged(rs, 1e-9, 0.95, hw);
+      }
+    });
+    done += batch;
+  }
+  benchmark::DoNotOptimize(hw);
+  const auto n = static_cast<double>(pairs);
+  for (double* x : {&t.draw, &t.transpose, &t.eval, &t.copy, &t.count, &t.stop})
+    *x /= n;
+  return t;
+}
+
 /// Monte Carlo cost per vector pair at the default block width on the two
 /// designs the perfbench campaign samples (mult:8, random:24:2000:8) and
-/// two more, plus the scalar vs packed throughput row on the 8x8
-/// multiplier, written to BENCH_sampling.json with the host it ran on.
+/// two more, with each design's per-layer split, plus the scalar vs packed
+/// throughput row on the 8x8 multiplier, written to BENCH_sampling.json
+/// with the host it ran on.
 void write_engine_report(const char* path) {
   using clock = std::chrono::steady_clock;
-  // One Monte Carlo run of `pairs` pairs (epsilon too small to stop early,
-  // so every pair also pays the stop-rule test); returns seconds.
+  // One Monte Carlo run of `pairs` pairs through the Rng overload (epsilon
+  // too small to stop early, so every pair also pays the stop-rule test);
+  // returns seconds.
   auto run = [](const netlist::Module& mod, std::size_t pairs,
                 sim::EngineKind engine) {
-    const int n_in = mod.total_input_bits();
     stats::Rng vg(23);
     auto t0 = clock::now();
-    auto res = monte_carlo_power(
-        mod, [&] { return vg.uniform_bits(n_in); }, 1e-9, 0.95, 30, pairs,
-        {}, sim::SimOptions{engine});
+    auto res = monte_carlo_power_budgeted(mod, vg, {}, 1e-9, 0.95, 30, pairs,
+                                          {}, sim::SimOptions{engine});
     auto t1 = clock::now();
-    benchmark::DoNotOptimize(res.mean_energy);
+    benchmark::DoNotOptimize(res->mean_energy);
     return std::chrono::duration<double>(t1 - t0).count();
   };
 
@@ -241,20 +306,46 @@ void write_engine_report(const char* path) {
   };
   const std::size_t mc_pairs = 65536;
   constexpr int kReps = 9;
+  // Median [p25, p75] of kReps sorted samples.
+  auto quartiles = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return std::array<double, 3>{v[kReps / 2], v[kReps / 4],
+                                 v[kReps - 1 - kReps / 4]};
+  };
   std::printf("\nMonte Carlo ns/pair (packed, W=%d, %zu pairs, median "
-              "[p25, p75] of %d runs):\n",
+              "[p25, p75] of %d runs), and its layers (medians; sum/total "
+              "should read within 10%% of 1):\n",
               sim::default_block_words(), mc_pairs, kReps);
-  benchjson::Array per_pair;
+  std::printf("%18s %6s %22s %6s %6s %6s %6s %6s %6s %7s %6s\n", "design",
+              "gates", "total", "draw", "trans", "eval", "copy", "count",
+              "stop", "sum", "ratio");
+  benchjson::Array per_pair, layers;
   for (const Design& d : designs) {
+    // Whole runs and layer splits alternate, so both see the same host.
     std::vector<double> ns;
-    for (int r = 0; r < kReps; ++r)
+    std::vector<Layers> split;
+    for (int r = 0; r < kReps; ++r) {
       ns.push_back(run(d.mod, mc_pairs, sim::EngineKind::Packed) * 1e9 /
                    static_cast<double>(mc_pairs));
-    std::sort(ns.begin(), ns.end());
-    const double p25 = ns[kReps / 4], p50 = ns[kReps / 2],
-                 p75 = ns[kReps - 1 - kReps / 4];
-    std::printf("%18s %6zu gates %9.1f [%.1f, %.1f]\n", d.name,
-                d.mod.netlist.gate_count(), p50, p25, p75);
+      split.push_back(time_layers(d.mod, mc_pairs));
+    }
+    const auto [p50, p25, p75] = quartiles(ns);
+    auto median = [&](double Layers::*field) {
+      std::vector<double> v;
+      for (const Layers& l : split) v.push_back(l.*field);
+      return quartiles(v)[0];
+    };
+    Layers m;
+    for (double Layers::*f : {&Layers::draw, &Layers::transpose,
+                              &Layers::eval, &Layers::copy, &Layers::count,
+                              &Layers::stop})
+      m.*f = median(f);
+    const double ratio = p50 > 0.0 ? m.sum() / p50 : 0.0;
+    std::printf("%18s %6zu %9.1f [%.1f, %.1f] %6.1f %6.1f %6.1f %6.1f %6.1f "
+                "%6.1f %7.1f %6.2f%s\n",
+                d.name, d.mod.netlist.gate_count(), p50, p25, p75, m.draw,
+                m.transpose, m.eval, m.copy, m.count, m.stop, m.sum(), ratio,
+                std::abs(ratio - 1.0) <= 0.10 ? "" : "  (outside 10%)");
     per_pair.push_back(benchjson::Object{
         {"design", d.name},
         {"gates", d.mod.netlist.gate_count()},
@@ -262,6 +353,18 @@ void write_engine_report(const char* path) {
         {"ns_per_pair_p50", p50},
         {"ns_per_pair_p25", p25},
         {"ns_per_pair_p75", p75},
+    });
+    layers.push_back(benchjson::Object{
+        {"design", d.name},
+        {"draw", m.draw},
+        {"input_transpose", m.transpose},
+        {"gate_eval", m.eval},
+        {"lane_copy", m.copy},
+        {"count_readout", m.count},
+        {"stop_rule", m.stop},
+        {"layer_sum", m.sum()},
+        {"total_p50", p50},
+        {"sum_over_total", ratio},
     });
   }
 
@@ -281,6 +384,7 @@ void write_engine_report(const char* path) {
        }}},
       {"block_words", sim::default_block_words()},
       {"monte_carlo_ns_per_pair", std::move(per_pair)},
+      {"monte_carlo_layers_ns_per_pair", std::move(layers)},
   };
   if (benchjson::save(path, root)) std::printf("wrote %s\n", path);
 }

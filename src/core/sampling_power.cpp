@@ -176,36 +176,16 @@ exec::Outcome<MonteCarloResult> budgeted_outcome(const MonteCarloResult& res,
   return out;
 }
 
-/// The CI stop rule `ci_halfwidth(rs) <= epsilon * mean` (mean > 0),
-/// evaluated for every pair past min_pairs. A squared pre-test with a
-/// 1e-9 relative margin, far wider than the few ulps the two sides can
-/// round by, rejects the unconverged majority without the two square
-/// roots; whenever it cannot reject, the original expression decides, so
-/// the stopping pair and `hw` are exactly those of the plain rule.
-bool ci_converged(const stats::RunningStats& rs, double epsilon,
-                  double confidence, double& hw) {
-  const double mean = rs.mean();
-  if (!(mean > 0.0)) return false;
-  const double z = stats::normal_quantile_two_sided(confidence);
-  const double target = epsilon * mean;
-  if (z * z * rs.variance() / static_cast<double>(rs.count()) >
-      target * target * (1.0 + 1e-9))
-    return false;
-  const double h = stats::ci_halfwidth(rs, confidence);
-  if (!(h <= target)) return false;
-  hw = h;
-  return true;
-}
-
 /// Packed backend: 64·W independent vector pairs per step, pair k in bit
-/// lane k of a W-word block, energies from the gate-major toggle words.
+/// lane k of a W-word block, energies counted from the two evaluations'
+/// lane words in place.
 class PackedPairs {
  public:
   PackedPairs(const netlist::Netlist& nl, const sim::LoadClasses& classes,
               int block_words)
       : bs_(nl, block_words),
         energy_(classes, bs_.words()),
-        toggles_(bs_.lanes().size()) {}
+        prev_(bs_.lanes().size()) {}
 
   std::size_t lanes() const {
     return static_cast<std::size_t>(bs_.lane_count());
@@ -216,18 +196,16 @@ class PackedPairs {
     bs_.set_inputs_from_cycles(w1);
     bs_.eval();
     const auto first = bs_.lanes();
-    std::copy(first.begin(), first.end(), toggles_.begin());
+    std::copy(first.begin(), first.end(), prev_.begin());
     bs_.set_inputs_from_cycles(w2);
     bs_.eval();
-    const auto second = bs_.lanes();
-    for (std::size_t i = 0; i < toggles_.size(); ++i) toggles_[i] ^= second[i];
-    energy_.energies(toggles_, w1.size(), e);
+    energy_.energies(prev_, bs_.lanes(), w1.size(), e);
   }
 
  private:
   sim::BlockSimulator bs_;
   sim::ToggleEnergy energy_;
-  std::vector<std::uint64_t> toggles_;
+  std::vector<std::uint64_t> prev_;
 };
 
 /// Scalar backend: one pair per step, its energy summed over the gates in
@@ -261,9 +239,9 @@ class ScalarPairs {
 
 /// One thread's pair sampler on the engine the caller resolved once.
 /// `run` is the one Monte Carlo pair loop: until `next_batch()` returns 0
-/// (it never returns more than lanes()), draw that many pairs from `draw`
-/// in (v1_k, v2_k) order, simulate them, and pass each energy to `take`
-/// in draw order; `take` returns false to stop.
+/// (it never returns more than lanes()), have `draw` fill 2·batch vectors
+/// in (v1_k, v2_k) order, simulate those pairs, and pass each energy to
+/// `take` in draw order; `take` returns false to stop.
 class PairSampler {
  public:
   PairSampler(const netlist::Netlist& nl, const sim::LoadClasses& classes,
@@ -273,6 +251,7 @@ class PairSampler {
     else
       scalar_.emplace(nl, classes);
     lanes_ = packed_ ? packed_->lanes() : 1;
+    drawn_.resize(2 * lanes_);
     w1_.resize(lanes_);
     w2_.resize(lanes_);
     e_.resize(lanes_);
@@ -283,15 +262,17 @@ class PairSampler {
   template <typename NextBatch, typename Draw, typename Take>
   void run(NextBatch&& next_batch, Draw&& draw, Take&& take) {
     while (const std::size_t batch = next_batch()) {
-      for (std::size_t k = 0; k < batch; ++k) {
-        w1_[k] = draw();
-        w2_[k] = draw();
-      }
-      if (packed_)
+      draw(std::span(drawn_).first(2 * batch));
+      if (packed_) {
+        for (std::size_t k = 0; k < batch; ++k) {
+          w1_[k] = drawn_[2 * k];
+          w2_[k] = drawn_[2 * k + 1];
+        }
         packed_->simulate(std::span(w1_).first(batch),
                           std::span(w2_).first(batch), e_.data());
-      else
-        e_[0] = scalar_->energy(w1_[0], w2_[0]);
+      } else {
+        e_[0] = scalar_->energy(drawn_[0], drawn_[1]);
+      }
       for (std::size_t k = 0; k < batch; ++k)
         if (!take(e_[k])) return;
     }
@@ -301,20 +282,20 @@ class PairSampler {
   std::optional<PackedPairs> packed_;
   std::optional<ScalarPairs> scalar_;
   std::size_t lanes_;
-  std::vector<std::uint64_t> w1_, w2_;
+  std::vector<std::uint64_t> drawn_, w1_, w2_;
   std::vector<double> e_;
 };
 
-/// The sequential estimator. Each batch is paid for in one meter probe
-/// before it is drawn and never exceeds the remaining step quota, so a
-/// trip costs no draws and a quota stop leaves the generator where a
-/// one-pair-per-step run would; on one lane the meter sees exactly one
-/// one-step probe per pair. The stop rule runs per pair in draw order, so
-/// every engine stops on the same pair.
+/// The sequential estimator; `draw` fills a span with successive vectors.
+/// Each batch is paid for in one meter probe before it is drawn and never
+/// exceeds the remaining step quota, so a trip costs no draws and a quota
+/// stop leaves the generator where a one-pair-per-step run would; on one
+/// lane the meter sees exactly one one-step probe per pair. The stop rule
+/// runs per pair in draw order, so every engine stops on the same pair.
+template <typename Draw>
 MonteCarloResult sequential_monte_carlo(
-    const netlist::Module& mod,
-    const std::function<std::uint64_t()>& vector_gen, double epsilon,
-    double confidence, std::size_t min_pairs, std::size_t max_pairs,
+    const netlist::Module& mod, Draw&& draw, double epsilon, double confidence,
+    std::size_t min_pairs, std::size_t max_pairs,
     const netlist::CapacitanceModel& cap, const sim::SimOptions& opts,
     exec::Meter* meter, const MonteCarloCheckpoint& resume) {
   lint::enforce_module(mod, opts.lint, "monte_carlo_power");
@@ -339,7 +320,7 @@ MonteCarloResult sequential_monte_carlo(
         budget_stop = meter->over_budget(std::max<std::size_t>(paid, 1));
         return budget_stop ? 0 : paid;
       },
-      vector_gen,
+      draw,
       [&](double e) {
         rs.add(e);
         res.converged =
@@ -351,6 +332,20 @@ MonteCarloResult sequential_monte_carlo(
   return res;
 }
 
+/// A user generator, one call per vector.
+auto per_word(const std::function<std::uint64_t()>& vector_gen) {
+  return [&vector_gen](std::span<std::uint64_t> out) {
+    for (std::uint64_t& w : out) w = vector_gen();
+  };
+}
+
+/// uniform_bits(width) vectors from `rng`, one bulk draw per batch.
+auto bulk(stats::Rng& rng, int width) {
+  return [&rng, width](std::span<std::uint64_t> out) {
+    rng.fill_packed(out, width);
+  };
+}
+
 }  // namespace
 
 MonteCarloResult monte_carlo_power(
@@ -358,8 +353,9 @@ MonteCarloResult monte_carlo_power(
     const std::function<std::uint64_t()>& vector_gen, double epsilon,
     double confidence, std::size_t min_pairs, std::size_t max_pairs,
     const netlist::CapacitanceModel& cap, const sim::SimOptions& opts) {
-  return sequential_monte_carlo(mod, vector_gen, epsilon, confidence,
-                                min_pairs, max_pairs, cap, opts, nullptr, {});
+  return sequential_monte_carlo(mod, per_word(vector_gen), epsilon,
+                                confidence, min_pairs, max_pairs, cap, opts,
+                                nullptr, {});
 }
 
 exec::Outcome<MonteCarloResult> monte_carlo_power_budgeted(
@@ -371,8 +367,21 @@ exec::Outcome<MonteCarloResult> monte_carlo_power_budgeted(
     const MonteCarloCheckpoint& resume) {
   exec::Meter meter(budget);
   return budgeted_outcome(
-      sequential_monte_carlo(mod, vector_gen, epsilon, confidence, min_pairs,
-                             max_pairs, cap, opts, &meter, resume),
+      sequential_monte_carlo(mod, per_word(vector_gen), epsilon, confidence,
+                             min_pairs, max_pairs, cap, opts, &meter, resume),
+      meter);
+}
+
+exec::Outcome<MonteCarloResult> monte_carlo_power_budgeted(
+    const netlist::Module& mod, stats::Rng& rng, const exec::Budget& budget,
+    double epsilon, double confidence, std::size_t min_pairs,
+    std::size_t max_pairs, const netlist::CapacitanceModel& cap,
+    const sim::SimOptions& opts, const MonteCarloCheckpoint& resume) {
+  exec::Meter meter(budget);
+  return budgeted_outcome(
+      sequential_monte_carlo(mod, bulk(rng, mod.total_input_bits()), epsilon,
+                             confidence, min_pairs, max_pairs, cap, opts,
+                             &meter, resume),
       meter);
 }
 
@@ -447,7 +456,7 @@ exec::Outcome<MonteCarloResult> monte_carlo_power_sharded(
             left -= batch;
             return batch;
           },
-          [&] { return rng.uniform_bits(n_in); },
+          bulk(rng, n_in),
           [&](double e) {
             rc.add(e);
             return true;

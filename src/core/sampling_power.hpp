@@ -7,6 +7,7 @@
 #include "core/macromodel.hpp"
 #include "exec/exec.hpp"
 #include "sim/engine.hpp"
+#include "stats/descriptive.hpp"
 #include "stats/rng.hpp"
 
 namespace hlp::core {
@@ -75,6 +76,13 @@ double gate_level_mean(const ModuleCharacterization& eval_set);
 /// batch size is capped by the remaining quota and the meter is charged
 /// before the block is drawn), so quota-stopped runs can be resumed
 /// against the same generator with no divergence.
+///
+/// Registered netlists run on the scalar engine, and their registers are
+/// never clocked: every pair evaluates v1 and v2 with each DFF at its
+/// `dff_init` value, so the estimate ignores state-dependent switching.
+/// Clocking them on replica lanes is an open ROADMAP item ("Sequential
+/// Monte Carlo").
+///
 /// Resume token: the full Welford state of the running estimate. A stopped
 /// run's checkpoint, fed back into monte_carlo_power_budgeted together with
 /// the *same, un-rewound* vector generator, continues the estimate exactly
@@ -143,6 +151,40 @@ exec::Outcome<MonteCarloResult> monte_carlo_power_budgeted(
     const netlist::CapacitanceModel& cap = {},
     const sim::SimOptions& opts = {},
     const MonteCarloCheckpoint& resume = {});
+
+/// The same estimator drawing its vectors as `rng.uniform_bits(width)`,
+/// width = mod.total_input_bits(): one `Rng::fill_packed` per batch instead
+/// of one generator call per vector. The stream is the same, so it returns
+/// what the overload above returns for `[&] { return
+/// rng.uniform_bits(width); }` and leaves `rng` at the same position.
+exec::Outcome<MonteCarloResult> monte_carlo_power_budgeted(
+    const netlist::Module& mod, stats::Rng& rng, const exec::Budget& budget,
+    double epsilon, double confidence = 0.95, std::size_t min_pairs = 30,
+    std::size_t max_pairs = 100000, const netlist::CapacitanceModel& cap = {},
+    const sim::SimOptions& opts = {}, const MonteCarloCheckpoint& resume = {});
+
+/// The Monte Carlo stop rule `ci_halfwidth(rs, confidence) <= epsilon ·
+/// mean` with mean > 0, evaluated for every pair past min_pairs; when it
+/// holds, `hw` is set to that half-width. A squared pre-test with a 1e-9
+/// relative margin, far wider than the few ulps the two sides can round
+/// by, rejects the unconverged majority without the two square roots;
+/// whenever it cannot reject, the original expression decides, so the
+/// stopping pair and `hw` are exactly those of the plain rule. Inline, like
+/// `RunningStats::add`, so the per-pair Welford update stays in registers.
+inline bool ci_converged(const stats::RunningStats& rs, double epsilon,
+                         double confidence, double& hw) {
+  const double mean = rs.mean();
+  if (!(mean > 0.0)) return false;
+  const double z = stats::normal_quantile_two_sided(confidence);
+  const double target = epsilon * mean;
+  if (z * z * rs.variance() / static_cast<double>(rs.count()) >
+      target * target * (1.0 + 1e-9))
+    return false;
+  const double h = stats::ci_halfwidth(rs, confidence);
+  if (!(h <= target)) return false;
+  hw = h;
+  return true;
+}
 
 /// Sharded Monte Carlo: the pair stream is decomposed into fixed-size
 /// *chunks* that are independent of the thread count — chunk c draws its

@@ -226,7 +226,6 @@ namespace {
 AttemptOutcome sampled_power(const KernelRequest& rq,
                              const exec::Budget& budget) {
   netlist::Module mod = make_module(rq.design);
-  const int width = mod.total_input_bits();
   core::MonteCarloCheckpoint resume;
   if (rq.resume && rq.resume->valid()) resume = *rq.resume;
   exec::Outcome<core::MonteCarloResult> out;
@@ -248,17 +247,16 @@ AttemptOutcome sampled_power(const KernelRequest& rq,
   } else {
     stats::Rng rng(rq.seed);
     if (resume.valid()) {
-      // The estimator draws exactly two vectors per pair, in pair order
-      // (the packed engine interleaves identically — see
-      // sampling_power.cpp), so fast-forwarding a fresh generator by
-      // 2*count draws re-creates the exact stream position the
-      // checkpointed run would have continued from. Over-draws past a
-      // cancellation stop don't matter: they were never folded into the
-      // Welford state the checkpoint captured.
+      // Pair k is engine outputs 2k and 2k+1 (v1_k, v2_k), whether a batch
+      // is drawn in bulk or one vector at a time, so fast-forwarding a
+      // fresh generator by 2*count outputs re-creates the exact stream
+      // position the checkpointed run would have continued from. A stopped
+      // run's over-draws (at most one batch past a deadline or cancel)
+      // don't matter: they were never folded into the Welford state the
+      // checkpoint captured.
       rng.engine().discard(2 * static_cast<unsigned long long>(resume.count));
     }
-    auto gen = [&rng, width] { return rng.uniform_bits(width); };
-    out = core::monte_carlo_power_budgeted(mod, gen, budget, rq.epsilon,
+    out = core::monte_carlo_power_budgeted(mod, rng, budget, rq.epsilon,
                                            rq.confidence, rq.min_pairs,
                                            rq.max_pairs, {}, {}, resume);
   }

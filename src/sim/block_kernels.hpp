@@ -51,9 +51,19 @@ using CountKernelFn = void (*)(const std::uint64_t* toggles, int words,
                                const netlist::GateId* gates,
                                std::uint64_t* planes);
 
+/// The same counter over the toggles of two gate-major lane arrays: gate
+/// g's toggle words are prev[g*words + w] ^ cur[g*words + w], read in place.
+using CountPairKernelFn = void (*)(const std::uint64_t* prev,
+                                   const std::uint64_t* cur, int words,
+                                   const ToggleClass* classes,
+                                   std::size_t n_classes,
+                                   const netlist::GateId* gates,
+                                   std::uint64_t* planes);
+
 struct Kernels {
   EvalKernelFn eval;
   CountKernelFn count;
+  CountPairKernelFn count_pair;
 };
 
 /// Always available; any W >= 1.

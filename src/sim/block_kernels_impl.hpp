@@ -99,16 +99,38 @@ void csa(typename V::Reg& h, typename V::Reg& l, typename V::Reg a,
   l = V::xor_(u, c);
 }
 
+/// Toggle operand loads for the counter: one stripe of a gate's toggle
+/// words at word offset `off`, either stored toggles or the XOR of two lane
+/// arrays (the pair's two evaluations), so Monte Carlo never writes its
+/// toggle words out.
+template <class V>
+struct ToggleArray {
+  const std::uint64_t* toggles;
+  typename V::Reg operator()(std::size_t off) const {
+    return V::load(toggles + off);
+  }
+};
+
+template <class V>
+struct ToggleXor {
+  const std::uint64_t* prev;
+  const std::uint64_t* cur;
+  typename V::Reg operator()(std::size_t off) const {
+    return V::xor_(V::load(prev + off), V::load(cur + off));
+  }
+};
+
 /// Count each class's toggles per lane into vertical bit planes with a
 /// Harley–Seal carry-save tree: eight toggle words at a time fold into the
 /// one/two/four planes and one carry of weight eight, which ripples into
 /// the higher planes. One V::kWords stripe at a time keeps a class's whole
 /// counter in registers; a count never exceeds its class's gate count, so
-/// its bit_width planes cannot overflow.
-template <class V>
-void count_toggles(const std::uint64_t* toggles, int words,
-                   const ToggleClass* classes, std::size_t n_classes,
-                   const netlist::GateId* gates, std::uint64_t* planes) {
+/// its bit_width planes cannot overflow. `load` is ToggleArray or
+/// ToggleXor.
+template <class V, class Load>
+void count_toggles(Load load, int words, const ToggleClass* classes,
+                   std::size_t n_classes, const netlist::GateId* gates,
+                   std::uint64_t* planes) {
   using Reg = typename V::Reg;
   const auto W = static_cast<std::size_t>(words);
   for (std::size_t c = 0; c < n_classes; ++c) {
@@ -116,8 +138,9 @@ void count_toggles(const std::uint64_t* toggles, int words,
     const netlist::GateId* g = gates + tc.gate_begin;
     const std::uint32_t m = tc.gate_end - tc.gate_begin;
     for (int w = 0; w < words; w += V::kWords) {
-      const std::uint64_t* t = toggles + w;
-      auto at = [&](std::uint32_t i) { return V::load(t + g[i] * W); };
+      auto at = [&](std::uint32_t i) {
+        return load(std::size_t{g[i]} * W + static_cast<std::size_t>(w));
+      };
       // p[0..2] are the one/two/four planes; p[3..] count eights.
       Reg p[kMaxClassPlanes];
       for (std::uint32_t j = 0; j < tc.planes; ++j) p[j] = V::zero();
@@ -156,8 +179,24 @@ void count_toggles(const std::uint64_t* toggles, int words,
 }
 
 template <class V>
+void count_array(const std::uint64_t* toggles, int words,
+                 const ToggleClass* classes, std::size_t n_classes,
+                 const netlist::GateId* gates, std::uint64_t* planes) {
+  count_toggles<V>(ToggleArray<V>{toggles}, words, classes, n_classes, gates,
+                   planes);
+}
+
+template <class V>
+void count_pair(const std::uint64_t* prev, const std::uint64_t* cur,
+                int words, const ToggleClass* classes, std::size_t n_classes,
+                const netlist::GateId* gates, std::uint64_t* planes) {
+  count_toggles<V>(ToggleXor<V>{prev, cur}, words, classes, n_classes, gates,
+                   planes);
+}
+
+template <class V>
 Kernels kernels_for() {
-  return {&eval_ops<V>, &count_toggles<V>};
+  return {&eval_ops<V>, &count_array<V>, &count_pair<V>};
 }
 
 }  // namespace hlp::sim::detail

@@ -72,8 +72,9 @@ LoadClasses::LoadClasses(std::span<const double> loads)
 ToggleEnergy::ToggleEnergy(const LoadClasses& classes, int words)
     : lc_(&classes),
       words_(static_cast<std::size_t>(resolve_block_words(words))),
-      count_(detail::select_kernels(static_cast<int>(words_)).kernels.count),
-      planes_(std::size_t{classes.n_planes_} * words_) {}
+      kernels_(detail::select_kernels(static_cast<int>(words_)).kernels),
+      planes_(std::size_t{classes.n_planes_} * words_),
+      toggles_(classes.exact_ ? 0 : classes.loads_.size() * words_) {}
 
 void ToggleEnergy::energies(std::span<const std::uint64_t> toggles,
                             std::size_t count, double* e) {
@@ -82,9 +83,30 @@ void ToggleEnergy::energies(std::span<const std::uint64_t> toggles,
     return;
   }
   const LoadClasses& lc = *lc_;
+  kernels_.count(toggles.data(), static_cast<int>(words_), lc.classes_.data(),
+                 lc.classes_.size(), lc.gates_.data(), planes_.data());
+  readout(count, e);
+}
+
+void ToggleEnergy::energies(std::span<const std::uint64_t> prev,
+                            std::span<const std::uint64_t> cur,
+                            std::size_t count, double* e) {
+  if (!lc_->exact_) {
+    for (std::size_t i = 0; i < toggles_.size(); ++i)
+      toggles_[i] = prev[i] ^ cur[i];
+    scatter(toggles_, count, e);
+    return;
+  }
+  const LoadClasses& lc = *lc_;
+  kernels_.count_pair(prev.data(), cur.data(), static_cast<int>(words_),
+                      lc.classes_.data(), lc.classes_.size(), lc.gates_.data(),
+                      planes_.data());
+  readout(count, e);
+}
+
+void ToggleEnergy::readout(std::size_t count, double* e) const {
+  const LoadClasses& lc = *lc_;
   const std::size_t W = words_;
-  count_(toggles.data(), static_cast<int>(W), lc.classes_.data(),
-         lc.classes_.size(), lc.gates_.data(), planes_.data());
   std::fill(e, e + count, 0.0);
   for (std::size_t gi = 0; gi + 1 < lc.groups_.size(); ++gi) {
     const std::uint32_t c0 = lc.groups_[gi], c1 = lc.groups_[gi + 1];

@@ -62,14 +62,25 @@ class ToggleEnergy {
   void energies(std::span<const std::uint64_t> toggles, std::size_t count,
                 double* e);
 
+  /// The same with toggle(g, k) taken from two gate-major lane arrays (a
+  /// pair's two evaluations): toggles = prev ^ cur, which the counter reads
+  /// in place. Equal to energies(prev ^ cur, count, e) bit for bit.
+  void energies(std::span<const std::uint64_t> prev,
+                std::span<const std::uint64_t> cur, std::size_t count,
+                double* e);
+
  private:
+  /// Lane energies from the counter planes.
+  void readout(std::size_t count, double* e) const;
   void scatter(std::span<const std::uint64_t> toggles, std::size_t count,
                double* e) const;
 
   const LoadClasses* lc_;
   std::size_t words_;
-  detail::CountKernelFn count_;
+  detail::Kernels kernels_;
   std::vector<std::uint64_t> planes_;  // plane-major: [p*W, (p+1)*W)
+  /// prev ^ cur for the scatter fallback (empty when the counter runs).
+  std::vector<std::uint64_t> toggles_;
 };
 
 }  // namespace hlp::sim

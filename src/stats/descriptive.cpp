@@ -4,13 +4,6 @@
 
 namespace hlp::stats {
 
-void RunningStats::add(double x) {
-  ++n_;
-  double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
 void RunningStats::merge(const RunningStats& other) {
   if (other.n_ == 0) return;
   if (n_ == 0) {
@@ -24,10 +17,6 @@ void RunningStats::merge(const RunningStats& other) {
   mean_ += delta * (nb / n);
   m2_ += other.m2_ + delta * delta * (na * nb / n);
   n_ += other.n_;
-}
-
-double RunningStats::variance() const {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
 }
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
@@ -76,15 +65,6 @@ double mean_abs_rel_error(std::span<const double> est,
     ++n;
   }
   return n ? sum / static_cast<double>(n) : 0.0;
-}
-
-double normal_quantile_two_sided(double confidence) {
-  // Normal-approximation quantiles for the confidence levels we use.
-  if (confidence >= 0.995) return 2.807;
-  if (confidence >= 0.99) return 2.576;
-  if (confidence >= 0.95) return 1.96;
-  if (confidence >= 0.90) return 1.645;
-  return 1.282;
 }
 
 double ci_halfwidth(const RunningStats& s, double confidence) {

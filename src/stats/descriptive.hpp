@@ -12,7 +12,14 @@ namespace hlp::stats {
 /// sampler macro-models need running moments.
 class RunningStats {
  public:
-  void add(double x);
+  /// Inline: Monte Carlo calls it once per pair, and the next pair's mean
+  /// waits on this one's divide, so the call itself would sit on that chain.
+  void add(double x) {
+    ++n_;
+    const double delta = x - mean_;
+    mean_ += delta / static_cast<double>(n_);
+    m2_ += delta * (x - mean_);
+  }
 
   /// Fold another accumulator into this one (Chan et al. pairwise
   /// combination of Welford states). Each worker of a parallel campaign
@@ -26,7 +33,9 @@ class RunningStats {
   std::size_t count() const { return n_; }
   double mean() const { return n_ ? mean_ : 0.0; }
   /// Unbiased sample variance (n-1 denominator); 0 for fewer than 2 samples.
-  double variance() const;
+  double variance() const {
+    return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
+  }
   double stddev() const;
   /// Standard error of the mean.
   double stderr_mean() const;
@@ -67,7 +76,14 @@ double mean_abs_rel_error(std::span<const double> est,
 /// (0.95 -> 1.96). Shared by the Monte Carlo CI stopping rule and the
 /// macromodel prediction intervals so "confidence" means the same thing on
 /// both tiers.
-double normal_quantile_two_sided(double confidence);
+inline double normal_quantile_two_sided(double confidence) {
+  // Normal-approximation quantiles for the confidence levels we use.
+  if (confidence >= 0.995) return 2.807;
+  if (confidence >= 0.99) return 2.576;
+  if (confidence >= 0.95) return 1.96;
+  if (confidence >= 0.90) return 1.645;
+  return 1.282;
+}
 
 /// Half-width of the two-sided normal-approximation confidence interval
 /// for the mean at the given confidence level (e.g. 0.95 -> 1.96 * SE).

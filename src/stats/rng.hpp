@@ -1,10 +1,55 @@
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <random>
 #include <span>
 
 namespace hlp::stats {
+
+/// MT19937-64 with the seeding, output stream and `discard` of
+/// `std::mt19937_64`, and a standard uniform random bit generator, so the
+/// std distributions and `std::shuffle` draw exactly what they drew from
+/// the std engine. Each refill twists the 312-word state and tempers all of
+/// it in two fixed-length passes the compiler vectorises; `fill`, the bulk
+/// path, then copies masked outputs instead of making one call and one
+/// refill test per word.
+class Mt19937_64 {
+ public:
+  using result_type = std::uint64_t;
+  static constexpr result_type default_seed = 5489u;
+
+  explicit Mt19937_64(result_type s = default_seed) { seed(s); }
+  void seed(result_type s);
+
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+
+  result_type operator()() {
+    if (pos_ == kN) refill();
+    return out_[pos_++];
+  }
+
+  /// Skip `n` outputs.
+  void discard(unsigned long long n);
+
+  /// out[k] = the k-th of out.size() successive outputs, ANDed with `mask`.
+  void fill(std::span<std::uint64_t> out, std::uint64_t mask);
+
+ private:
+  static constexpr std::size_t kN = 312;  // state words
+  static constexpr std::size_t kM = 156;  // twist offset
+
+  /// Twist all kN state words and temper them into out_; the next output
+  /// is out_[0].
+  void refill();
+
+  std::array<result_type, kN + 1> state_{};  // [kN] mirrors [0] in refill
+  std::array<result_type, kN> out_{};  // tempered state_, read from pos_
+  std::size_t pos_ = kN;
+};
+static_assert(std::uniform_random_bit_generator<Mt19937_64>);
 
 /// Deterministic random source used throughout the library.
 ///
@@ -33,12 +78,11 @@ class Rng {
     return bits >= 64 ? v : (v & ((std::uint64_t{1} << bits) - 1));
   }
 
-  /// Lane-batched vectors: out[k] equals the k-th of out.size() successive
-  /// uniform_bits(width) draws, so packed 64-pattern consumers see exactly
-  /// the vector sequence a scalar caller would draw one at a time.
-  void fill_packed(std::span<std::uint64_t> out, int width) {
-    for (std::uint64_t& w : out) w = uniform_bits(width);
-  }
+  /// Bulk vectors: out[k] equals the k-th of out.size() successive
+  /// uniform_bits(width) draws, so a block consumer sees exactly the vector
+  /// sequence a scalar caller would draw one at a time (and, like
+  /// uniform_bits, width <= 0 gives zeros without drawing).
+  void fill_packed(std::span<std::uint64_t> out, int width);
 
   /// Uniform real in [lo, hi).
   double uniform_real(double lo = 0.0, double hi = 1.0) {
@@ -66,10 +110,10 @@ class Rng {
     return std::geometric_distribution<std::int64_t>(p)(engine_);
   }
 
-  std::mt19937_64& engine() { return engine_; }
+  Mt19937_64& engine() { return engine_; }
 
  private:
-  std::mt19937_64 engine_;
+  Mt19937_64 engine_;
 };
 
 /// Decorrelated per-shard seed for a parallel campaign: shard k of a run

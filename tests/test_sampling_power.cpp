@@ -229,6 +229,40 @@ TEST(SequentialMonteCarlo, QuotaStopResumesToTheUninterruptedRun) {
   EXPECT_EQ(resumed->checkpoint.m2, full->checkpoint.m2);
 }
 
+// --- the Rng overload: bulk draws, the same stream ----------------------
+
+/// The Rng overload against the per-word generator over the same seed: the
+/// same result and checkpoint, and the generator left at the same draw.
+void expect_bulk_matches_per_word(const netlist::Module& mod,
+                                  sim::EngineKind engine, double eps,
+                                  const exec::Budget& budget) {
+  const int n_in = mod.total_input_bits();
+  stats::Rng per_word(21), bulk(21);
+  const auto a = monte_carlo_power_budgeted(
+      mod, [&] { return per_word.uniform_bits(n_in); }, budget, eps, 0.95, 30,
+      3000, {}, sim::SimOptions{engine});
+  const auto b = monte_carlo_power_budgeted(mod, bulk, budget, eps, 0.95, 30,
+                                            3000, {}, sim::SimOptions{engine});
+  EXPECT_EQ(b->pairs, a->pairs);
+  EXPECT_EQ(b->mean_energy, a->mean_energy);
+  EXPECT_EQ(b->ci_halfwidth, a->ci_halfwidth);
+  EXPECT_EQ(b->stop_reason, a->stop_reason);
+  EXPECT_EQ(b->checkpoint.m2, a->checkpoint.m2);
+  EXPECT_EQ(bulk.uniform_bits(64), per_word.uniform_bits(64));
+}
+
+TEST(RngMonteCarlo, BulkDrawMatchesPerWordGenerator) {
+  for (const auto& mod : {netlist::multiplier_module(8), registered_adder()}) {
+    for (auto engine : {sim::EngineKind::Auto, sim::EngineKind::Scalar}) {
+      // Converges; runs to max_pairs; stops on a step quota.
+      expect_bulk_matches_per_word(mod, engine, 0.05, {});
+      expect_bulk_matches_per_word(mod, engine, 1e-9, {});
+      expect_bulk_matches_per_word(mod, engine, 1e-9,
+                                   exec::Budget::with_step_quota(1500));
+    }
+  }
+}
+
 TEST(SequentialMonteCarlo, ShardedThreadCountsBitIdentical) {
   const auto mod = registered_adder();
   ShardedMcOptions opts;

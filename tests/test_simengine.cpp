@@ -221,6 +221,23 @@ TEST(RngFillPacked, MatchesSequentialUniformBits) {
   std::vector<std::uint64_t> words(10);
   a.fill_packed(words, 12);
   for (std::uint64_t w : words) EXPECT_EQ(w, b.uniform_bits(12));
+
+  // Bulk fills interleaved with single draws, across and onto the 312-word
+  // refill boundary, at every mask shape; width 0 draws nothing.
+  const std::size_t fills[] = {300, 20, 312, 0, 313, 1000, 1};
+  for (int width : {0, 1, 16, 24, 63, 64}) {
+    stats::Rng bulk(9), single(9);
+    for (std::size_t n : fills) {
+      std::vector<std::uint64_t> block(n);
+      bulk.fill_packed(block, width);
+      for (std::size_t k = 0; k < n; ++k)
+        ASSERT_EQ(block[k], single.uniform_bits(width))
+            << "width " << width << " fill " << n << " word " << k;
+      for (int i = 0; i < 5; ++i)
+        ASSERT_EQ(bulk.uniform_bits(width), single.uniform_bits(width))
+            << "width " << width << " after fill " << n;
+    }
+  }
 }
 
 }  // namespace

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <numeric>
+#include <random>
+#include <vector>
 
 #include "stats/descriptive.hpp"
 #include "stats/entropy.hpp"
@@ -268,6 +273,74 @@ TEST(Rng, ParetoIsHeavyTailed) {
   double max_v = 0.0;
   for (int i = 0; i < 20000; ++i) max_v = std::max(max_v, rng.pareto(1.0, 1.5));
   EXPECT_GT(max_v, 50.0);  // heavy tail produces large outliers
+}
+
+// --- the MT19937-64 engine against std::mt19937_64 ----------------------
+
+/// Seeds at the edges of the seeding recurrence, the std default and one a
+/// sharded run derives.
+std::vector<std::uint64_t> engine_seeds() {
+  return {0, 1, 5489, ~std::uint64_t{0}, shard_seed(7, 3)};
+}
+
+TEST(RngEngine, MatchesStdMt19937_64) {
+  for (std::uint64_t seed : engine_seeds()) {
+    for (std::size_t n : {311u, 312u, 313u, 624u, 1000u}) {
+      std::mt19937_64 ref(seed);
+      Mt19937_64 one(seed), bulk(seed);
+      std::vector<std::uint64_t> block(n);
+      bulk.fill(block, ~std::uint64_t{0});
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::uint64_t want = ref();
+        ASSERT_EQ(one(), want) << "seed " << seed << " draw " << i;
+        ASSERT_EQ(block[i], want) << "seed " << seed << " draw " << i;
+      }
+      // Both leave the stream at draw n.
+      const std::uint64_t next = ref();
+      EXPECT_EQ(one(), next) << "seed " << seed << " n=" << n;
+      EXPECT_EQ(bulk(), next) << "seed " << seed << " n=" << n;
+    }
+  }
+}
+
+TEST(RngEngine, DiscardMatchesStd) {
+  for (std::uint64_t seed : engine_seeds()) {
+    for (unsigned long long n : {0ull, 1ull, 311ull, 312ull, 313ull, 1000ull}) {
+      // From a fresh state and from one part-way through a refill.
+      for (int before : {0, 5}) {
+        std::mt19937_64 ref(seed);
+        Mt19937_64 eng(seed);
+        for (int i = 0; i < before; ++i) ASSERT_EQ(eng(), ref());
+        ref.discard(n);
+        eng.discard(n);
+        for (int i = 0; i < 700; ++i)
+          ASSERT_EQ(eng(), ref()) << "seed " << seed << " discard " << n
+                                  << " after " << before << ", draw " << i;
+      }
+    }
+  }
+}
+
+TEST(RngEngine, StdDistributionsDrawTheSameValues) {
+  for (std::uint64_t seed : engine_seeds()) {
+    Rng rng(seed);
+    std::mt19937_64 ref(seed);
+    std::vector<int> a(100), b(100);
+    std::iota(a.begin(), a.end(), 0);
+    std::iota(b.begin(), b.end(), 0);
+    std::shuffle(a.begin(), a.end(), rng.engine());
+    std::shuffle(b.begin(), b.end(), ref);
+    EXPECT_EQ(a, b) << "seed " << seed;
+    for (int i = 0; i < 500; ++i) {
+      EXPECT_EQ(rng.uniform_real(),
+                std::uniform_real_distribution<double>(0.0, 1.0)(ref));
+      EXPECT_EQ(rng.normal(2.0, 3.0),
+                std::normal_distribution<double>(2.0, 3.0)(ref));
+      EXPECT_EQ(rng.bit(0.3), std::bernoulli_distribution(0.3)(ref));
+      EXPECT_EQ(rng.geometric(0.2),
+                std::geometric_distribution<std::int64_t>(0.2)(ref));
+    }
+  }
 }
 
 class BernoulliProb : public ::testing::TestWithParam<double> {};

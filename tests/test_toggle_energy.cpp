@@ -67,10 +67,13 @@ std::vector<double> scatter(const std::vector<double>& loads,
   return e;
 }
 
-/// Toggle words of one block of random vector pairs, as Monte Carlo
-/// produces them: prev ^ cur per gate, gate-major.
-std::vector<std::uint64_t> pair_toggles(const netlist::Module& mod, int W,
-                                        std::uint64_t seed) {
+/// One block of random vector pairs, as Monte Carlo evaluates them: each
+/// gate's lane words under the first and the second vectors, gate-major.
+struct PairLanes {
+  std::vector<std::uint64_t> prev, cur;
+};
+
+PairLanes pair_lanes(const netlist::Module& mod, int W, std::uint64_t seed) {
   const auto& nl = mod.netlist;
   const int n_in = mod.total_input_bits();
   sim::BlockSimulator bs(nl, W);
@@ -78,19 +81,23 @@ std::vector<std::uint64_t> pair_toggles(const netlist::Module& mod, int W,
   std::vector<std::uint64_t> v1(bs.lane_count()), v2(bs.lane_count());
   for (auto& v : v1) v = rng.uniform_bits(n_in);
   for (auto& v : v2) v = rng.uniform_bits(n_in);
-  const auto words = static_cast<std::size_t>(W);
-  std::vector<std::uint64_t> t(nl.gate_count() * words);
+  PairLanes p;
   bs.set_inputs_from_cycles(v1);
   bs.eval();
-  for (netlist::GateId g = 0; g < nl.gate_count(); ++g)
-    for (std::size_t w = 0; w < words; ++w)
-      t[g * words + w] = bs.lane_words(g)[w];
+  p.prev.assign(bs.lanes().begin(), bs.lanes().end());
   bs.set_inputs_from_cycles(v2);
   bs.eval();
-  for (netlist::GateId g = 0; g < nl.gate_count(); ++g)
-    for (std::size_t w = 0; w < words; ++w)
-      t[g * words + w] ^= bs.lane_words(g)[w];
-  return t;
+  p.cur.assign(bs.lanes().begin(), bs.lanes().end());
+  return p;
+}
+
+/// Toggle words of one block of random vector pairs, as Monte Carlo
+/// produces them: prev ^ cur per gate, gate-major.
+std::vector<std::uint64_t> pair_toggles(const netlist::Module& mod, int W,
+                                        std::uint64_t seed) {
+  PairLanes p = pair_lanes(mod, W, seed);
+  for (std::size_t i = 0; i < p.prev.size(); ++i) p.prev[i] ^= p.cur[i];
+  return p.prev;
 }
 
 /// Counter vs scatter at every width and for full and partial blocks.
@@ -103,6 +110,7 @@ void expect_counter_matches_scatter(const netlist::Module& mod,
   for (int W : {1, 3, 4, 8, 16, 64}) {
     const auto lanes = static_cast<std::size_t>(64 * W);
     const auto toggles = pair_toggles(mod, W, 100 + static_cast<unsigned>(W));
+    const auto lanes_of = pair_lanes(mod, W, 100 + static_cast<unsigned>(W));
     sim::ToggleEnergy energy(lc, W);
     for (std::size_t count : {std::size_t{1}, std::size_t{63}, std::size_t{65},
                               std::size_t{777}, lanes}) {
@@ -114,6 +122,12 @@ void expect_counter_matches_scatter(const netlist::Module& mod,
       for (std::size_t k = 0; k < count; ++k)
         ASSERT_EQ(e[k], ref[k]) << "W=" << W << " count=" << count
                                 << " lane " << k;
+      // The two-array form counts prev ^ cur in place: the same energies.
+      std::vector<double> ep(count, -1.0);
+      energy.energies(lanes_of.prev, lanes_of.cur, count, ep.data());
+      for (std::size_t k = 0; k < count; ++k)
+        ASSERT_EQ(ep[k], e[k]) << "pair form, W=" << W << " count=" << count
+                               << " lane " << k;
     }
   }
 }
