@@ -9,10 +9,16 @@
 //     measured here (jobs::run_kernel: BDD build in fanin-DFS order plus
 //     sat fractions). Each is the median of 21 runs with its quartiles.
 //
+//     The symbolic kernel is also split into its layers on adder:16,
+//     mult:5, mult:6 and mult:8: make_module, fanin-DFS order, BDD build
+//     (manager construction included) and the sat-fraction loop (manager
+//     teardown included), each a median of 21 runs, printed with their sum
+//     beside the measured kernel total.
+//
 //  2. Tightness: relative bound spread (upper-lower)/point versus the BDD
 //     refinement node budget on a reconvergent design (mult:6). More budget
 //     => more of the topological prefix computed exactly => tighter
-//     Fréchet bounds; the whole of mult:6 fits in ~6,700 nodes, so the
+//     Fréchet bounds; the whole of mult:6 fits in 4,406 nodes, so the
 //     budgets below it trace the curve down to spread 0.
 //
 //  3. Serve tier-0: fraction of "kind":"static" requests over the
@@ -28,12 +34,15 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "analysis/estimate.hpp"
+#include "bdd/bdd.hpp"
+#include "bdd/netlist_bdd.hpp"
 #include "bench_json.hpp"
+#include "exec/exec.hpp"
 #include "jobs/kernels.hpp"
 #include "netlist/generators.hpp"
 #include "netlist/index.hpp"
@@ -114,6 +123,51 @@ Timing symbolic_timing(const std::string& spec) {
   });
 }
 
+/// The symbolic kernel (jobs::symbolic_power) split into its layers, each
+/// under its own clock, in seconds: medians of `reps` runs.
+struct SymbolicLayers {
+  double elaborate = 0, order = 0, build = 0, sat = 0;
+  double sum() const { return elaborate + order + build + sat; }
+};
+
+SymbolicLayers symbolic_layers(const std::string& spec, int reps) {
+  std::vector<double> el, ord, bld, sat;
+  auto since = [](clock_type::time_point t0) {
+    return std::chrono::duration<double>(clock_type::now() - t0).count();
+  };
+  for (int r = 0; r < reps; ++r) {
+    auto t0 = clock_type::now();
+    const netlist::Module mod = jobs::make_module(spec);
+    el.push_back(since(t0));
+    exec::Meter meter;
+    t0 = clock_type::now();
+    const std::vector<std::size_t> order = bdd::fanin_dfs_order(mod.netlist);
+    ord.push_back(since(t0));
+    t0 = clock_type::now();
+    auto mgr = std::make_unique<bdd::Manager>();
+    mgr->set_meter(&meter);
+    const bdd::NetlistBdds bdds =
+        bdd::build_bdds_ordered(*mgr, mod.netlist, order);
+    bld.push_back(since(t0));
+    t0 = clock_type::now();
+    const std::vector<double> loads = mod.netlist.loads({});
+    double energy = 0.0;
+    for (netlist::GateId g = 0; g < mod.netlist.gate_count(); ++g) {
+      meter.step();
+      const double p = mgr->sat_fraction(bdds.fn[g]);
+      energy += loads[g] * 2.0 * p * (1.0 - p);
+    }
+    mgr.reset();
+    sat.push_back(since(t0));
+    benchmark::DoNotOptimize(energy);
+  }
+  auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  return {median(el), median(ord), median(bld), median(sat)};
+}
+
 void add_timing(benchjson::Object& row, const std::string& prefix,
                 const Timing& t) {
   row.emplace_back(prefix + "_seconds", t.median);
@@ -177,6 +231,32 @@ void write_report(const std::string& path) {
   const double speedup =
       adder16_seconds > 0.0 ? adder16_symbolic_seconds / adder16_seconds : 0.0;
   std::printf("\nadder:16 symbolic / static latency: %.2gx\n", speedup);
+
+  // 1b. The symbolic kernel's layers against its measured total.
+  benchjson::Array sym_layers;
+  std::printf("\nsymbolic kernel layers (us, medians of 21; build includes "
+              "the manager's construction, sat its teardown)\n\n");
+  std::printf("%10s %10s %8s %10s %8s %10s %10s %6s\n", "design", "elaborate",
+              "order", "build", "sat", "sum", "total", "ratio");
+  for (const char* spec : {"adder:16", "mult:5", "mult:6", "mult:8"}) {
+    // Layers and whole-kernel runs alternate, so both see the same host.
+    const SymbolicLayers l = symbolic_layers(spec, 21);
+    const double total = symbolic_timing(spec).median;
+    const double ratio = total > 0.0 ? l.sum() / total : 0.0;
+    std::printf("%10s %10.1f %8.1f %10.1f %8.1f %10.1f %10.1f %6.2f\n", spec,
+                l.elaborate * 1e6, l.order * 1e6, l.build * 1e6, l.sat * 1e6,
+                l.sum() * 1e6, total * 1e6, ratio);
+    sym_layers.push_back(benchjson::Object{
+        {"design", std::string(spec)},
+        {"make_module_seconds", l.elaborate},
+        {"fanin_dfs_order_seconds", l.order},
+        {"bdd_build_seconds", l.build},
+        {"sat_loop_seconds", l.sat},
+        {"layer_sum_seconds", l.sum()},
+        {"total_seconds", total},
+        {"sum_over_total", ratio},
+    });
+  }
 
   // 2. Bound tightness vs refinement budget on a reconvergent design.
   benchjson::Array tightness;
@@ -242,12 +322,13 @@ void write_report(const std::string& path) {
 
   benchjson::Object root{
       {"bench", "analysis"},
+      {"machine", benchjson::machine()},
       {"metric", "static_estimate"},
-      {"cores", std::uint64_t{std::thread::hardware_concurrency()}},
       {"latency", std::move(latency)},
       {"adder16_static_seconds", adder16_seconds},
       {"adder16_symbolic_seconds", adder16_symbolic_seconds},
       {"speedup_vs_cold_symbolic", speedup},
+      {"symbolic_layers", std::move(sym_layers)},
       {"tightness_mult6", std::move(tightness)},
       {"serve_static", benchjson::Object{
           {"epsilon", 0.05},

@@ -155,6 +155,7 @@ void write_report(const std::string& path) {
               retention, qretention);
   benchjson::Object root{
       {"bench", "lint"},
+      {"machine", benchjson::machine()},
       {"metric", "gates_per_sec"},
       {"sweep_throughput_retention", retention},
       {"quantitative_sweep_retention", qretention},

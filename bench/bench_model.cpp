@@ -186,6 +186,7 @@ void write_report(const std::string& path) {
 
   const benchjson::Object root{
       {"experiment", "E-MODEL"},
+      {"machine", benchjson::machine()},
       {"design_family", "adder"},
       {"train",
        benchjson::Object{

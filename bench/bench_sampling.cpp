@@ -196,8 +196,8 @@ void print_accuracy_tables() {
 /// the stages the estimator runs per batch (core/sampling_power.cpp
 /// `PairSampler`), each under its own clock.
 struct Layers {
-  double draw = 0, transpose = 0, eval = 0, copy = 0, count = 0, stop = 0;
-  double sum() const { return draw + transpose + eval + copy + count + stop; }
+  double draw = 0, transpose = 0, eval = 0, swap = 0, count = 0, stop = 0;
+  double sum() const { return draw + transpose + eval + swap + count + stop; }
 };
 
 Layers time_layers(const netlist::Module& mod, std::size_t pairs) {
@@ -208,8 +208,7 @@ Layers time_layers(const netlist::Module& mod, std::size_t pairs) {
   sim::BlockSimulator bs(nl, 0);
   sim::ToggleEnergy energy(classes, bs.words());
   const auto lanes = static_cast<std::size_t>(bs.lane_count());
-  std::vector<std::uint64_t> drawn(2 * lanes), w1(lanes), w2(lanes),
-      prev(bs.lanes().size());
+  std::vector<std::uint64_t> drawn(2 * lanes), w1(lanes), w2(lanes);
   std::vector<double> e(lanes);
   stats::Rng rng(23);
   stats::RunningStats rs;
@@ -233,12 +232,13 @@ Layers time_layers(const netlist::Module& mod, std::size_t pairs) {
     timed(t.transpose,
           [&] { bs.set_inputs_from_cycles(std::span(w1).first(batch)); });
     timed(t.eval, [&] { bs.eval(); });
-    timed(t.copy,
-          [&] { std::copy(bs.lanes().begin(), bs.lanes().end(), prev.begin()); });
+    timed(t.swap, [&] { bs.swap_lanes(); });
     timed(t.transpose,
           [&] { bs.set_inputs_from_cycles(std::span(w2).first(batch)); });
     timed(t.eval, [&] { bs.eval(); });
-    timed(t.count, [&] { energy.energies(prev, bs.lanes(), batch, e.data()); });
+    timed(t.count, [&] {
+      energy.energies(bs.previous_lanes(), bs.lanes(), batch, e.data());
+    });
     timed(t.stop, [&] {
       for (std::size_t k = 0; k < batch && !converged; ++k) {
         rs.add(e[k]);
@@ -249,7 +249,7 @@ Layers time_layers(const netlist::Module& mod, std::size_t pairs) {
   }
   benchmark::DoNotOptimize(hw);
   const auto n = static_cast<double>(pairs);
-  for (double* x : {&t.draw, &t.transpose, &t.eval, &t.copy, &t.count, &t.stop})
+  for (double* x : {&t.draw, &t.transpose, &t.eval, &t.swap, &t.count, &t.stop})
     *x /= n;
   return t;
 }
@@ -317,7 +317,7 @@ void write_engine_report(const char* path) {
               "should read within 10%% of 1):\n",
               sim::default_block_words(), mc_pairs, kReps);
   std::printf("%18s %6s %22s %6s %6s %6s %6s %6s %6s %7s %6s\n", "design",
-              "gates", "total", "draw", "trans", "eval", "copy", "count",
+              "gates", "total", "draw", "trans", "eval", "swap", "count",
               "stop", "sum", "ratio");
   benchjson::Array per_pair, layers;
   for (const Design& d : designs) {
@@ -337,14 +337,14 @@ void write_engine_report(const char* path) {
     };
     Layers m;
     for (double Layers::*f : {&Layers::draw, &Layers::transpose,
-                              &Layers::eval, &Layers::copy, &Layers::count,
+                              &Layers::eval, &Layers::swap, &Layers::count,
                               &Layers::stop})
       m.*f = median(f);
     const double ratio = p50 > 0.0 ? m.sum() / p50 : 0.0;
     std::printf("%18s %6zu %9.1f [%.1f, %.1f] %6.1f %6.1f %6.1f %6.1f %6.1f "
                 "%6.1f %7.1f %6.2f%s\n",
                 d.name, d.mod.netlist.gate_count(), p50, p25, p75, m.draw,
-                m.transpose, m.eval, m.copy, m.count, m.stop, m.sum(), ratio,
+                m.transpose, m.eval, m.swap, m.count, m.stop, m.sum(), ratio,
                 std::abs(ratio - 1.0) <= 0.10 ? "" : "  (outside 10%)");
     per_pair.push_back(benchjson::Object{
         {"design", d.name},
@@ -359,7 +359,7 @@ void write_engine_report(const char* path) {
         {"draw", m.draw},
         {"input_transpose", m.transpose},
         {"gate_eval", m.eval},
-        {"lane_copy", m.copy},
+        {"lane_swap", m.swap},
         {"count_readout", m.count},
         {"stop_rule", m.stop},
         {"layer_sum", m.sum()},

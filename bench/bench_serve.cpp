@@ -527,6 +527,7 @@ void write_report(const std::string& path) {
 
   benchjson::Object root{
       {"bench", "serve"},
+      {"machine", benchjson::machine()},
       {"design", "adder:16"},
       {"kind", "symbolic"},
       {"cold",

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "exec/fi.hpp"
 
@@ -10,7 +11,13 @@ namespace hlp::bdd {
 
 namespace {
 constexpr std::uint32_t kTermVar = std::numeric_limits<std::uint32_t>::max();
+/// The `h` of bdd_xor's cache entries. No ITE key carries it: node ids stay
+/// below it (make_node refuses the id).
+constexpr NodeRef kXorTag = std::numeric_limits<NodeRef>::max();
 constexpr std::size_t kMinTableSlots = 256;
+/// A recycled table holding at least one entry per this many slots is
+/// cleared by one sweep rather than entry by entry.
+constexpr std::size_t kSweepRatio = 8;
 
 /// Slot hash for the unique table and the ITE cache. The final fold brings
 /// the multiplied high bits down, so every key word reaches the low bits
@@ -20,11 +27,84 @@ std::size_t hash3(std::uint32_t a, std::uint32_t b, std::uint32_t c) {
   h = (h ^ c) * 0xC2B2AE3D27D4EB4Full;
   return static_cast<std::size_t>(h ^ (h >> 32));
 }
+
+template <class T>
+std::size_t bytes_of(const std::vector<T>& v) {
+  return v.size() * sizeof(T);
+}
 }  // namespace
+
+struct Manager::Tables {
+  std::vector<NodeRef> unique;
+  std::vector<IteEntry> ite;
+};
+
+namespace {
+/// Trivially destructible, so it stays readable while the thread's stash
+/// is torn down; a manager dying after that frees its tables instead.
+thread_local bool tables_gone = false;
+}  // namespace
+
+Manager::Tables* Manager::spare_tables() {
+  struct Stash {
+    Tables t;
+    ~Stash() { tables_gone = true; }
+  };
+  if (tables_gone) return nullptr;
+  thread_local Stash stash;
+  return &stash.t;
+}
+
+std::size_t Manager::retained_bytes() {
+  const Tables* s = spare_tables();
+  if (!s) return 0;
+  return s->unique.capacity() * sizeof(NodeRef) +
+         s->ite.capacity() * sizeof(IteEntry);
+}
 
 Manager::Manager() {
   nodes_.push_back({kTermVar, kFalse, kFalse});  // 0 = false
   nodes_.push_back({kTermVar, kTrue, kTrue});    // 1 = true
+  if (Tables* s = spare_tables()) {
+    unique_.swap(s->unique);
+    ite_cache_.swap(s->ite);
+  }
+}
+
+Manager::~Manager() {
+  Tables* s = spare_tables();
+  if (!s) return;
+  // Clear what this build used, then keep each table if it is within the
+  // cap and larger than the one the thread already holds. A table the
+  // build filled densely is swept whole; a sparse one (a small build in
+  // storage a larger one left) is cleared entry by entry. Either way the
+  // cost is bounded by a constant times the entries used.
+  if (!unique_.empty() && bytes_of(unique_) <= kMaxRetainedBytes &&
+      unique_.size() > s->unique.size()) {
+    if (unique_.size() <= kSweepRatio * nodes_.size()) {
+      std::fill(unique_.begin(), unique_.end(), kFalse);
+    } else {
+      const std::size_t mask = unique_.size() - 1;
+      for (NodeRef id = 2; id < nodes_.size(); ++id) {
+        const Node& n = nodes_[id];
+        // Slots cleared earlier may sit on this node's probe path, so look
+        // for the id itself rather than stopping at an empty slot.
+        std::size_t i = hash3(n.var, n.lo, n.hi) & mask;
+        while (unique_[i] != id) i = (i + 1) & mask;
+        unique_[i] = kFalse;
+      }
+    }
+    s->unique.swap(unique_);
+  }
+  if (!ite_cache_.empty() && bytes_of(ite_cache_) <= kMaxRetainedBytes &&
+      ite_cache_.size() > s->ite.size()) {
+    if (ite_cache_.size() <= kSweepRatio * ite_used_.size()) {
+      std::fill(ite_cache_.begin(), ite_cache_.end(), IteEntry{});
+    } else {
+      for (std::uint32_t i : ite_used_) ite_cache_[i] = {};
+    }
+    s->ite.swap(ite_cache_);
+  }
 }
 
 /// Make room for `n` elements, growing at least geometrically. The added
@@ -58,34 +138,56 @@ std::size_t Manager::ite_slot(NodeRef f, NodeRef g, NodeRef h) const {
 }
 
 void Manager::grow_unique() {
-  const std::size_t slots = std::max(kMinTableSlots, 2 * unique_.size());
-  if (meter_) meter_->charge_bytes((slots - unique_.size()) * sizeof(NodeRef));
-  // Rehash into a fresh table and swap it in, so nothing changes unless
-  // the allocation succeeds.
-  std::vector<NodeRef> fresh(slots, kFalse);
-  const std::size_t mask = slots - 1;
-  for (NodeRef id = 2; id < nodes_.size(); ++id) {
-    const Node& n = nodes_[id];
-    std::size_t i = hash3(n.var, n.lo, n.hi) & mask;
-    while (fresh[i] != kFalse) i = (i + 1) & mask;
-    fresh[i] = id;
+  const std::size_t slots = std::max(kMinTableSlots, 2 * unique_slots_);
+  if (meter_) meter_->charge_bytes((slots - unique_slots_) * sizeof(NodeRef));
+  if (slots > unique_.size()) {
+    // Rehash into fresh storage and swap it in, so nothing changes unless
+    // the allocation succeeds.
+    std::vector<NodeRef> fresh(slots, kFalse);
+    const std::size_t mask = slots - 1;
+    for (NodeRef id = 2; id < nodes_.size(); ++id) {
+      const Node& n = nodes_[id];
+      std::size_t i = hash3(n.var, n.lo, n.hi) & mask;
+      while (fresh[i] != kFalse) i = (i + 1) & mask;
+      fresh[i] = id;
+    }
+    unique_.swap(fresh);
   }
-  unique_.swap(fresh);
+  unique_slots_ = slots;
 }
 
 void Manager::grow_ite_cache() {
-  const std::size_t slots = std::max(kMinTableSlots, 2 * ite_cache_.size());
+  const std::size_t slots = std::max(kMinTableSlots, 2 * ite_slots_);
   if (meter_)
-    meter_->charge_bytes((slots - ite_cache_.size()) * sizeof(IteEntry));
-  std::vector<IteEntry> fresh(slots, IteEntry{kFalse, kFalse, kFalse, kFalse});
-  const std::size_t mask = slots - 1;
-  for (const IteEntry& e : ite_cache_) {
-    if (e.f == kFalse) continue;
-    std::size_t i = hash3(e.f, e.g, e.h) & mask;
-    while (fresh[i].f != kFalse) i = (i + 1) & mask;
-    fresh[i] = e;
+    meter_->charge_bytes((slots - ite_slots_) * sizeof(IteEntry));
+  if (slots > ite_cache_.size()) {
+    std::vector<IteEntry> fresh(slots, IteEntry{});
+    std::vector<std::uint32_t> used;
+    used.reserve(slots / 2);
+    const std::size_t mask = slots - 1;
+    for (std::uint32_t k : ite_used_) {
+      const IteEntry& e = ite_cache_[k];
+      std::size_t i = hash3(e.f, e.g, e.h) & mask;
+      while (fresh[i].f != kFalse) i = (i + 1) & mask;
+      fresh[i] = e;
+      used.push_back(static_cast<std::uint32_t>(i));
+    }
+    ite_cache_.swap(fresh);
+    ite_used_.swap(used);
+  } else {
+    ite_used_.reserve(slots / 2);
   }
-  ite_cache_.swap(fresh);
+  ite_slots_ = slots;
+}
+
+/// Record r as the result for key (f, g, h), growing the cache first if
+/// the entry would take it past half load. The recursion that computed r
+/// may have grown the cache, so the slot is probed here.
+void Manager::cache_result(NodeRef f, NodeRef g, NodeRef h, NodeRef r) {
+  if (2 * (ite_used_.size() + 1) > ite_slots_) grow_ite_cache();
+  const std::size_t i = ite_slot(f, g, h);
+  ite_cache_[i] = {f, g, h, r};
+  ite_used_.push_back(static_cast<std::uint32_t>(i));
 }
 
 NodeRef Manager::make_node(std::uint32_t var, NodeRef lo, NodeRef hi) {
@@ -101,8 +203,10 @@ NodeRef Manager::make_node(std::uint32_t var, NodeRef lo, NodeRef hi) {
   // and vice versa — the strong exception guarantee.
   if (meter_) meter_->check_nodes(nodes_.size() + 1);
   fi::alloc_checkpoint();
+  if (nodes_.size() >= kXorTag)
+    throw std::length_error("bdd::Manager: node ids exhausted");
   reserve_charged(nodes_, nodes_.size() + 1);
-  if (2 * (nodes_.size() - 1) > unique_.size()) {
+  if (2 * (nodes_.size() - 1) > unique_slots_) {
     grow_unique();
     slot = unique_slot(var, lo, hi);
   }
@@ -144,10 +248,30 @@ NodeRef Manager::ite(NodeRef f, NodeRef g, NodeRef h) {
   NodeRef t = ite(cof(f, true), cof(g, true), cof(h, true));
   NodeRef e = ite(cof(f, false), cof(g, false), cof(h, false));
   NodeRef r = make_node(v, e, t);
-  // The recursion above may have grown the table, so probe again.
-  if (2 * (ite_entries_ + 1) > ite_cache_.size()) grow_ite_cache();
-  ite_cache_[ite_slot(f, g, h)] = {f, g, h, r};
-  ++ite_entries_;
+  cache_result(f, g, h, r);
+  return r;
+}
+
+NodeRef Manager::bdd_xor(NodeRef f, NodeRef g) {
+  if (f > g) std::swap(f, g);
+  // Terminal cases, with f <= g.
+  if (f == g) return kFalse;
+  if (f == kFalse) return g;
+  if (f == kTrue) return bdd_not(g);
+
+  if (!ite_cache_.empty()) {
+    const IteEntry& c = ite_cache_[ite_slot(f, g, kXorTag)];
+    if (c.f != kFalse) return c.r;
+  }
+  if (meter_) meter_->step();
+
+  const Node nf = nodes_[f];
+  const Node ng = nodes_[g];
+  const std::uint32_t v = std::min(nf.var, ng.var);
+  const NodeRef t = bdd_xor(nf.var == v ? nf.hi : f, ng.var == v ? ng.hi : g);
+  const NodeRef e = bdd_xor(nf.var == v ? nf.lo : f, ng.var == v ? ng.lo : g);
+  const NodeRef r = make_node(v, e, t);
+  cache_result(f, g, kXorTag, r);
   return r;
 }
 

@@ -21,9 +21,28 @@ inline constexpr NodeRef kTrue = 1;
 /// the survey's symbolic techniques: Ferrandi's BDD-node capacitance model
 /// (II-B1), precomputation predictor synthesis (III-I), guarded-evaluation
 /// observability don't-cares (III-I), and FSM symbolic analysis (III-H).
+///
+/// Table storage is recycled per thread: a manager starts from the unique
+/// table and ITE cache the last manager destroyed on its thread left
+/// behind, and hands its own back when it dies, cleared at a cost bounded
+/// by the entries its build used, unless a table is larger than
+/// kMaxRetainedBytes. The hash uses the storage's physical size, while
+/// growth, node-cap checks and memory charges follow each table's logical
+/// size, which doubles from empty exactly as in a cold manager. So node
+/// ids, meter steps and charged bytes never depend on what the thread
+/// built before.
 class Manager {
  public:
+  /// Largest table, in bytes, a thread keeps for the next manager.
+  static constexpr std::size_t kMaxRetainedBytes = std::size_t{1} << 20;
+
   Manager();
+  ~Manager();
+  Manager(const Manager&) = delete;
+  Manager& operator=(const Manager&) = delete;
+
+  /// Bytes of table storage this thread holds for its next manager.
+  static std::size_t retained_bytes();
 
   NodeRef constant(bool b) const { return b ? kTrue : kFalse; }
   /// Projection function for variable v.
@@ -35,7 +54,9 @@ class Manager {
   NodeRef bdd_not(NodeRef f) { return ite(f, kFalse, kTrue); }
   NodeRef bdd_and(NodeRef f, NodeRef g) { return ite(f, g, kFalse); }
   NodeRef bdd_or(NodeRef f, NodeRef g) { return ite(f, kTrue, g); }
-  NodeRef bdd_xor(NodeRef f, NodeRef g) { return ite(f, bdd_not(g), g); }
+  /// f XOR g as one apply over the ordered pair (f <= g): the same node as
+  /// ite(f, bdd_not(g), g) without building the negated copy of g.
+  NodeRef bdd_xor(NodeRef f, NodeRef g);
   NodeRef bdd_xnor(NodeRef f, NodeRef g) { return ite(f, g, bdd_not(g)); }
 
   /// Cofactor of f with variable v fixed to `val`.
@@ -112,9 +133,13 @@ class Manager {
   };
   /// One ITE cache entry. f == kFalse marks an empty slot: a terminal f is
   /// answered before the cache is consulted, so it never forms a key.
+  /// bdd_xor's entries are (f, g, kXorTag).
   struct IteEntry {
     NodeRef f, g, h, r;
   };
+  /// The thread's recycled table storage.
+  struct Tables;
+  static Tables* spare_tables();
 
   NodeRef make_node(std::uint32_t var, NodeRef lo, NodeRef hi);
   std::uint32_t top_var(NodeRef f, NodeRef g, NodeRef h) const;
@@ -122,6 +147,7 @@ class Manager {
   std::size_t ite_slot(NodeRef f, NodeRef g, NodeRef h) const;
   void grow_unique();
   void grow_ite_cache();
+  void cache_result(NodeRef f, NodeRef g, NodeRef h, NodeRef r);
   template <class T>
   void reserve_charged(std::vector<T>& v, std::size_t n);
   /// sat_probability's recursion, with q = 1 - p and the memo sized.
@@ -129,14 +155,19 @@ class Manager {
 
   std::vector<Node> nodes_;
   /// Unique table: open addressing with linear probing over node ids
-  /// (kFalse = empty slot), keyed by the node's (var, lo, hi). Its size is
-  /// a power of two (or zero before the first node) and it doubles before
-  /// an insert would take it past half load.
+  /// (kFalse = empty slot), keyed by the node's (var, lo, hi). Its logical
+  /// size `unique_slots_` is a power of two (or zero before the first
+  /// node) and doubles before an insert would take it past half load; the
+  /// storage is a power of two at least that large.
   std::vector<NodeRef> unique_;
-  /// Exact computed table for ite(): the same open-addressing scheme. It
-  /// never drops an entry, so a repeated call is always a hit.
+  std::size_t unique_slots_ = 0;
+  /// Exact computed table for ite() and bdd_xor(): the same scheme, with
+  /// logical size `ite_slots_`. It never drops an entry, so a repeated call
+  /// is always a hit. `ite_used_` lists the occupied slots, so clearing a
+  /// sparse table for recycling touches only those.
   std::vector<IteEntry> ite_cache_;
-  std::size_t ite_entries_ = 0;
+  std::size_t ite_slots_ = 0;
+  std::vector<std::uint32_t> ite_used_;
   /// sat_probability memo indexed by NodeRef, valid for `sat_p_`; a
   /// negative entry is unset.
   std::vector<double> sat_cache_;

@@ -46,7 +46,7 @@ NetlistBdds build_bdds_ordered(Manager& mgr, const netlist::Netlist& nl,
 /// never reaches follow in declaration order. Inputs that meet in the same
 /// cone end up close together, which keeps word-wise arithmetic and
 /// comparators near linear without knowing their word structure (adder:16:
-/// 1,493 nodes against 851,845 in declaration order).
+/// 1,147 nodes against 720,791 in declaration order).
 std::vector<std::size_t> fanin_dfs_order(const netlist::Netlist& nl);
 
 /// Convenience: interleave the bits of a module's input words

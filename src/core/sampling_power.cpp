@@ -183,9 +183,7 @@ class PackedPairs {
  public:
   PackedPairs(const netlist::Netlist& nl, const sim::LoadClasses& classes,
               int block_words)
-      : bs_(nl, block_words),
-        energy_(classes, bs_.words()),
-        prev_(bs_.lanes().size()) {}
+      : bs_(nl, block_words), energy_(classes, bs_.words()) {}
 
   std::size_t lanes() const {
     return static_cast<std::size_t>(bs_.lane_count());
@@ -195,17 +193,15 @@ class PackedPairs {
                 std::span<const std::uint64_t> w2, double* e) {
     bs_.set_inputs_from_cycles(w1);
     bs_.eval();
-    const auto first = bs_.lanes();
-    std::copy(first.begin(), first.end(), prev_.begin());
+    bs_.swap_lanes();
     bs_.set_inputs_from_cycles(w2);
     bs_.eval();
-    energy_.energies(prev_, bs_.lanes(), w1.size(), e);
+    energy_.energies(bs_.previous_lanes(), bs_.lanes(), w1.size(), e);
   }
 
  private:
   sim::BlockSimulator bs_;
   sim::ToggleEnergy energy_;
-  std::vector<std::uint64_t> prev_;
 };
 
 /// Scalar backend: one pair per step, its energy summed over the gates in

@@ -15,8 +15,10 @@ namespace hlp::model {
 /// feature order), a feature's meaning or the wire fields change; a
 /// registry never silently evaluates a model whose version it does not
 /// understand. Version 2: the static features (5-8) come from the exact
-/// single-time BDD refinement.
-inline constexpr int kModelVersion = 2;
+/// single-time BDD refinement. Version 3: that refinement builds XOR
+/// without garbage nodes, so it covers more gates under its node budget
+/// and features 5-8 move on designs that used to hit it (mult:7 and up).
+inline constexpr int kModelVersion = 3;
 
 /// A fitted power macromodel: everything needed to answer a prediction
 /// *with a confidence interval* and to refuse extrapolation.

@@ -481,7 +481,7 @@ Service::Keys Service::keys(const Request& rq) {
   // Version of the tier-0 values, bumped whenever the static estimator's
   // numbers change, so a persisted segment never serves stale ones. It sits
   // after the seed, which it must not move.
-  if (rq.kind == jobs::JobKind::Static) k.cache_key += "|static-v2";
+  if (rq.kind == jobs::JobKind::Static) k.cache_key += "|static-v3";
   // Flight key adds the budget fields (and the cache opt-out): only
   // requests that would do byte-identical work under the same limits may
   // share one execution.

@@ -44,6 +44,7 @@ BlockSimulator::BlockSimulator(const netlist::Netlist& nl, int words)
 
 void BlockSimulator::reset() {
   const auto W = static_cast<std::size_t>(words_);
+  spare_.clear();
   lanes_.assign(nl_->gate_count() * W, 0);
   for (GateId g = 0; g < nl_->gate_count(); ++g)
     if (nl_->gate(g).kind == GateKind::Const1)
@@ -89,6 +90,20 @@ void BlockSimulator::set_inputs_from_cycles(
 void BlockSimulator::eval() {
   kernel_(lanes_.data(), words_, ops_.data(), ops_.size(),
           flat_fanins_.data());
+}
+
+void BlockSimulator::swap_lanes() {
+  if (spare_.size() != lanes_.size()) {
+    // First swap since reset(): start from a copy, which holds the
+    // constant lanes.
+    spare_ = lanes_;
+  } else {
+    const auto W = static_cast<std::size_t>(words_);
+    for (GateId d : nl_->dffs())
+      std::copy_n(lanes_.begin() + std::size_t{d} * W, W,
+                  spare_.begin() + std::size_t{d} * W);
+  }
+  lanes_.swap(spare_);
 }
 
 void BlockSimulator::tick() {

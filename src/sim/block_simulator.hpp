@@ -64,6 +64,16 @@ class BlockSimulator {
   /// g·words().
   std::span<const std::uint64_t> lanes() const { return lanes_; }
 
+  /// Make the second lane buffer current, so the next evaluation lands in
+  /// other memory and the lanes just computed stay readable through
+  /// previous_lanes(). Register lanes carry over and constants hold in
+  /// both buffers; primary inputs and logic nets must be set and evaluated
+  /// again. The second buffer is allocated by the first call.
+  void swap_lanes();
+  /// The lanes current before the last swap_lanes(); empty until the first
+  /// swap after construction or reset().
+  std::span<const std::uint64_t> previous_lanes() const { return spare_; }
+
   /// Temporal packing (lane k = cycle base+k, `count` >= 1 lanes): writes
   /// gate-major toggles[g·W + w], bit k set when gate g changed on the
   /// transition into lane w·64+k's cycle (lanes >= count read 0). `last`
@@ -86,6 +96,7 @@ class BlockSimulator {
   SimDispatch dispatch_;
   detail::EvalKernelFn kernel_;
   std::vector<std::uint64_t> lanes_;  // gate-major: [g*words_, (g+1)*words_)
+  std::vector<std::uint64_t> spare_;  // swap_lanes()' second buffer
   std::vector<detail::BlockOp> ops_;
   std::vector<netlist::GateId> flat_fanins_;
   std::vector<std::uint64_t> dff_next_;

@@ -165,7 +165,8 @@ TEST(StaticPoint, DefaultBudgetIsExactOnSmallCones) {
   // These cones fit the default refinement budget in the kernel's own
   // variable order, so every gate is refined and the point is the symbolic
   // kernel's value to the bit, with the bounds collapsed onto it.
-  for (const char* spec : {"adder:8", "adder:16", "comparator:12", "mult:6"}) {
+  for (const char* spec :
+       {"adder:8", "adder:16", "comparator:12", "mult:6", "mult:7"}) {
     jobs::KernelRequest krq;
     krq.kind = jobs::JobKind::Symbolic;
     krq.design = spec;

@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <new>
+#include <ostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bdd/bdd.hpp"
 #include "bdd/bdd_to_netlist.hpp"
 #include "bdd/netlist_bdd.hpp"
 #include "exec/exec.hpp"
+#include "exec/fi.hpp"
 #include "jobs/jobs.hpp"
 #include "jobs/kernels.hpp"
 #include "jobs/spec.hpp"
@@ -369,9 +373,9 @@ TEST(BddOrdering, FaninDfsNodeCountsPinned) {
     auto mod = hlp::jobs::make_module(spec);
     return nodes_in_order(mod, fanin_dfs_order(mod.netlist));
   };
-  EXPECT_EQ(dfs_nodes("adder:10"), 575u);
-  EXPECT_EQ(dfs_nodes("mult:6"), 6648u);
-  EXPECT_EQ(dfs_nodes("comparator:12"), 201u);
+  EXPECT_EQ(dfs_nodes("adder:10"), 448u);
+  EXPECT_EQ(dfs_nodes("mult:6"), 4406u);
+  EXPECT_EQ(dfs_nodes("comparator:12"), 189u);
   for (const char* spec : {"adder:8", "adder:10", "mult:5", "mult:6", "alu:8",
                            "comparator:12", "max:8"}) {
     auto mod = hlp::jobs::make_module(spec);
@@ -382,7 +386,7 @@ TEST(BddOrdering, FaninDfsNodeCountsPinned) {
 }
 
 TEST(BddOrdering, NodeCapStillDegradesMult8) {
-  // The README campaign's mult8-exact job: mult:8 needs 61,511 nodes in
+  // The README campaign's mult8-exact job: mult:8 needs 41,198 nodes in
   // fanin-DFS order, so a 3000-node cap still trips and the retry
   // downgrades to sampling.
   hlp::jobs::KernelRequest krq;
@@ -484,6 +488,227 @@ TEST(Bdd, RestrictMatchesCofactor) {
                 m.eval(f, in | (1ull << v)));
     }
   }
+}
+
+// --- Direct XOR apply ------------------------------------------------------
+
+// A function over `vars` variables from the bits of a truth table.
+NodeRef from_truth_table(Manager& m, std::uint64_t tt, std::uint32_t vars) {
+  NodeRef f = kFalse;
+  for (std::uint32_t mt = 0; mt < (1u << vars); ++mt) {
+    if (!((tt >> mt) & 1)) continue;
+    NodeRef cube = kTrue;
+    for (std::uint32_t v = 0; v < vars; ++v)
+      cube = m.bdd_and(cube, ((mt >> v) & 1) ? m.var(v) : m.nvar(v));
+    f = m.bdd_or(f, cube);
+  }
+  return f;
+}
+
+TEST(BddXor, TerminalCases) {
+  Manager m;
+  const NodeRef x = m.var(0);
+  const NodeRef y = m.bdd_and(m.var(1), m.nvar(2));
+  EXPECT_EQ(m.bdd_xor(kFalse, kFalse), kFalse);
+  EXPECT_EQ(m.bdd_xor(kTrue, kTrue), kFalse);
+  EXPECT_EQ(m.bdd_xor(kFalse, kTrue), kTrue);
+  EXPECT_EQ(m.bdd_xor(kTrue, kFalse), kTrue);
+  for (NodeRef f : {x, y}) {
+    EXPECT_EQ(m.bdd_xor(f, f), kFalse);
+    EXPECT_EQ(m.bdd_xor(f, kFalse), f);
+    EXPECT_EQ(m.bdd_xor(kFalse, f), f);
+    EXPECT_EQ(m.bdd_xor(f, kTrue), m.bdd_not(f));
+    EXPECT_EQ(m.bdd_xor(kTrue, f), m.bdd_not(f));
+    EXPECT_EQ(m.bdd_xor(f, m.bdd_not(f)), kTrue);
+  }
+}
+
+TEST(BddXor, SameNodeAsIteOnRandomFunctions) {
+  Manager m;
+  hlp::stats::Rng rng(29);
+  std::vector<std::uint64_t> tts;
+  std::vector<NodeRef> fs;
+  for (int i = 0; i < 24; ++i) {
+    tts.push_back(rng.uniform_bits(32));
+    fs.push_back(from_truth_table(m, tts.back(), 5));
+  }
+  for (std::size_t i = 0; i < fs.size(); ++i) {
+    for (std::size_t j = 0; j < fs.size(); ++j) {
+      const NodeRef direct = m.bdd_xor(fs[i], fs[j]);
+      ASSERT_EQ(direct, m.ite(fs[i], m.bdd_not(fs[j]), fs[j])) << i << "," << j;
+      ASSERT_EQ(direct, m.bdd_xor(fs[j], fs[i]));
+      for (std::uint64_t in = 0; in < 32; ++in)
+        ASSERT_EQ(m.eval(direct, in),
+                  (((tts[i] ^ tts[j]) >> in) & 1) != 0);
+    }
+  }
+}
+
+// --- Per-thread table recycling --------------------------------------------
+
+// Everything a metered build reports that must not depend on the thread's
+// earlier builds.
+struct BuildPrint {
+  std::vector<NodeRef> fn;
+  std::size_t total_nodes = 0;
+  std::size_t steps = 0;
+  std::size_t bytes = 0;
+  hlp::exec::StopReason stop = hlp::exec::StopReason::None;
+  bool bad_alloc = false;
+  bool operator==(const BuildPrint&) const = default;
+};
+
+void PrintTo(const BuildPrint& p, std::ostream* os) {
+  *os << "{nodes " << p.total_nodes << ", steps " << p.steps << ", bytes "
+      << p.bytes << ", stop " << hlp::exec::to_string(p.stop)
+      << (p.bad_alloc ? ", bad_alloc" : "") << "}";
+}
+
+BuildPrint metered_build(const char* spec, const hlp::exec::Budget& b = {}) {
+  const auto mod = hlp::jobs::make_module(spec);
+  Manager m;
+  hlp::exec::Meter meter(b);
+  m.set_meter(&meter);
+  BuildPrint p;
+  try {
+    p.fn = build_bdds_ordered(m, mod.netlist, fanin_dfs_order(mod.netlist)).fn;
+  } catch (const hlp::exec::BudgetExceeded& e) {
+    p.stop = e.reason();
+  } catch (const std::bad_alloc&) {
+    p.bad_alloc = true;
+  }
+  p.total_nodes = m.total_nodes();
+  p.steps = meter.steps();
+  p.bytes = meter.bytes_charged();
+  return p;
+}
+
+hlp::exec::Budget memory_cap(std::size_t bytes) {
+  hlp::exec::Budget b;
+  b.memory_cap_bytes = bytes;
+  return b;
+}
+
+// Runs `body` on a new thread, whose table stash starts empty.
+template <class F>
+void on_fresh_thread(F&& body) {
+  std::thread t(std::forward<F>(body));
+  t.join();
+}
+
+// The builds the recycling tests replay, with their cold-thread prints.
+struct Reference {
+  const char* spec;
+  hlp::exec::Budget budget;
+  BuildPrint print;
+};
+
+std::vector<Reference> cold_references() {
+  std::vector<Reference> refs = {
+      {"mult:5", {}, {}},
+      {"mult:6", {}, {}},
+      {"adder:8", {}, {}},
+      {"mult:6", hlp::exec::Budget::with_node_cap(2000), {}},
+      {"mult:6", memory_cap(64 * 1024), {}},
+  };
+  for (Reference& r : refs)
+    on_fresh_thread([&r] { r.print = metered_build(r.spec, r.budget); });
+  return refs;
+}
+
+TEST(BddTables, BuildIsIndependentOfTheThreadsEarlierBuilds) {
+  const std::vector<Reference> refs = cold_references();
+  EXPECT_EQ(refs[0].print.stop, hlp::exec::StopReason::None);
+  EXPECT_EQ(refs[3].print.stop, hlp::exec::StopReason::NodeCap);
+  EXPECT_EQ(refs[4].print.stop, hlp::exec::StopReason::MemoryCap);
+  const BuildPrint& mult5 = refs[0].print;
+  on_fresh_thread([&] {
+    EXPECT_EQ(metered_build("mult:5"), mult5) << "fresh thread";
+    (void)metered_build("mult:7");
+    EXPECT_EQ(metered_build("mult:5"), mult5) << "after a larger build";
+    (void)metered_build("adder:4");
+    EXPECT_EQ(metered_build("mult:5"), mult5) << "after a smaller build";
+    (void)metered_build("mult:6", hlp::exec::Budget::with_node_cap(2000));
+    EXPECT_EQ(metered_build("mult:5"), mult5) << "after a node-cap trip";
+    // Every build, tripped or not, matches its cold-thread print.
+    for (int round = 0; round < 2; ++round)
+      for (const Reference& r : refs)
+        EXPECT_EQ(metered_build(r.spec, r.budget), r.print) << r.spec;
+  });
+}
+
+TEST(BddTables, AllocationFailureSweepLeavesTheNextBuildUnchanged) {
+  const BuildPrint ref = cold_references()[0].print;
+  on_fresh_thread([&] {
+    hlp::fi::disarm();
+    (void)metered_build("mult:5");
+    const std::uint64_t points = hlp::fi::alloc_checkpoints();
+    ASSERT_GT(points, 100u);
+    for (std::uint64_t at = 0; at < points; at += points / 40) {
+      hlp::fi::arm_alloc_failure(at);
+      const BuildPrint failed = metered_build("mult:5");
+      hlp::fi::disarm();
+      EXPECT_TRUE(failed.bad_alloc) << at;
+      EXPECT_EQ(failed.total_nodes, 2 + at) << at;
+      EXPECT_EQ(metered_build("mult:5"), ref) << "after a failure at " << at;
+    }
+  });
+}
+
+TEST(BddTables, MemoryCapTripsAtTheSameCharge) {
+  const BuildPrint ref = cold_references()[4].print;
+  ASSERT_EQ(ref.stop, hlp::exec::StopReason::MemoryCap);
+  EXPECT_GT(ref.bytes, 64u * 1024);
+  on_fresh_thread([&] {
+    for (const char* before : {"mult:7", "adder:4", "mult:6"}) {
+      (void)metered_build(before);
+      EXPECT_EQ(metered_build("mult:6", memory_cap(64 * 1024)), ref)
+          << "after " << before;
+    }
+  });
+}
+
+TEST(BddTables, ConcurrentBuildsMatchColdThreadPrints) {
+  const std::vector<Reference> refs = cold_references();
+  std::vector<std::thread> threads;
+  std::vector<int> mismatches(8, 0);
+  for (std::size_t t = 0; t < mismatches.size(); ++t) {
+    threads.emplace_back([&refs, &mismatches, t] {
+      // Each thread walks the references from its own starting point, so
+      // every thread's tables carry a different history.
+      for (std::size_t k = 0; k < 3 * refs.size(); ++k) {
+        const Reference& r = refs[(t + k) % refs.size()];
+        if (!(metered_build(r.spec, r.budget) == r.print)) ++mismatches[t];
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (std::size_t t = 0; t < mismatches.size(); ++t)
+    EXPECT_EQ(mismatches[t], 0) << "thread " << t;
+}
+
+TEST(BddTables, RetainedStorageIsCappedAndReleasedAboveTheCap) {
+  // The unique table and the ITE cache, at most kMaxRetainedBytes each.
+  constexpr std::size_t kBound = 2 * Manager::kMaxRetainedBytes;
+  on_fresh_thread([&] {
+    EXPECT_EQ(Manager::retained_bytes(), 0u);
+    (void)metered_build("mult:5");
+    const std::size_t after_mult5 = Manager::retained_bytes();
+    EXPECT_GT(after_mult5, 0u);
+    EXPECT_LE(after_mult5, kBound);
+    {
+      // A 70,000-deep conjunction: 140,000 nodes and 70,000 cache entries,
+      // so both tables outgrow the cap (2 MiB and 4 MiB of storage).
+      Manager big;
+      NodeRef r = big.var(70000);
+      for (std::uint32_t v = 70000; v-- > 0;) r = big.bdd_and(big.var(v), r);
+      EXPECT_EQ(big.total_nodes(), 2u + 70001u + 70000u);
+      EXPECT_EQ(Manager::retained_bytes(), 0u);  // the tables are in use
+    }
+    EXPECT_EQ(Manager::retained_bytes(), 0u);  // released, not kept
+    (void)metered_build("mult:5");
+    EXPECT_EQ(Manager::retained_bytes(), after_mult5);
+  });
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <thread>
@@ -231,6 +232,51 @@ TEST(PackedReplicaLanes, SequentialFsmMatches64ScalarRuns) {
 // W=2: the replica lanes span two lane words.
 TEST(BlockReplicaLanes, SequentialFsmMatches128ScalarRuns) {
   expect_replica_lanes_match_scalar_runs(2);
+}
+
+// --- Second lane buffer ----------------------------------------------------
+
+// A simulator that swaps lane buffers before every evaluation tracks one
+// that never swaps: registers carry over, constants hold, and the previous
+// buffer is what the other simulator held at the swap.
+TEST(BlockSwapLanes, RegistersAndConstantsCarryOver) {
+  Netlist nl;
+  auto in = nl.add_input("in");
+  auto one = nl.add_const(true);
+  auto q = nl.add_dff(netlist::kNullGate, true);
+  auto x = nl.add_binary(GateKind::Xor, q, in);
+  nl.set_dff_input(q, x);
+  auto y = nl.add_binary(GateKind::And, one, x);
+  nl.mark_output(y);
+
+  const int W = 2;
+  sim::BlockSimulator ref(nl, W), sw(nl, W);
+  EXPECT_TRUE(sw.previous_lanes().empty());
+  stats::Rng rng(5);
+  std::vector<std::uint64_t> words(W);
+  for (int cycle = 0; cycle < 12; ++cycle) {
+    if (cycle == 6) {
+      ref.reset();
+      sw.reset();
+    }
+    const std::vector<std::uint64_t> before(ref.lanes().begin(),
+                                            ref.lanes().end());
+    sw.swap_lanes();
+    ASSERT_TRUE(std::equal(before.begin(), before.end(),
+                           sw.previous_lanes().begin(),
+                           sw.previous_lanes().end()))
+        << "cycle " << cycle;
+    for (auto& w : words) w = rng.uniform_bits(64);
+    ref.set_input_lanes(in, words);
+    sw.set_input_lanes(in, words);
+    ref.eval();
+    sw.eval();
+    ASSERT_TRUE(std::equal(ref.lanes().begin(), ref.lanes().end(),
+                           sw.lanes().begin(), sw.lanes().end()))
+        << "cycle " << cycle;
+    ref.tick();
+    sw.tick();
+  }
 }
 
 // --- Monte Carlo: widths bit-identical, quota trips on the same pair ------
