@@ -27,11 +27,6 @@ std::size_t hash3(std::uint32_t a, std::uint32_t b, std::uint32_t c) {
   h = (h ^ c) * 0xC2B2AE3D27D4EB4Full;
   return static_cast<std::size_t>(h ^ (h >> 32));
 }
-
-template <class T>
-std::size_t bytes_of(const std::vector<T>& v) {
-  return v.size() * sizeof(T);
-}
 }  // namespace
 
 struct Manager::Tables {
@@ -79,7 +74,8 @@ Manager::~Manager() {
   // build filled densely is swept whole; a sparse one (a small build in
   // storage a larger one left) is cleared entry by entry. Either way the
   // cost is bounded by a constant times the entries used.
-  if (!unique_.empty() && bytes_of(unique_) <= kMaxRetainedBytes &&
+  if (!unique_.empty() &&
+      unique_.size() * sizeof(NodeRef) <= kMaxRetainedBytes &&
       unique_.size() > s->unique.size()) {
     if (unique_.size() <= kSweepRatio * nodes_.size()) {
       std::fill(unique_.begin(), unique_.end(), kFalse);
@@ -96,7 +92,8 @@ Manager::~Manager() {
     }
     s->unique.swap(unique_);
   }
-  if (!ite_cache_.empty() && bytes_of(ite_cache_) <= kMaxRetainedBytes &&
+  if (!ite_cache_.empty() &&
+      ite_cache_.size() * sizeof(IteEntry) <= kMaxRetainedBytes &&
       ite_cache_.size() > s->ite.size()) {
     if (ite_cache_.size() <= kSweepRatio * ite_used_.size()) {
       std::fill(ite_cache_.begin(), ite_cache_.end(), IteEntry{});
@@ -163,7 +160,6 @@ void Manager::grow_ite_cache() {
   if (slots > ite_cache_.size()) {
     std::vector<IteEntry> fresh(slots, IteEntry{});
     std::vector<std::uint32_t> used;
-    used.reserve(slots / 2);
     const std::size_t mask = slots - 1;
     for (std::uint32_t k : ite_used_) {
       const IteEntry& e = ite_cache_[k];
@@ -174,20 +170,20 @@ void Manager::grow_ite_cache() {
     }
     ite_cache_.swap(fresh);
     ite_used_.swap(used);
-  } else {
-    ite_used_.reserve(slots / 2);
   }
   ite_slots_ = slots;
 }
 
 /// Record r as the result for key (f, g, h), growing the cache first if
 /// the entry would take it past half load. The recursion that computed r
-/// may have grown the cache, so the slot is probed here.
+/// may have grown the cache, so the slot is probed here. The slot is
+/// listed before the entry is written, so a failed append leaves no entry
+/// that clearing for recycling would miss.
 void Manager::cache_result(NodeRef f, NodeRef g, NodeRef h, NodeRef r) {
   if (2 * (ite_used_.size() + 1) > ite_slots_) grow_ite_cache();
   const std::size_t i = ite_slot(f, g, h);
-  ite_cache_[i] = {f, g, h, r};
   ite_used_.push_back(static_cast<std::uint32_t>(i));
+  ite_cache_[i] = {f, g, h, r};
 }
 
 NodeRef Manager::make_node(std::uint32_t var, NodeRef lo, NodeRef hi) {
