@@ -49,6 +49,9 @@ std::vector<Workload>& workloads() {
     add("multiplier8", netlist::multiplier_module(8), 8192);
     add("random_dag", netlist::random_logic_module(32, 2000, 16, 42), 8192);
     add("adder16", netlist::adder_module(16), 8192);
+    // mux5 is all Mux ops; alu8 interleaves Mux with two-input ops.
+    add("mux5", netlist::mux_tree_module(5), 8192);
+    add("alu8", netlist::alu_module(8), 8192);
     return v;
   }();
   return w;

@@ -321,25 +321,21 @@ NodeRef Manager::rename(
 double Manager::sat_probability(NodeRef f, double p) {
   if (f <= kTrue) return f == kTrue ? 1.0 : 0.0;
   if (p != sat_p_) {
-    std::fill(sat_cache_.begin(), sat_cache_.end(), -1.0);
+    sat_cache_.clear();
     sat_p_ = p;
   }
   if (f >= sat_cache_.size()) {
+    // Children are older than their parent, so one pass in id order finds
+    // both of a node's children done.
     reserve_charged(sat_cache_, nodes_.size());
-    sat_cache_.resize(nodes_.size(), -1.0);
+    if (sat_cache_.empty()) sat_cache_ = {0.0, 1.0};
+    const double q = 1.0 - p;
+    for (std::size_t i = sat_cache_.size(); i < nodes_.size(); ++i) {
+      const Node& n = nodes_[i];
+      sat_cache_.push_back(q * sat_cache_[n.lo] + p * sat_cache_[n.hi]);
+    }
   }
-  return sat_rec(f, 1.0 - p, p);
-}
-
-double Manager::sat_rec(NodeRef f, double q, double p) {
-  if (f <= kTrue) return f == kTrue ? 1.0 : 0.0;
-  // Children are older than their parent, so the memo sized for f covers
-  // the whole recursion.
-  if (sat_cache_[f] >= 0.0) return sat_cache_[f];
-  const Node n = nodes_[f];
-  const double r = q * sat_rec(n.lo, q, p) + p * sat_rec(n.hi, q, p);
-  sat_cache_[f] = r;
-  return r;
+  return sat_cache_[f];
 }
 
 std::size_t Manager::node_count(NodeRef f) {

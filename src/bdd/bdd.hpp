@@ -83,7 +83,8 @@ class Manager {
   /// Probability that f is true when every variable is independently 1
   /// with probability p: the weighted count (1-p)*P(lo) + p*P(hi) per
   /// node. Variables skipped between levels integrate out, so the value
-  /// holds over any superset of the support. The memo serves one p at a
+  /// holds over any superset of the support. A memo miss fills the memo
+  /// for every node built so far, in id order. The memo serves one p at a
   /// time; a call with a different p clears it.
   double sat_probability(NodeRef f, double p);
   /// Fraction of minterms satisfying f: the p = 0.5 case, in which both
@@ -150,8 +151,6 @@ class Manager {
   void cache_result(NodeRef f, NodeRef g, NodeRef h, NodeRef r);
   template <class T>
   void reserve_charged(std::vector<T>& v, std::size_t n);
-  /// sat_probability's recursion, with q = 1 - p and the memo sized.
-  double sat_rec(NodeRef f, double q, double p);
 
   std::vector<Node> nodes_;
   /// Unique table: open addressing with linear probing over node ids
@@ -168,8 +167,8 @@ class Manager {
   std::vector<IteEntry> ite_cache_;
   std::size_t ite_slots_ = 0;
   std::vector<std::uint32_t> ite_used_;
-  /// sat_probability memo indexed by NodeRef, valid for `sat_p_`; a
-  /// negative entry is unset.
+  /// sat_probability memo indexed by NodeRef, valid for `sat_p_`: a
+  /// prefix of the node ids, terminals included, extended in id order.
   std::vector<double> sat_cache_;
   double sat_p_ = 0.5;
   exec::Meter* meter_ = nullptr;

@@ -57,8 +57,10 @@ NetlistIndex build_index(const Netlist& nl, const CapacitanceModel& cap) {
   }
   // Two-pointer BFS over the topo vector itself keeps the order identical
   // to a queue-based Kahn (sources in id order, then by dependency wave).
+  // Sources are the gates with no combinational fanin: inputs, constants,
+  // DFF outputs and logic gates without fanins (empty reductions).
   for (GateId id = 0; id < n; ++id)
-    if (!is_logic(nl.gate(id).kind)) ix.topo.push_back(id);
+    if (pending[id] == 0) ix.topo.push_back(id);
   for (std::size_t head = 0; head < ix.topo.size(); ++head) {
     GateId id = ix.topo[head];
     // level[id] is final here: every combinational fanin of id was popped

@@ -8,23 +8,27 @@
 
 namespace hlp::sim::detail {
 
-/// Flattened topo-ordered gate op shared by every block kernel, declared
-/// apart from BlockSimulator so the kernel translation units (compiled with
-/// different -m flags) can see it without pulling in the simulator class.
+/// One step of the gate-eval kernel (DESIGN.md §5), declared apart from
+/// BlockSimulator so the kernel TUs, compiled with different -m flags, see
+/// it alone. Each logic gate compiles into ops of one branch-free form over
+/// the lane blocks A = lanes[a], B = lanes[b]:
+///   lanes[dst] = inv ^ ((A ^ B) & kx) ^ ((A & B) & ka)
+/// with the masks kx, ka, inv set by form's kOpXor, kOpAnd, kOpInv bits. An
+/// n-ary gate is a chain of n - 1 ops into dst, each after the first
+/// reading A = dst. With kOpMux set, lanes[dst] = A ^ (S & (A ^ B)) for
+/// S = lanes[s], A = d0, B = d1; `s` is unused otherwise.
 struct BlockOp {
-  netlist::GateKind kind;
-  netlist::GateId gate;
-  std::uint32_t fanin_begin;
-  std::uint32_t fanin_end;
+  std::uint32_t dst, a, b, s, form;
 };
+inline constexpr std::uint32_t kOpXor = 1, kOpAnd = 2, kOpInv = 4, kOpMux = 8;
 
-/// Gate-eval kernel: settle every op over W-word lane blocks. Gate g's lane
-/// words live at lanes[g*words .. g*words+words). All kernels compute the
-/// same bitwise values; they differ only in how many words one instruction
-/// carries, so results are bit-identical across dispatch levels.
+/// Gate-eval kernel: run every op in order over W-word lane blocks. Gate
+/// g's lane words live at lanes[g*words .. g*words+words). All kernels
+/// compute the same bitwise values; they differ only in how many words one
+/// instruction carries, so results are bit-identical across dispatch
+/// levels.
 using EvalKernelFn = void (*)(std::uint64_t* lanes, int words,
-                              const BlockOp* ops, std::size_t n_ops,
-                              const netlist::GateId* fanins);
+                              const BlockOp* ops, std::size_t n_ops);
 
 /// One load class of the toggle counter: the gates
 /// gates[gate_begin .. gate_end) share one load, and their per-lane toggle

@@ -18,13 +18,13 @@ struct VAvx2 {
   static void store(std::uint64_t* p, Reg v) {
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
   }
-  static Reg ones() { return _mm256_set1_epi64x(-1); }
+  static Reg splat(std::uint64_t x) {
+    return _mm256_set1_epi64x(static_cast<long long>(x));
+  }
   static Reg zero() { return _mm256_setzero_si256(); }
   static Reg and_(Reg a, Reg b) { return _mm256_and_si256(a, b); }
   static Reg or_(Reg a, Reg b) { return _mm256_or_si256(a, b); }
   static Reg xor_(Reg a, Reg b) { return _mm256_xor_si256(a, b); }
-  static Reg not_(Reg a) { return _mm256_xor_si256(a, ones()); }
-  static Reg andnot(Reg a, Reg b) { return _mm256_andnot_si256(a, b); }
 };
 
 }  // namespace

@@ -18,13 +18,13 @@ struct VAvx512 {
   static void store(std::uint64_t* p, Reg v) {
     _mm512_storeu_si512(reinterpret_cast<void*>(p), v);
   }
-  static Reg ones() { return _mm512_set1_epi64(-1); }
+  static Reg splat(std::uint64_t x) {
+    return _mm512_set1_epi64(static_cast<long long>(x));
+  }
   static Reg zero() { return _mm512_setzero_si512(); }
   static Reg and_(Reg a, Reg b) { return _mm512_and_si512(a, b); }
   static Reg or_(Reg a, Reg b) { return _mm512_or_si512(a, b); }
   static Reg xor_(Reg a, Reg b) { return _mm512_xor_si512(a, b); }
-  static Reg not_(Reg a) { return _mm512_xor_si512(a, ones()); }
-  static Reg andnot(Reg a, Reg b) { return _mm512_andnot_si512(a, b); }
 };
 
 }  // namespace

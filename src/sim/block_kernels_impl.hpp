@@ -13,79 +13,39 @@
 
 namespace hlp::sim::detail {
 
-/// Evaluate all ops over W-word blocks with vector traits V. V::kWords must
-/// divide `words`. Word loop inside the fanin reduction keeps the whole
-/// reduction in one register per stripe.
+/// Run all ops over W-word blocks with vector traits V. V::kWords must
+/// divide `words`. The Mux test is the one branch per op, and it is taken
+/// the same way for every op of a mux-free netlist.
 template <class V>
 void eval_ops(std::uint64_t* lanes, int words, const BlockOp* ops,
-              std::size_t n_ops, const netlist::GateId* fanins) {
-  using netlist::GateKind;
+              std::size_t n_ops) {
   const auto W = static_cast<std::size_t>(words);
+  const auto mask = [](std::uint32_t form, std::uint32_t bit) {
+    return V::splat(std::uint64_t{0} - ((form & bit) != 0));
+  };
   for (std::size_t o = 0; o < n_ops; ++o) {
     const BlockOp& op = ops[o];
-    const netlist::GateId* f = fanins + op.fanin_begin;
-    const std::uint32_t n = op.fanin_end - op.fanin_begin;
-    std::uint64_t* dst = lanes + std::size_t{op.gate} * W;
-    switch (op.kind) {
-      case GateKind::Buf: {
-        const std::uint64_t* a = lanes + std::size_t{f[0]} * W;
-        for (int w = 0; w < words; w += V::kWords)
-          V::store(dst + w, V::load(a + w));
-        break;
+    std::uint64_t* dst = lanes + std::size_t{op.dst} * W;
+    const std::uint64_t* a = lanes + std::size_t{op.a} * W;
+    const std::uint64_t* b = lanes + std::size_t{op.b} * W;
+    if (op.form & kOpMux) {
+      const std::uint64_t* s = lanes + std::size_t{op.s} * W;
+      for (int w = 0; w < words; w += V::kWords) {
+        const auto av = V::load(a + w);
+        V::store(dst + w, V::xor_(av, V::and_(V::load(s + w),
+                                              V::xor_(av, V::load(b + w)))));
       }
-      case GateKind::Not: {
-        const std::uint64_t* a = lanes + std::size_t{f[0]} * W;
-        for (int w = 0; w < words; w += V::kWords)
-          V::store(dst + w, V::not_(V::load(a + w)));
-        break;
-      }
-      case GateKind::And:
-      case GateKind::Nand: {
-        for (int w = 0; w < words; w += V::kWords) {
-          auto v = V::ones();
-          for (std::uint32_t i = 0; i < n; ++i)
-            v = V::and_(v, V::load(lanes + std::size_t{f[i]} * W + w));
-          if (op.kind == GateKind::Nand) v = V::not_(v);
-          V::store(dst + w, v);
-        }
-        break;
-      }
-      case GateKind::Or:
-      case GateKind::Nor: {
-        for (int w = 0; w < words; w += V::kWords) {
-          auto v = V::zero();
-          for (std::uint32_t i = 0; i < n; ++i)
-            v = V::or_(v, V::load(lanes + std::size_t{f[i]} * W + w));
-          if (op.kind == GateKind::Nor) v = V::not_(v);
-          V::store(dst + w, v);
-        }
-        break;
-      }
-      case GateKind::Xor:
-      case GateKind::Xnor: {
-        for (int w = 0; w < words; w += V::kWords) {
-          auto v = V::zero();
-          for (std::uint32_t i = 0; i < n; ++i)
-            v = V::xor_(v, V::load(lanes + std::size_t{f[i]} * W + w));
-          if (op.kind == GateKind::Xnor) v = V::not_(v);
-          V::store(dst + w, v);
-        }
-        break;
-      }
-      case GateKind::Mux: {
-        // Fanins {sel, d0, d1}: out = (sel & d1) | (~sel & d0).
-        const std::uint64_t* s = lanes + std::size_t{f[0]} * W;
-        const std::uint64_t* d0 = lanes + std::size_t{f[1]} * W;
-        const std::uint64_t* d1 = lanes + std::size_t{f[2]} * W;
-        for (int w = 0; w < words; w += V::kWords) {
-          auto sv = V::load(s + w);
-          V::store(dst + w, V::or_(V::and_(sv, V::load(d1 + w)),
-                                   V::andnot(sv, V::load(d0 + w))));
-        }
-        break;
-      }
-      default:  // Input/Const/Dff never appear in ops.
-        break;
+      continue;
+    }
+    const auto kx = mask(op.form, kOpXor);
+    const auto ka = mask(op.form, kOpAnd);
+    const auto inv = mask(op.form, kOpInv);
+    for (int w = 0; w < words; w += V::kWords) {
+      const auto av = V::load(a + w);
+      const auto bv = V::load(b + w);
+      V::store(dst + w,
+               V::xor_(V::xor_(inv, V::and_(V::xor_(av, bv), kx)),
+                       V::and_(V::and_(av, bv), ka)));
     }
   }
 }

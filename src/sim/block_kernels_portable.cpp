@@ -8,13 +8,11 @@ struct VPortable {
   using Reg = std::uint64_t;
   static Reg load(const std::uint64_t* p) { return *p; }
   static void store(std::uint64_t* p, Reg v) { *p = v; }
-  static Reg ones() { return ~std::uint64_t{0}; }
+  static Reg splat(std::uint64_t x) { return x; }
   static Reg zero() { return 0; }
   static Reg and_(Reg a, Reg b) { return a & b; }
   static Reg or_(Reg a, Reg b) { return a | b; }
   static Reg xor_(Reg a, Reg b) { return a ^ b; }
-  static Reg not_(Reg a) { return ~a; }
-  static Reg andnot(Reg a, Reg b) { return ~a & b; }
 };
 
 }  // namespace

@@ -23,22 +23,50 @@ detail::KernelChoice detail::select_kernels(int words) {
   return {portable_kernels(), SimDispatch::Portable};
 }
 
+namespace {
+
+/// Append gate `id`'s ops (see detail::BlockOp). Buf and Not read fanin 0
+/// only and Mux fanins 0..2, as netlist::eval_gate does; a reducer with one
+/// fanin is a Buf or Not of it, and with none it is its constant.
+void compile_gate(GateId id, const Gate& g, std::vector<detail::BlockOp>& ops) {
+  using detail::kOpAnd, detail::kOpInv, detail::kOpXor;
+  const auto& f = g.fanins;
+  std::uint32_t form = 0;
+  switch (g.kind) {
+    case GateKind::Buf: case GateKind::And: form = kOpAnd; break;
+    case GateKind::Not: case GateKind::Nand: form = kOpAnd | kOpInv; break;
+    case GateKind::Or: form = kOpXor | kOpAnd; break;
+    case GateKind::Nor: form = kOpXor | kOpAnd | kOpInv; break;
+    case GateKind::Xor: form = kOpXor; break;
+    case GateKind::Xnor: form = kOpXor | kOpInv; break;
+    case GateKind::Mux:
+      if (f.size() < 3)
+        throw std::invalid_argument("BlockSimulator: Mux needs 3 fanins");
+      ops.push_back({id, f[1], f[2], f[0], detail::kOpMux});
+      return;
+    default: return;  // Input/Const/Dff are sources
+  }
+  const bool unary = g.kind == GateKind::Buf || g.kind == GateKind::Not;
+  if (unary || f.size() == 1) {
+    ops.push_back({id, f.at(0), f[0], 0, kOpAnd | (form & kOpInv)});
+  } else if (f.empty()) {  // the empty And is ones, Or and Xor zeros
+    const bool ones = ((form & kOpXor) == 0) != ((form & kOpInv) != 0);
+    ops.push_back({id, id, id, 0, ones ? kOpInv : 0});
+  } else {  // a chain; only its last op inverts
+    for (std::size_t i = 1; i < f.size(); ++i)
+      ops.push_back({id, i == 1 ? f[0] : id, f[i], 0,
+                     i + 1 == f.size() ? form : form & ~kOpInv});
+  }
+}
+
+}  // namespace
+
 BlockSimulator::BlockSimulator(const netlist::Netlist& nl, int words)
     : nl_(&nl), words_(resolve_block_words(words)) {
   const detail::KernelChoice kc = detail::select_kernels(words_);
   kernel_ = kc.kernels.eval;
   dispatch_ = kc.dispatch;
-  for (GateId id : nl.topo_order()) {
-    const Gate& g = nl.gate(id);
-    if (!netlist::is_logic(g.kind)) continue;
-    detail::BlockOp op;
-    op.kind = g.kind;
-    op.gate = id;
-    op.fanin_begin = static_cast<std::uint32_t>(flat_fanins_.size());
-    flat_fanins_.insert(flat_fanins_.end(), g.fanins.begin(), g.fanins.end());
-    op.fanin_end = static_cast<std::uint32_t>(flat_fanins_.size());
-    ops_.push_back(op);
-  }
+  for (GateId id : nl.topo_order()) compile_gate(id, nl.gate(id), ops_);
   reset();
 }
 
@@ -88,8 +116,7 @@ void BlockSimulator::set_inputs_from_cycles(
 }
 
 void BlockSimulator::eval() {
-  kernel_(lanes_.data(), words_, ops_.data(), ops_.size(),
-          flat_fanins_.data());
+  kernel_(lanes_.data(), words_, ops_.data(), ops_.size());
 }
 
 void BlockSimulator::swap_lanes() {

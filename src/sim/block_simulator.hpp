@@ -97,8 +97,7 @@ class BlockSimulator {
   detail::EvalKernelFn kernel_;
   std::vector<std::uint64_t> lanes_;  // gate-major: [g*words_, (g+1)*words_)
   std::vector<std::uint64_t> spare_;  // swap_lanes()' second buffer
-  std::vector<detail::BlockOp> ops_;
-  std::vector<netlist::GateId> flat_fanins_;
+  std::vector<detail::BlockOp> ops_;  // compiled logic gates, topo order
   std::vector<std::uint64_t> dff_next_;
 };
 

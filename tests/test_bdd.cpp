@@ -544,6 +544,36 @@ TEST(BddXor, SameNodeAsIteOnRandomFunctions) {
   }
 }
 
+// --- sat_probability's id-order memo ----------------------------------------
+
+double sat_reference(const Manager& m, NodeRef f, double p) {
+  if (m.is_terminal(f)) return f == kTrue ? 1.0 : 0.0;
+  return (1.0 - p) * sat_reference(m, m.node_lo(f), p) +
+         p * sat_reference(m, m.node_hi(f), p);
+}
+
+TEST(BddSat, IdOrderMemoMatchesRecursiveReference) {
+  Manager m;
+  hlp::stats::Rng rng(41);
+  std::vector<NodeRef> fs;
+  // Each round builds more functions between queries, as the static
+  // refinement does, and returns to an earlier p after a change.
+  for (double p : {0.5, 0.3, 0.5, 0.9, 0.3, 0.125}) {
+    for (int i = 0; i < 6; ++i) {
+      fs.push_back(from_truth_table(m, rng.uniform_bits(64), 6));
+      const NodeRef g = fs[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(fs.size()) - 1))];
+      fs.push_back(i % 2 ? m.bdd_xor(fs.back(), g) : m.bdd_and(fs.back(), g));
+      for (NodeRef f : fs)
+        ASSERT_EQ(m.sat_probability(f, p), sat_reference(m, f, p))
+            << "p=" << p << " f=" << f;
+    }
+  }
+  EXPECT_EQ(m.sat_probability(kTrue, 0.7), 1.0);
+  EXPECT_EQ(m.sat_probability(kFalse, 0.7), 0.0);
+  EXPECT_EQ(m.sat_fraction(m.var(3)), 0.5);
+}
+
 // --- Per-thread table recycling --------------------------------------------
 
 // Everything a metered build reports that must not depend on the thread's

@@ -88,6 +88,81 @@ TEST(BlockDispatch, PortableAndBestKernelsAreBitIdentical) {
     EXPECT_EQ(best_act[g], port_act[g]) << "gate " << g;
 }
 
+// --- compiled gate ops: every kind and arity against eval_gate -----------
+
+TEST(BlockOps, EveryKindAndArityMatchesEvalGate) {
+  DispatchGuard guard;
+  constexpr int kInputs = 6;  // 64 patterns: one lane word covers them all
+  Netlist nl;
+  std::vector<netlist::GateId> in;
+  for (int i = 0; i < kInputs; ++i) in.push_back(nl.add_input());
+  const auto add = [&](GateKind k, std::vector<netlist::GateId> f) {
+    return nl.add_gate(k, f);
+  };
+  for (GateKind k : {GateKind::And, GateKind::Nand, GateKind::Or,
+                     GateKind::Nor, GateKind::Xor, GateKind::Xnor}) {
+    add(k, {});
+    add(k, {in[0]});
+    add(k, {in[1], in[2]});
+    add(k, {in[0], in[3], in[5]});
+    add(k, {in[4], in[1], in[4], in[2], in[0]});  // repeated fanin
+  }
+  for (GateKind k : {GateKind::Buf, GateKind::Not}) {
+    add(k, {in[3]});
+    add(k, {in[1], in[2], in[5]});  // only fanin 0 counts
+  }
+  add(GateKind::Mux, {in[0], in[1], in[2]});
+  add(GateKind::Mux, {in[2], in[2], in[3]});  // sel == d0
+  add(GateKind::Mux, {in[4], in[5], in[5]});  // d0 == d1
+  add(GateKind::Mux, {in[1], in[0], in[1]});  // sel == d1
+  const auto chain = add(GateKind::Nor, {in[0], in[2], in[3], in[5]});
+  const auto sel = add(GateKind::Mux, {chain, in[1], in[4]});
+  add(GateKind::Xnor, {sel, chain, in[3]});
+
+  // Reference: each gate's value under each of the 64 patterns.
+  std::vector<std::vector<std::uint8_t>> ref(64);
+  for (std::uint64_t pat = 0; pat < 64; ++pat) {
+    auto& v = ref[pat];
+    v.assign(nl.gate_count(), 0);
+    for (int i = 0; i < kInputs; ++i) v[in[i]] = (pat >> i) & 1;
+    for (netlist::GateId g : nl.topo_order()) {
+      if (!netlist::is_logic(nl.gate(g).kind)) continue;
+      std::vector<std::uint8_t> fv;
+      for (netlist::GateId f : nl.gate(g).fanins) fv.push_back(v[f]);
+      v[g] = netlist::eval_gate(nl.gate(g).kind, fv) ? 1 : 0;
+    }
+  }
+
+  for (sim::SimDispatch cap : {sim::SimDispatch::Portable,
+                               sim::SimDispatch::Avx2,
+                               sim::SimDispatch::Avx512}) {
+    sim::set_dispatch_cap(cap);
+    for (int W : {1, 3, 4, 8, 16, 64}) {
+      sim::BlockSimulator bs(nl, W);
+      // Lane k of word w carries pattern (k + 7w) mod 64.
+      const auto pattern = [](int w, int k) {
+        return static_cast<std::uint64_t>((k + 7 * w) % 64);
+      };
+      for (int i = 0; i < kInputs; ++i) {
+        std::vector<std::uint64_t> words(static_cast<std::size_t>(W), 0);
+        for (int w = 0; w < W; ++w)
+          for (int k = 0; k < 64; ++k)
+            words[w] |= ((pattern(w, k) >> i) & 1) << k;
+        bs.set_input_lanes(in[i], words);
+      }
+      bs.eval();
+      for (netlist::GateId g = kInputs; g < nl.gate_count(); ++g) {
+        const auto lw = bs.lane_words(g);
+        for (int w = 0; w < W; ++w)
+          for (int k = 0; k < 64; ++k)
+            ASSERT_EQ((lw[w] >> k) & 1, ref[pattern(w, k)][g])
+                << "cap " << sim::to_string(cap) << " W=" << W << " gate "
+                << g << " word " << w << " lane " << k;
+      }
+    }
+  }
+}
+
 // --- block width differential: scalar vs packed at W in {1,2,4,8} ---------
 
 void expect_width_equivalence(const Netlist& nl, int n_in, std::size_t cycles,
