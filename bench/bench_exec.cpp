@@ -5,7 +5,7 @@
 //  1. Overhead: metering the Monte Carlo hot loop (one non-throwing
 //     over_budget() probe per vector pair, every budget dimension armed but
 //     never tripping) must cost < 2% of the unmetered estimator's
-//     throughput, on both the scalar and the packed engine.
+//     throughput.
 //
 //  2. Time-to-degrade: when a BDD node cap trips on an adversarially
 //     ordered build, how long from call to (a) the BudgetExceeded unwind
@@ -45,25 +45,21 @@ exec::Budget armed_budget() {
   return b;
 }
 
-double run_mc_plain(const netlist::Module& mod, sim::EngineKind engine) {
+double run_mc_plain(const netlist::Module& mod) {
   stats::Rng rng(11);
   const int bits = std::min(64, mod.total_input_bits());
-  sim::SimOptions opts;
-  opts.engine = engine;
   auto res = core::monte_carlo_power(
       mod, [&] { return rng.uniform_bits(bits); }, 1e-12, 0.95, kPairs,
-      kPairs, {}, opts);
+      kPairs);
   return res.mean_energy;
 }
 
-double run_mc_budgeted(const netlist::Module& mod, sim::EngineKind engine) {
+double run_mc_budgeted(const netlist::Module& mod) {
   stats::Rng rng(11);
   const int bits = std::min(64, mod.total_input_bits());
-  sim::SimOptions opts;
-  opts.engine = engine;
   auto out = core::monte_carlo_power_budgeted(
       mod, [&] { return rng.uniform_bits(bits); }, armed_budget(), 1e-12,
-      0.95, kPairs, kPairs, {}, opts);
+      0.95, kPairs, kPairs);
   return out->mean_energy;
 }
 
@@ -82,12 +78,11 @@ double measure_pairs_per_sec(Fn&& fn, int reps) {
   return best;
 }
 
-void BM_MonteCarlo(benchmark::State& state, sim::EngineKind engine,
-                   bool budgeted) {
+void BM_MonteCarlo(benchmark::State& state, bool budgeted) {
   auto mod = netlist::adder_module(8);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(budgeted ? run_mc_budgeted(mod, engine)
-                                      : run_mc_plain(mod, engine));
+    benchmark::DoNotOptimize(budgeted ? run_mc_budgeted(mod)
+                                      : run_mc_plain(mod));
   }
   state.counters["pairs_per_sec"] = benchmark::Counter(
       static_cast<double>(kPairs),
@@ -134,25 +129,21 @@ void write_report(const std::string& path) {
   auto mod = netlist::adder_module(8);
   std::printf("\nE-EXEC — budget-probe overhead on the Monte Carlo hot "
               "loop (%zu pairs, all budget dimensions armed)\n\n", kPairs);
-  std::printf("%8s %16s %16s %10s\n", "engine", "plain pairs/s",
-              "budgeted pairs/s", "overhead");
-  benchjson::Array overhead;
-  for (auto [engine, name] :
-       {std::pair{sim::EngineKind::Scalar, "scalar"},
-        std::pair{sim::EngineKind::Packed, "packed"}}) {
-    double plain = measure_pairs_per_sec([&] { return run_mc_plain(mod, engine); }, 5);
-    double budgeted =
-        measure_pairs_per_sec([&] { return run_mc_budgeted(mod, engine); }, 5);
-    double pct = plain > 0.0 ? (plain - budgeted) / plain * 100.0 : 0.0;
-    std::printf("%8s %16.3e %16.3e %9.2f%%\n", name, plain, budgeted, pct);
-    overhead.push_back(benchjson::Object{
-        {"engine", name},
-        {"pairs", kPairs},
-        {"plain_pairs_per_sec", plain},
-        {"budgeted_pairs_per_sec", budgeted},
-        {"overhead_percent", pct},
-    });
-  }
+  std::printf("%16s %16s %10s\n", "plain pairs/s", "budgeted pairs/s",
+              "overhead");
+  const double plain =
+      measure_pairs_per_sec([&] { return run_mc_plain(mod); }, 5);
+  const double budgeted =
+      measure_pairs_per_sec([&] { return run_mc_budgeted(mod); }, 5);
+  const double pct = plain > 0.0 ? (plain - budgeted) / plain * 100.0 : 0.0;
+  std::printf("%16.3e %16.3e %9.2f%%\n", plain, budgeted, pct);
+  benchjson::Array overhead{benchjson::Object{
+      {"engine", "packed"},
+      {"pairs", kPairs},
+      {"plain_pairs_per_sec", plain},
+      {"budgeted_pairs_per_sec", budgeted},
+      {"overhead_percent", pct},
+  }};
 
   auto deg = measure_time_to_degrade();
   std::printf("\ntime-to-degrade (node-cap trip)\n");
@@ -184,26 +175,12 @@ void write_report(const std::string& path) {
 
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
-  benchmark::RegisterBenchmark("BM_MonteCarlo_plain/scalar",
-                               [](benchmark::State& st) {
-                                 BM_MonteCarlo(st, sim::EngineKind::Scalar,
-                                               false);
-                               });
-  benchmark::RegisterBenchmark("BM_MonteCarlo_budgeted/scalar",
-                               [](benchmark::State& st) {
-                                 BM_MonteCarlo(st, sim::EngineKind::Scalar,
-                                               true);
-                               });
-  benchmark::RegisterBenchmark("BM_MonteCarlo_plain/packed",
-                               [](benchmark::State& st) {
-                                 BM_MonteCarlo(st, sim::EngineKind::Packed,
-                                               false);
-                               });
-  benchmark::RegisterBenchmark("BM_MonteCarlo_budgeted/packed",
-                               [](benchmark::State& st) {
-                                 BM_MonteCarlo(st, sim::EngineKind::Packed,
-                                               true);
-                               });
+  benchmark::RegisterBenchmark(
+      "BM_MonteCarlo_plain/packed",
+      [](benchmark::State& st) { BM_MonteCarlo(st, false); });
+  benchmark::RegisterBenchmark(
+      "BM_MonteCarlo_budgeted/packed",
+      [](benchmark::State& st) { BM_MonteCarlo(st, true); });
   benchmark::RunSpecifiedBenchmarks();
   const char* path = "BENCH_exec.json";
   if (argc > 1 && argv[1][0] != '-') path = argv[1];

@@ -23,6 +23,7 @@
 #include "core/sampling_power.hpp"
 #include "netlist/generators.hpp"
 #include "sim/block_simulator.hpp"
+#include "sim/simulator.hpp"
 #include "sim/streams.hpp"
 #include "sim/toggle_energy.hpp"
 #include "stats/descriptive.hpp"
@@ -264,14 +265,41 @@ void write_engine_report(const char* path) {
   // One Monte Carlo run of `pairs` pairs through the Rng overload (epsilon
   // too small to stop early, so every pair also pays the stop-rule test);
   // returns seconds.
-  auto run = [](const netlist::Module& mod, std::size_t pairs,
-                sim::EngineKind engine) {
+  auto run = [](const netlist::Module& mod, std::size_t pairs) {
     stats::Rng vg(23);
     auto t0 = clock::now();
-    auto res = monte_carlo_power_budgeted(mod, vg, {}, 1e-9, 0.95, 30, pairs,
-                                          {}, sim::SimOptions{engine});
+    auto res = monte_carlo_power_budgeted(mod, vg, {}, 1e-9, 0.95, 30, pairs);
     auto t1 = clock::now();
     benchmark::DoNotOptimize(res->mean_energy);
+    return std::chrono::duration<double>(t1 - t0).count();
+  };
+  // The scalar baseline: the same pairs and stop rule on `sim::Simulator`,
+  // one pair per step, energy summed over the gates that toggled.
+  auto run_scalar = [](const netlist::Module& mod, std::size_t pairs) {
+    const auto& nl = mod.netlist;
+    const auto loads = nl.loads();
+    const int n_in = mod.total_input_bits();
+    stats::Rng vg(23);
+    sim::Simulator s(nl);
+    std::vector<std::uint8_t> prev(nl.gate_count());
+    stats::RunningStats rs;
+    double hw = 0.0;
+    auto t0 = clock::now();
+    for (std::size_t k = 0; k < pairs; ++k) {
+      s.set_all_inputs(vg.uniform_bits(n_in));
+      s.eval();
+      for (netlist::GateId g = 0; g < nl.gate_count(); ++g)
+        prev[g] = s.value(g) ? 1 : 0;
+      s.set_all_inputs(vg.uniform_bits(n_in));
+      s.eval();
+      double e = 0.0;
+      for (netlist::GateId g = 0; g < nl.gate_count(); ++g)
+        if ((s.value(g) ? 1 : 0) != prev[g]) e += loads[g];
+      rs.add(e);
+      if (rs.count() >= 30 && ci_converged(rs, 1e-9, 0.95, hw)) break;
+    }
+    auto t1 = clock::now();
+    benchmark::DoNotOptimize(rs.mean());
     return std::chrono::duration<double>(t1 - t0).count();
   };
 
@@ -279,16 +307,16 @@ void write_engine_report(const char* path) {
   const std::size_t pairs = 20000;
   const double gate_evals = static_cast<double>(
       mult8.netlist.logic_gate_count() * pairs * 2);  // two vectors per pair
-  auto best_evals = [&](sim::EngineKind engine) {
+  auto best_evals = [&](auto&& run_once) {
     double best = 0.0;
     for (int r = 0; r < 3; ++r) {
-      const double secs = run(mult8, pairs, engine);
+      const double secs = run_once(mult8, pairs);
       if (secs > 0.0) best = std::max(best, gate_evals / secs);
     }
     return best;
   };
-  double scalar = best_evals(sim::EngineKind::Scalar);
-  double packed = best_evals(sim::EngineKind::Packed);
+  double scalar = best_evals(run_scalar);
+  double packed = best_evals(run);
   double speedup = scalar > 0.0 ? packed / scalar : 0.0;
   std::printf("\nMonte Carlo engine throughput (multiplier8, %zu pairs): "
               "scalar %.3e packed %.3e gate-evals/sec (%.1fx)\n",
@@ -325,7 +353,7 @@ void write_engine_report(const char* path) {
     std::vector<double> ns;
     std::vector<Layers> split;
     for (int r = 0; r < kReps; ++r) {
-      ns.push_back(run(d.mod, mc_pairs, sim::EngineKind::Packed) * 1e9 /
+      ns.push_back(run(d.mod, mc_pairs) * 1e9 /
                    static_cast<double>(mc_pairs));
       split.push_back(time_layers(d.mod, mc_pairs));
     }

@@ -57,20 +57,44 @@ std::vector<Workload>& workloads() {
   return w;
 }
 
-double run_activities(const Workload& w, sim::EngineKind engine,
-                      int block_words = 0) {
-  sim::SimOptions opts{engine};
-  opts.block_words = block_words;
-  auto acts = sim::simulate_activities(w.mod.netlist, w.in, nullptr, opts);
-  double sum = 0.0;
-  for (double a : acts) sum += a;
-  return sum;
+double sum(const std::vector<double>& acts) {
+  double s = 0.0;
+  for (double a : acts) s += a;
+  return s;
 }
 
-void BM_Sweep(benchmark::State& state, const Workload& w,
-              sim::EngineKind engine) {
+/// Packed activity sweep at `block_words` (0 = the dispatch default).
+double run_activities(const Workload& w, int block_words) {
+  sim::SimOptions opts;
+  opts.block_words = block_words;
+  return sum(sim::simulate_activities(w.mod.netlist, w.in, nullptr, opts));
+}
+
+/// The scalar baseline: the same sweep on `sim::Simulator`, one cycle per
+/// eval.
+double run_scalar_activities(const Workload& w) {
+  sim::Simulator s(w.mod.netlist);
+  sim::ActivityCollector col(w.mod.netlist);
+  for (std::uint64_t word : w.in.words) {
+    s.set_all_inputs(word);
+    s.eval();
+    col.record(s);
+    s.tick();
+  }
+  return sum(col.activities());
+}
+
+/// The `block_words` value that selects the scalar baseline in run_sweep.
+constexpr int kScalar = -1;
+
+double run_sweep(const Workload& w, int block_words) {
+  return block_words == kScalar ? run_scalar_activities(w)
+                                : run_activities(w, block_words);
+}
+
+void BM_Sweep(benchmark::State& state, const Workload& w, int block_words) {
   for (auto _ : state) {
-    benchmark::DoNotOptimize(run_activities(w, engine));
+    benchmark::DoNotOptimize(run_sweep(w, block_words));
   }
   state.counters["gate_evals_per_sec"] = benchmark::Counter(
       static_cast<double>(w.mod.netlist.logic_gate_count() *
@@ -78,17 +102,16 @@ void BM_Sweep(benchmark::State& state, const Workload& w,
       benchmark::Counter::kIsIterationInvariantRate);
 }
 
-/// Wall-clock gate-evals/sec for one engine, repeated and best-of to damp
-/// scheduler noise.
-double measure_evals_per_sec(const Workload& w, sim::EngineKind engine,
-                             int reps, int block_words = 0) {
+/// Wall-clock gate-evals/sec of one sweep (`block_words` as in
+/// run_sweep), repeated and best-of to damp scheduler noise.
+double measure_evals_per_sec(const Workload& w, int block_words, int reps) {
   using clock = std::chrono::steady_clock;
   const double gate_evals = static_cast<double>(
       w.mod.netlist.logic_gate_count() * w.in.words.size());
   double best = 0.0;
   for (int r = 0; r < reps; ++r) {
     auto t0 = clock::now();
-    benchmark::DoNotOptimize(run_activities(w, engine, block_words));
+    benchmark::DoNotOptimize(run_sweep(w, block_words));
     auto t1 = clock::now();
     double secs = std::chrono::duration<double>(t1 - t0).count();
     if (secs > 0.0) best = std::max(best, gate_evals / secs);
@@ -142,13 +165,11 @@ void write_report(const std::string& path) {
               "blk/pk");
   const int block_w = sim::default_block_words();
   for (const auto& w : workloads()) {
-    double scalar = measure_evals_per_sec(w, sim::EngineKind::Scalar, 5);
+    double scalar = measure_evals_per_sec(w, kScalar, 5);
     // W=1 is the historical single-word packed engine (portable kernel by
     // construction: one word is not SIMD-divisible).
-    double packed1 =
-        measure_evals_per_sec(w, sim::EngineKind::Packed, 5, /*words=*/1);
-    double block =
-        measure_evals_per_sec(w, sim::EngineKind::Packed, 5, block_w);
+    double packed1 = measure_evals_per_sec(w, /*block_words=*/1, 5);
+    double block = measure_evals_per_sec(w, block_w, 5);
     double speedup = scalar > 0.0 ? packed1 / scalar : 0.0;
     double widening = packed1 > 0.0 ? block / packed1 : 0.0;
     std::printf("%14s %8zu %8zu %14.3e %14.3e %14.3e %8.1fx %8.1fx\n",
@@ -176,8 +197,7 @@ void write_report(const std::string& path) {
               dag.name.c_str(), sim::to_string(sim::active_dispatch()));
   double kernel_w1 = 0.0, kernel_best = 0.0;
   for (int wds : {1, 2, 4, 8, 16, 32}) {
-    double evals =
-        measure_evals_per_sec(dag, sim::EngineKind::Packed, 5, wds);
+    double evals = measure_evals_per_sec(dag, wds, 5);
     double kernel = measure_kernel_evals_per_sec(dag, wds, 5);
     const char* disp = width_dispatch(dag.mod.netlist, wds);
     if (wds == 1) kernel_w1 = kernel;
@@ -259,11 +279,11 @@ int main(int argc, char** argv) {
   for (const auto& w : workloads()) {
     benchmark::RegisterBenchmark(("BM_Sweep_scalar/" + w.name).c_str(),
                                  [&w](benchmark::State& st) {
-                                   BM_Sweep(st, w, sim::EngineKind::Scalar);
+                                   BM_Sweep(st, w, kScalar);
                                  });
     benchmark::RegisterBenchmark(("BM_Sweep_packed/" + w.name).c_str(),
                                  [&w](benchmark::State& st) {
-                                   BM_Sweep(st, w, sim::EngineKind::Packed);
+                                   BM_Sweep(st, w, 0);
                                  });
   }
   benchmark::RunSpecifiedBenchmarks();

@@ -79,13 +79,10 @@ double CodecEval::breakeven_cbus() const {
 
 CodecEval evaluate_bus_invert_codec(const BusInvertCodec& codec,
                                     const std::vector<std::uint64_t>& words,
-                                    const netlist::CapacitanceModel& cap,
-                                    const sim::SimOptions& opts) {
+                                    const netlist::CapacitanceModel& cap) {
   CodecEval ev;
   const netlist::Netlist& nl = codec.netlist;
-  // Registered bus: sequential recurrence, scalar only (throws if Packed is
-  // forced; Auto resolves to Scalar).
-  (void)sim::resolve_engine(nl, opts.engine);
+  // Registered bus: the cycle recurrence is serial, so it runs scalar.
   sim::Simulator s(nl);
   sim::ActivityCollector col(nl);
 

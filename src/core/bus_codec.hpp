@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "netlist/netlist.hpp"
-#include "sim/engine.hpp"
 #include "sim/power.hpp"
 
 namespace hlp::core {
@@ -49,10 +48,9 @@ struct CodecEval {
 /// Simulate the codec netlist on a word stream; verifies decoded == input
 /// (one cycle late) and accounts bus vs codec switching separately.
 /// The codec registers its bus, so the cycle recurrence is inherently
-/// serial: Auto resolves to the scalar engine; forcing Packed throws.
+/// serial and runs on the scalar simulator.
 CodecEval evaluate_bus_invert_codec(const BusInvertCodec& codec,
                                     const std::vector<std::uint64_t>& words,
-                                    const netlist::CapacitanceModel& cap = {},
-                                    const sim::SimOptions& opts = {});
+                                    const netlist::CapacitanceModel& cap = {});
 
 }  // namespace hlp::core

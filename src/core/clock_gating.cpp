@@ -14,8 +14,7 @@ ClockGatingResult evaluate_clock_gating(const fsm::Stg& stg,
                                         const fsm::SynthesizedFsm& fsmnl,
                                         std::size_t cycles, stats::Rng& rng,
                                         std::span<const double> input_probs,
-                                        const sim::PowerParams& params,
-                                        const sim::SimOptions& opts) {
+                                        const sim::PowerParams& params) {
   ClockGatingResult res;
   // Rebuild the machine so the activation logic can be appended.
   fsm::SynthesizedFsm gated =
@@ -44,9 +43,7 @@ ClockGatingResult evaluate_clock_gating(const fsm::Stg& stg,
   nl.mark_output(fa, "Fa");
   res.fa_gates = nl.gate_count() - watermark;
 
-  // Simulate. The state recurrence is serial: scalar only (throws if Packed
-  // is forced; Auto resolves to Scalar).
-  (void)sim::resolve_engine(nl, opts.engine);
+  // Simulate. The state recurrence is serial, so it runs scalar.
   sim::Simulator s(nl);
   sim::ActivityCollector col(nl);
   std::size_t idle = 0;

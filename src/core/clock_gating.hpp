@@ -3,7 +3,6 @@
 #include <cstddef>
 
 #include "fsm/synth.hpp"
-#include "sim/engine.hpp"
 #include "sim/power.hpp"
 #include "stats/rng.hpp"
 
@@ -34,13 +33,12 @@ struct ClockGatingResult {
 /// scale by the fraction of enabled cycles; the F_a cover and the gating
 /// latch add their own switching. Combinational logic power is unchanged
 /// (gating fires only on self-loops, so gate values are identical).
-/// The FSM state recurrence is inherently serial: Auto resolves to the
-/// scalar engine; forcing Packed throws.
+/// The FSM state recurrence is inherently serial and runs on the scalar
+/// simulator.
 ClockGatingResult evaluate_clock_gating(const fsm::Stg& stg,
                                         const fsm::SynthesizedFsm& fsmnl,
                                         std::size_t cycles, stats::Rng& rng,
                                         std::span<const double> input_probs = {},
-                                        const sim::PowerParams& params = {},
-                                        const sim::SimOptions& opts = {});
+                                        const sim::PowerParams& params = {});
 
 }  // namespace hlp::core

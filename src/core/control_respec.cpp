@@ -91,10 +91,10 @@ RespecResult evaluate_control_respec(int width, int sources,
     const int total_bits = static_cast<int>(d.nl.inputs().size());
     std::vector<double> acts;
     if (total_bits <= 64) {
-      // Engine-generic sweep: pack all inputs into one word per cycle using
-      // the creation-order layout (source s bit b -> s*width + b, select
-      // above the sources), then let resolve_engine pick the backend. The
-      // bus word is the whole output word, checked after the sweep.
+      // Packed sweep: pack all inputs into one word per cycle using the
+      // creation-order layout (source s bit b -> s*width + b, select above
+      // the sources). The bus word is the whole output word, checked after
+      // the sweep.
       stats::VectorStream in_stream;
       in_stream.width = total_bits;
       in_stream.words.reserve(cycles);
@@ -116,9 +116,7 @@ RespecResult evaluate_control_respec(int width, int sources,
           throw std::logic_error("control_respec: bus steering broken");
       }
     } else {
-      // Wider than one packed word: word-sliced scalar sweep (validate any
-      // forced engine request first).
-      (void)sim::resolve_engine(d.nl, opts.engine);
+      // Wider than one packed word: word-sliced scalar sweep.
       sim::Simulator s(d.nl);
       sim::ActivityCollector col(d.nl);
       for (std::size_t c = 0; c < cycles; ++c) {

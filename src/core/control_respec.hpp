@@ -29,9 +29,9 @@ struct RespecResult {
 /// with random-walk source data and a random schedule in which each cycle
 /// is idle with probability `idle_prob`, and compare the two controller
 /// policies. Functional equality on non-idle cycles is asserted internally.
-/// The mux tree is combinational, so both policy sweeps run engine-generic
-/// (64 cycles per step packed under Auto when the bus fits in 64 input
-/// bits; wider buses fall back to the scalar word-sliced sweep).
+/// The mux tree is combinational, so both policy sweeps run packed (64·W
+/// cycles per step) when the bus fits in 64 input bits; wider buses fall
+/// back to the scalar word-sliced sweep.
 RespecResult evaluate_control_respec(int width, int sources,
                                      std::size_t cycles, double idle_prob,
                                      std::uint64_t seed,

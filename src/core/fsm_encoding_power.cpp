@@ -22,8 +22,7 @@ EncodingReport evaluate_encoding(const fsm::Stg& stg,
                                  const fsm::MarkovAnalysis& ma,
                                  std::size_t cycles, std::uint64_t seed,
                                  std::span<const double> input_probs,
-                                 const sim::PowerParams& params,
-                                 const sim::SimOptions& opts) {
+                                 const sim::PowerParams& params) {
   EncodingReport rep;
   rep.style = encoding_style_name(style);
   rep.state_bits = fsm::encoding_bits(style, stg.num_states());
@@ -36,9 +35,7 @@ EncodingReport evaluate_encoding(const fsm::Stg& stg,
   // Drive with random symbols; measure gate-level power and actual
   // state-register switching.
   stats::Rng rng(seed + 17);
-  // State recurrence is serial: scalar only (throws if Packed is forced;
-  // Auto resolves to Scalar).
-  (void)sim::resolve_engine(sf.netlist, opts.engine);
+  // The state recurrence is serial, so it runs scalar.
   sim::Simulator s(sf.netlist);
   sim::ActivityCollector col(sf.netlist);
   std::uint64_t prev_state = codes[0];
@@ -82,15 +79,14 @@ EncodingReport evaluate_encoding(const fsm::Stg& stg,
 
 std::vector<EncodingReport> compare_encodings(
     const fsm::Stg& stg, std::size_t cycles, std::uint64_t seed,
-    std::span<const double> input_probs, const sim::PowerParams& params,
-    const sim::SimOptions& opts) {
+    std::span<const double> input_probs, const sim::PowerParams& params) {
   auto ma = fsm::analyze_markov(stg, input_probs);
   std::vector<EncodingReport> out;
   for (auto style : {fsm::EncodingStyle::Binary, fsm::EncodingStyle::Gray,
                      fsm::EncodingStyle::OneHot, fsm::EncodingStyle::Random,
                      fsm::EncodingStyle::LowPower})
     out.push_back(evaluate_encoding(stg, style, ma, cycles, seed,
-                                    input_probs, params, opts));
+                                    input_probs, params));
   return out;
 }
 

@@ -5,7 +5,6 @@
 
 #include "fsm/encoding.hpp"
 #include "fsm/synth.hpp"
-#include "sim/engine.hpp"
 #include "sim/power.hpp"
 #include "stats/rng.hpp"
 
@@ -27,22 +26,19 @@ struct EncodingReport {
 };
 
 /// Evaluate one encoding style on an STG. The synthesized FSM's state
-/// recurrence is inherently serial: Auto resolves to the scalar engine;
-/// forcing Packed throws.
+/// recurrence is inherently serial and runs on the scalar simulator.
 EncodingReport evaluate_encoding(const fsm::Stg& stg,
                                  fsm::EncodingStyle style,
                                  const fsm::MarkovAnalysis& ma,
                                  std::size_t cycles, std::uint64_t seed,
                                  std::span<const double> input_probs = {},
-                                 const sim::PowerParams& params = {},
-                                 const sim::SimOptions& opts = {});
+                                 const sim::PowerParams& params = {});
 
 /// All styles side by side.
 std::vector<EncodingReport> compare_encodings(
     const fsm::Stg& stg, std::size_t cycles, std::uint64_t seed,
     std::span<const double> input_probs = {},
-    const sim::PowerParams& params = {},
-    const sim::SimOptions& opts = {});
+    const sim::PowerParams& params = {});
 
 const char* encoding_style_name(fsm::EncodingStyle s);
 

@@ -294,7 +294,7 @@ GuardedEvalResult evaluate_guarded(const netlist::Module& mod,
                                    const sim::PowerParams& params,
                                    const sim::SimOptions& opts) {
   GuardedEvalResult res;
-  // Reference module is combinational: engine-generic sweep.
+  // Reference module is combinational: packed sweep.
   stats::VectorStream ref_out;
   auto ref_acts = sim::simulate_activities(mod.netlist, input, &ref_out, opts);
   // The guarded circuit holds state in its latches; it stays scalar.

@@ -64,7 +64,7 @@ struct GuardedEvalResult {
     return base_power > 0.0 ? 1.0 - guarded_power / base_power : 0.0;
   }
 };
-/// The combinational reference sweep is engine-generic (packed under Auto);
+/// The combinational reference sweep is packed (see sim::temporal_packable);
 /// the guarded circuit contains latches and always runs scalar.
 GuardedEvalResult evaluate_guarded(const netlist::Module& mod,
                                    const GuardedCircuit& gc,

@@ -96,7 +96,7 @@ ModuleCharacterization characterize(const netlist::Module& mod,
   chr.total_cap = mod.netlist.total_capacitance(cap);
 
   const auto& nl = mod.netlist;
-  if (sim::resolve_engine(nl, opts.engine) == sim::EngineKind::Packed)
+  if (sim::temporal_packable(nl))
     return characterize_packed(std::move(chr), nl, input, cap,
                                opts.block_words);
   auto loads = nl.loads(cap);

@@ -36,8 +36,9 @@ struct ModuleCharacterization {
 };
 
 /// Simulate the module under `input` and collect characterization data.
-/// Engine-generic: combinational modules run the 64-cycle-per-step packed
-/// backend under Auto (bit-identical energies and predictor variables).
+/// Combinational modules run the packed backend, 64·W cycles per step;
+/// registered ones run scalar. Energies and predictor variables are
+/// bit-identical either way.
 ModuleCharacterization characterize(const netlist::Module& mod,
                                     const stats::VectorStream& input,
                                     const netlist::CapacitanceModel& cap = {},

@@ -328,7 +328,7 @@ PrecomputationEval evaluate_precomputed_multi(
     const stats::VectorStream& input, const sim::PowerParams& params,
     const sim::SimOptions& opts) {
   PrecomputationEval ev;
-  // Combinational reference output sequence: engine-generic sweep.
+  // Combinational reference output sequence: packed sweep.
   const std::vector<std::uint64_t> ref_out =
       sim::simulate_outputs(reference.netlist, input, opts).words;
 
@@ -365,7 +365,7 @@ PrecomputationEval evaluate_precomputed(const PrecomputedCircuit& pc,
                                         const sim::PowerParams& params,
                                         const sim::SimOptions& opts) {
   PrecomputationEval ev;
-  // Reference (combinational) output sequence: engine-generic sweep; the
+  // Reference (combinational) output sequence: packed sweep; the
   // reference value is output 0, i.e. bit 0 of each packed output word.
   const stats::VectorStream ref_stream =
       sim::simulate_outputs(reference.netlist, input, opts);

@@ -60,7 +60,7 @@ struct PrecomputationEval {
   double coverage_observed = 0.0;
   bool functionally_correct = true;
 };
-/// The combinational reference sweep is engine-generic (packed under Auto);
+/// The combinational reference sweep is packed (see sim::temporal_packable);
 /// the gated circuit itself holds registers and always simulates scalar.
 PrecomputationEval evaluate_precomputed(const PrecomputedCircuit& pc,
                                         const netlist::Module& reference,

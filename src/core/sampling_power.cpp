@@ -11,7 +11,6 @@
 #include "exec/fi.hpp"
 #include "lint/lint.hpp"
 #include "sim/block_simulator.hpp"
-#include "sim/simulator.hpp"
 #include "sim/toggle_energy.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/sampling.hpp"
@@ -176,9 +175,11 @@ exec::Outcome<MonteCarloResult> budgeted_outcome(const MonteCarloResult& res,
   return out;
 }
 
-/// Packed backend: 64·W independent vector pairs per step, pair k in bit
-/// lane k of a W-word block, energies counted from the two evaluations'
-/// lane words in place.
+/// The pair backend: 64·W independent vector pairs per step, pair k in bit
+/// lane k of a W-word block (replica lanes), energies counted from the two
+/// evaluations' lane words in place. Registers are never clocked: reset()
+/// puts `dff_init` in every register lane and swap_lanes() carries it over,
+/// so every pair sees the registers at their initial state.
 class PackedPairs {
  public:
   PackedPairs(const netlist::Netlist& nl, const sim::LoadClasses& classes,
@@ -204,80 +205,40 @@ class PackedPairs {
   sim::ToggleEnergy energy_;
 };
 
-/// Scalar backend: one pair per step, its energy summed over the gates in
-/// ascending order — the reference the packed backend reproduces bit for
-/// bit. Registers are never clocked, so every pair sees their initial
-/// state.
-class ScalarPairs {
- public:
-  ScalarPairs(const netlist::Netlist& nl, const sim::LoadClasses& classes)
-      : nl_(nl), s_(nl), loads_(classes.loads()), prev_(nl.gate_count(), 0) {}
-
-  double energy(std::uint64_t v1, std::uint64_t v2) {
-    s_.set_all_inputs(v1);
-    s_.eval();
-    for (netlist::GateId g = 0; g < nl_.gate_count(); ++g)
-      prev_[g] = s_.value(g) ? 1 : 0;
-    s_.set_all_inputs(v2);
-    s_.eval();
-    double e = 0.0;
-    for (netlist::GateId g = 0; g < nl_.gate_count(); ++g)
-      if ((s_.value(g) ? 1 : 0) != prev_[g]) e += loads_[g];
-    return e;
-  }
-
- private:
-  const netlist::Netlist& nl_;
-  sim::Simulator s_;
-  std::span<const double> loads_;
-  std::vector<std::uint8_t> prev_;
-};
-
-/// One thread's pair sampler on the engine the caller resolved once.
-/// `run` is the one Monte Carlo pair loop: until `next_batch()` returns 0
-/// (it never returns more than lanes()), have `draw` fill 2·batch vectors
-/// in (v1_k, v2_k) order, simulate those pairs, and pass each energy to
-/// `take` in draw order; `take` returns false to stop.
+/// One thread's pair sampler. `run` is the one Monte Carlo pair loop: until
+/// `next_batch()` returns 0 (it never returns more than lanes()), have
+/// `draw` fill 2·batch vectors in (v1_k, v2_k) order, simulate those pairs,
+/// and pass each energy to `take` in draw order; `take` returns false to
+/// stop.
 class PairSampler {
  public:
   PairSampler(const netlist::Netlist& nl, const sim::LoadClasses& classes,
-              sim::EngineKind engine, int block_words) {
-    if (engine == sim::EngineKind::Packed)
-      packed_.emplace(nl, classes, block_words);
-    else
-      scalar_.emplace(nl, classes);
-    lanes_ = packed_ ? packed_->lanes() : 1;
-    drawn_.resize(2 * lanes_);
-    w1_.resize(lanes_);
-    w2_.resize(lanes_);
-    e_.resize(lanes_);
-  }
+              int block_words)
+      : pairs_(nl, classes, block_words),
+        drawn_(2 * pairs_.lanes()),
+        w1_(pairs_.lanes()),
+        w2_(pairs_.lanes()),
+        e_(pairs_.lanes()) {}
 
-  std::size_t lanes() const { return lanes_; }
+  std::size_t lanes() const { return pairs_.lanes(); }
 
   template <typename NextBatch, typename Draw, typename Take>
   void run(NextBatch&& next_batch, Draw&& draw, Take&& take) {
     while (const std::size_t batch = next_batch()) {
       draw(std::span(drawn_).first(2 * batch));
-      if (packed_) {
-        for (std::size_t k = 0; k < batch; ++k) {
-          w1_[k] = drawn_[2 * k];
-          w2_[k] = drawn_[2 * k + 1];
-        }
-        packed_->simulate(std::span(w1_).first(batch),
-                          std::span(w2_).first(batch), e_.data());
-      } else {
-        e_[0] = scalar_->energy(drawn_[0], drawn_[1]);
+      for (std::size_t k = 0; k < batch; ++k) {
+        w1_[k] = drawn_[2 * k];
+        w2_[k] = drawn_[2 * k + 1];
       }
+      pairs_.simulate(std::span(w1_).first(batch),
+                      std::span(w2_).first(batch), e_.data());
       for (std::size_t k = 0; k < batch; ++k)
         if (!take(e_[k])) return;
     }
   }
 
  private:
-  std::optional<PackedPairs> packed_;
-  std::optional<ScalarPairs> scalar_;
-  std::size_t lanes_;
+  PackedPairs pairs_;
   std::vector<std::uint64_t> drawn_, w1_, w2_;
   std::vector<double> e_;
 };
@@ -285,9 +246,9 @@ class PairSampler {
 /// The sequential estimator; `draw` fills a span with successive vectors.
 /// Each batch is paid for in one meter probe before it is drawn and never
 /// exceeds the remaining step quota, so a trip costs no draws and a quota
-/// stop leaves the generator where a one-pair-per-step run would; on one
-/// lane the meter sees exactly one one-step probe per pair. The stop rule
-/// runs per pair in draw order, so every engine stops on the same pair.
+/// stop leaves the generator where a one-pair-per-step run would. The stop
+/// rule runs per pair in draw order, so every block width stops on the
+/// same pair.
 template <typename Draw>
 MonteCarloResult sequential_monte_carlo(
     const netlist::Module& mod, Draw&& draw, double epsilon, double confidence,
@@ -296,11 +257,10 @@ MonteCarloResult sequential_monte_carlo(
     exec::Meter* meter, const MonteCarloCheckpoint& resume) {
   lint::enforce_module(mod, opts.lint, "monte_carlo_power");
   const auto& nl = mod.netlist;
-  const sim::EngineKind engine = sim::resolve_engine(nl, opts.engine);
   fi::alloc_checkpoint();
   const sim::LoadClasses classes(nl.loads(cap));
   fi::alloc_checkpoint();
-  PairSampler sampler(nl, classes, engine, opts.block_words);
+  PairSampler sampler(nl, classes, opts.block_words);
   stats::RunningStats rs =
       stats::RunningStats::restore(resume.count, resume.mean, resume.m2);
   MonteCarloResult res;
@@ -387,7 +347,6 @@ exec::Outcome<MonteCarloResult> monte_carlo_power_sharded(
     const netlist::CapacitanceModel& cap, const MonteCarloCheckpoint& resume) {
   lint::enforce_module(mod, opts.sim.lint, "monte_carlo_power_sharded");
   const auto& nl = mod.netlist;
-  const sim::EngineKind engine = sim::resolve_engine(nl, opts.sim.engine);
   const int n_in = mod.total_input_bits();
   const std::size_t chunk = opts.chunk_pairs ? opts.chunk_pairs : 4096;
   const std::size_t total = opts.total_pairs;
@@ -440,7 +399,7 @@ exec::Outcome<MonteCarloResult> monte_carlo_power_sharded(
   };
 
   auto worker = [&] {
-    PairSampler sampler(nl, classes, engine, opts.sim.block_words);
+    PairSampler sampler(nl, classes, opts.sim.block_words);
     std::size_t c = 0, pairs_c = 0;
     while (claim(c, pairs_c)) {
       stats::Rng rng(stats::shard_seed(seed, c));

@@ -65,23 +65,22 @@ double gate_level_mean(const ModuleCharacterization& eval_set);
 /// random vector *pairs* drawn from the generator until the relative CI
 /// half-width of mean switched cap falls below `epsilon`.
 ///
-/// Engine-generic: under the default Auto engine, combinational modules
-/// simulate 64·W independent vector pairs per block step (one pair per bit
-/// lane of a W-word block, W = SimOptions::block_words); the
-/// sequential-sampling stop rule is evaluated per pair in draw order, so
-/// the estimate, pair count, and CI are bit-identical to the scalar engine
-/// at every width and dispatch level. The only observable difference is
-/// that `vector_gen` may be drawn up to one block (<= 64·W pairs) ahead of
-/// a convergence stopping point; a *step-quota* stop never over-draws (the
-/// batch size is capped by the remaining quota and the meter is charged
-/// before the block is drawn), so quota-stopped runs can be resumed
-/// against the same generator with no divergence.
+/// Every module (at most 64 input bits) simulates 64·W independent vector
+/// pairs per block step, one pair per bit lane of a W-word block (W =
+/// SimOptions::block_words). The sequential-sampling stop rule is
+/// evaluated per pair in draw order, so the estimate, pair count, and CI
+/// are bit-identical to a one-pair-per-step scalar loop at every width and
+/// dispatch level. The only observable difference is that `vector_gen`
+/// may be drawn up to one block (<= 64·W pairs) ahead of a convergence
+/// stopping point; a *step-quota* stop never over-draws (the batch size is
+/// capped by the remaining quota and the meter is charged before the block
+/// is drawn), so quota-stopped runs can be resumed against the same
+/// generator with no divergence.
 ///
-/// Registered netlists run on the scalar engine, and their registers are
-/// never clocked: every pair evaluates v1 and v2 with each DFF at its
-/// `dff_init` value, so the estimate ignores state-dependent switching.
-/// Clocking them on replica lanes is an open ROADMAP item ("Sequential
-/// Monte Carlo").
+/// Registers are never clocked: every pair evaluates v1 and v2 with each
+/// DFF at its `dff_init` value, so the estimate ignores state-dependent
+/// switching on registered netlists. Clocking them on the replica lanes is
+/// an open ROADMAP item ("Sequential Monte Carlo").
 ///
 /// Resume token: the full Welford state of the running estimate. A stopped
 /// run's checkpoint, fed back into monte_carlo_power_budgeted together with
@@ -131,12 +130,12 @@ MonteCarloResult monte_carlo_power(
     const sim::SimOptions& opts = {});
 
 /// Budgeted Monte Carlo power: one meter step per vector pair, charged in
-/// block-sized batches on the packed engine (the whole block's pair count
-/// in one `Meter` probe, before the block is drawn) so budget accounting
-/// costs O(1) per 64·W pairs instead of per pair. Deadline and cancel
-/// responsiveness is therefore one block, and a step-quota trip still lands
-/// on exactly the same pair as the scalar engine (the batch never exceeds
-/// the remaining quota). When the budget trips mid-run the outcome carries
+/// block-sized batches (the whole block's pair count in one `Meter` probe,
+/// before the block is drawn) so budget accounting costs O(1) per 64·W
+/// pairs instead of per pair. Deadline and cancel responsiveness is
+/// therefore one block, and a step-quota trip lands on exactly the quota's
+/// pair at every block width (the batch never exceeds the remaining
+/// quota). When the budget trips mid-run the outcome carries
 /// the partial estimate (mean, CI over the pairs actually simulated) with
 /// stop_reason = BudgetExhausted and a resume checkpoint — exhausted
 /// budgets return resumable partial estimates instead of hanging or

@@ -122,9 +122,7 @@ DecompositionEval evaluate_decomposition(const Stg& stg,
       simulate_states(stg, cycles, rng, input_probs, 0, &inputs, &outputs);
 
   {
-    // State recurrence is serial: scalar only (throws if Packed is forced;
-    // Auto resolves to Scalar).
-    (void)sim::resolve_engine(mono.netlist, opts.engine);
+    // The state recurrence is serial, so it runs scalar.
     sim::Simulator s(mono.netlist);
     sim::ActivityCollector col(mono.netlist);
     for (std::size_t c = 0; c < cycles; ++c) {
@@ -172,7 +170,6 @@ DecompositionEval evaluate_decomposition(const Stg& stg,
     }
     ev.sub_gates[b] = nl.logic_gate_count();
 
-    (void)sim::resolve_engine(nl, opts.engine);
     sim::Simulator s(nl);
     auto loads = nl.loads(pp.cap);
     std::vector<std::uint8_t> prev(nl.gate_count(), 0);

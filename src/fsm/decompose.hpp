@@ -60,8 +60,8 @@ struct DecompositionEval {
   }
 };
 
-/// FSM state recurrences are inherently serial: Auto resolves to the
-/// scalar engine; forcing Packed throws.
+/// FSM state recurrences are inherently serial and run on the scalar
+/// simulator; `opts` carries the lint pass.
 DecompositionEval evaluate_decomposition(
     const Stg& stg, const Partition& part, std::size_t cycles,
     std::uint64_t seed, std::span<const double> input_probs = {},

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
-#include <stdexcept>
 
 namespace hlp::sim {
 
@@ -69,27 +68,9 @@ int resolve_block_words(int requested) {
   return requested > 64 ? 64 : requested;
 }
 
-EngineKind resolve_engine(const netlist::Netlist& nl, EngineKind requested) {
-  const bool packable = nl.dffs().empty() && nl.inputs().size() <= 64 &&
-                        nl.outputs().size() <= 64;
-  if (requested == EngineKind::Auto)
-    return packable ? EngineKind::Packed : EngineKind::Scalar;
-  if (requested == EngineKind::Packed && !packable)
-    throw std::logic_error(
-        "resolve_engine: packed temporal lanes require a combinational "
-        "netlist with <= 64 inputs/outputs (sequential state recurrence "
-        "serializes consecutive cycles); use the scalar engine or packed "
-        "replica lanes via BlockSimulator directly");
-  return requested;
-}
-
-const char* engine_name(EngineKind k) {
-  switch (k) {
-    case EngineKind::Auto: return "auto";
-    case EngineKind::Scalar: return "scalar";
-    case EngineKind::Packed: return "packed";
-  }
-  return "?";
+bool temporal_packable(const netlist::Netlist& nl) {
+  return nl.dffs().empty() && nl.inputs().size() <= 64 &&
+         nl.outputs().size() <= 64;
 }
 
 namespace {

@@ -11,7 +11,7 @@ namespace hlp::sim {
 ///
 /// Every gate-level estimator in the library is measured against zero-delay
 /// switched-capacitance simulation, so the simulator is the hot path under
-/// all of them. Two interchangeable backends implement the same contract:
+/// all of them. Two backends implement the same contract:
 ///
 ///  * `Simulator` (scalar): one input pattern per eval; the reference
 ///    semantics.
@@ -22,22 +22,23 @@ namespace hlp::sim {
 ///    `uint64_t` loop otherwise — and toggle counting into popcounts.
 ///    At W=1 it is the single-word (64-lane) engine.
 ///
+/// The netlist picks the backend; callers do not. Stream sweeps
+/// (`simulate_activities`, `simulate_outputs`, `characterize`) pack
+/// consecutive cycles into lanes — lane k carries cycle base+k — which is
+/// legal only for combinational netlists (`temporal_packable`): a DFF's
+/// next state depends on the previous cycle's settled values, which
+/// serializes consecutive cycles, so registered netlists sweep on the
+/// scalar `Simulator`. Monte Carlo always runs packed, in *replica* mode:
+/// lane k carries an independent vector pair, and register lanes hold
+/// their own state. Glitch simulation (`glitch_sim`) always stays scalar:
+/// event timing does not vectorize across lanes.
+///
 /// The equivalence contract is exact: for the same seed and input stream,
-/// every backend, block width, and dispatch path must produce bit-identical
-/// activities, toggle counts, and power reports (tests/test_simengine.cpp
-/// and tests/test_blockengine.cpp enforce this differentially).
-/// Temporal lane packing — lane k carries cycle base+k — is therefore only
-/// legal for combinational netlists: a DFF's next state depends on the
-/// previous cycle's settled values, which serializes consecutive cycles.
-/// Sequential netlists either run scalar or use the packed backend in
-/// *replica* mode (lane k carries an independent pattern stream with its own
-/// DFF state). Glitch simulation (`glitch_sim`) always stays scalar: event
-/// timing does not vectorize across lanes.
-enum class EngineKind : std::uint8_t {
-  Auto,    ///< packed where bit-exactly legal, scalar otherwise
-  Scalar,  ///< force the scalar `Simulator` backend
-  Packed,  ///< force the bit-parallel block backend
-};
+/// both backends, every block width and every dispatch path produce
+/// bit-identical activities, toggle counts and power reports
+/// (tests/test_simengine.cpp and tests/test_blockengine.cpp check the
+/// packed paths against the scalar reference loops in
+/// tests/scalar_reference.hpp).
 
 /// Gate-eval kernel instruction sets, ordered by capability. The dispatch
 /// level never changes results — every kernel computes the same bitwise
@@ -63,9 +64,8 @@ SimDispatch active_dispatch();
 /// evals; call it between simulations.
 void set_dispatch_cap(SimDispatch cap);
 
-/// Engine selection threaded through the estimator APIs. Defaults preserve
-/// the historical (scalar-era) results exactly while picking the fast
-/// backend automatically.
+/// Options threaded through the simulating estimator APIs. Neither field
+/// changes a computed value.
 ///
 /// `block_words` is the number of 64-bit lane words per gate in the packed
 /// backend (lane count = 64 × block_words). 0 picks the widest profitable
@@ -78,7 +78,6 @@ void set_dispatch_cap(SimDispatch cap);
 /// overhead); Strict turns malformed-input crashes into structured
 /// LintError diagnostics, Warn reports and continues.
 struct SimOptions {
-  EngineKind engine = EngineKind::Auto;
   lint::LintOptions lint;
   int block_words = 0;  ///< words per lane block; 0 = auto, 1 = legacy 64-lane
 };
@@ -91,13 +90,10 @@ int default_block_words();
 /// 0 -> default_block_words(), otherwise clamped to [1, 64].
 int resolve_block_words(int requested);
 
-/// Resolve `Auto` against the netlist structure: packed iff the netlist is
-/// combinational and its primary inputs/outputs fit one 64-bit stream word.
-/// Forcing `Packed` where temporal lane packing cannot reproduce scalar
-/// results bit-exactly throws `std::logic_error`.
-EngineKind resolve_engine(const netlist::Netlist& nl, EngineKind requested);
-
-const char* engine_name(EngineKind k);
+/// True iff stream sweeps may pack consecutive cycles into lanes: the
+/// netlist is combinational and its primary inputs and outputs each fit
+/// one 64-bit stream word.
+bool temporal_packable(const netlist::Netlist& nl);
 
 /// In-place 64x64 bit-matrix transpose: bit c of m[r] moves to bit r of
 /// m[c]. Converts between cycle-major vector-stream words (bit i = line i)

@@ -67,14 +67,13 @@ void Simulator::eval() {
 
 void Simulator::tick() {
   // Sample all D inputs first (old values), then commit.
-  std::vector<std::uint8_t> next;
-  next.reserve(nl_->dffs().size());
+  dff_next_.clear();
   for (GateId d : nl_->dffs()) {
     const Gate& g = nl_->gate(d);
-    next.push_back(g.fanins.empty() ? values_[d] : values_[g.fanins[0]]);
+    dff_next_.push_back(g.fanins.empty() ? values_[d] : values_[g.fanins[0]]);
   }
   std::size_t i = 0;
-  for (GateId d : nl_->dffs()) values_[d] = next[i++];
+  for (GateId d : nl_->dffs()) values_[d] = dff_next_[i++];
 }
 
 std::uint64_t Simulator::word_value(const netlist::Word& w) const {
@@ -190,7 +189,7 @@ std::vector<double> simulate_activities(const netlist::Netlist& nl,
                                         stats::VectorStream* out_stream,
                                         const SimOptions& opts) {
   lint::enforce_netlist(nl, opts.lint, "simulate_activities");
-  if (resolve_engine(nl, opts.engine) == EngineKind::Packed)
+  if (temporal_packable(nl))
     return packed_activities(nl, in_stream, out_stream, opts.block_words);
   Simulator sim(nl);
   ActivityCollector col(nl);
@@ -213,7 +212,7 @@ stats::VectorStream simulate_outputs(const netlist::Netlist& nl,
                                      const SimOptions& opts) {
   lint::enforce_netlist(nl, opts.lint, "simulate_outputs");
   stats::VectorStream out;
-  if (resolve_engine(nl, opts.engine) == EngineKind::Packed) {
+  if (temporal_packable(nl)) {
     BlockSimulator bs(nl, opts.block_words);
     const std::size_t lanes = static_cast<std::size_t>(bs.lane_count());
     const std::size_t total = in_stream.words.size();

@@ -60,6 +60,7 @@ class Simulator {
   std::vector<netlist::GateId> logic_order_;  ///< logic gates, topo order
   std::vector<std::uint8_t> values_;
   std::vector<std::uint8_t> fanin_buf_;
+  std::vector<std::uint8_t> dff_next_;  ///< tick()'s sampled D values
 };
 
 /// Accumulates zero-delay toggle counts per gate between settled snapshots.
@@ -87,15 +88,15 @@ class ActivityCollector {
 /// Run the netlist over an input stream (one word per cycle; stream bit i
 /// drives primary input i) and return per-gate zero-delay activities.
 /// If `out_stream` is non-null it receives the primary-output stream.
-/// Engine-generic: with the default Auto engine, combinational netlists run
-/// on the 64-lane packed backend (bit-identical results, see engine.hpp);
-/// sequential netlists run scalar.
+/// Netlists that are `temporal_packable` run on the packed backend, the
+/// rest (registered or wider than 64 lines) on the scalar one; the results
+/// are bit-identical either way (see engine.hpp).
 std::vector<double> simulate_activities(
     const netlist::Netlist& nl, const stats::VectorStream& in_stream,
     stats::VectorStream* out_stream = nullptr, const SimOptions& opts = {});
 
 /// Run the netlist over an input stream and return only the primary-output
-/// stream (engine-generic; packed on combinational netlists under Auto).
+/// stream (packed where `temporal_packable`, as above).
 stats::VectorStream simulate_outputs(const netlist::Netlist& nl,
                                      const stats::VectorStream& in_stream,
                                      const SimOptions& opts = {});

@@ -10,6 +10,7 @@
 #include "core/sampling_power.hpp"
 #include "jobs/kernels.hpp"
 #include "netlist/generators.hpp"
+#include "scalar_reference.hpp"
 #include "sim/block_simulator.hpp"
 #include "sim/simulator.hpp"
 #include "sim/streams.hpp"
@@ -72,7 +73,7 @@ TEST(BlockDispatch, PortableAndBestKernelsAreBitIdentical) {
   stats::Rng rng(17);
   auto in = sim::random_stream(mod.total_input_bits(), 300, 0.5, rng);
 
-  sim::SimOptions packed{sim::EngineKind::Packed};
+  sim::SimOptions packed;
   packed.block_words = 8;  // divisible by 4 and 8: widest kernel eligible
 
   auto best_out = sim::simulate_outputs(mod.netlist, in, packed);
@@ -170,12 +171,12 @@ void expect_width_equivalence(const Netlist& nl, int n_in, std::size_t cycles,
   stats::Rng rng(seed);
   auto in = sim::random_stream(n_in, cycles, 0.5, rng);
 
+  ASSERT_TRUE(sim::temporal_packable(nl));
   stats::VectorStream out_s;
-  auto act_s = sim::simulate_activities(
-      nl, in, &out_s, sim::SimOptions{sim::EngineKind::Scalar});
+  auto act_s = scalar_ref::activities(nl, in, &out_s);
 
   for (int w : {1, 2, 4, 8}) {
-    sim::SimOptions packed{sim::EngineKind::Packed};
+    sim::SimOptions packed;
     packed.block_words = w;
     stats::VectorStream out_p;
     auto act_p = sim::simulate_activities(nl, in, &out_p, packed);
@@ -219,10 +220,9 @@ TEST(BlockDifferential, CharacterizeAcrossWidths) {
   auto mod = netlist::multiplier_module(4);
   stats::Rng rng(31);
   auto in = sim::random_stream(mod.total_input_bits(), 520, 0.5, rng);
-  auto cs =
-      core::characterize(mod, in, {}, sim::SimOptions{sim::EngineKind::Scalar});
+  auto cs = scalar_ref::characterize(mod, in);
   for (int w : {1, 2, 3, 4, 8, 16, 64}) {
-    sim::SimOptions packed{sim::EngineKind::Packed};
+    sim::SimOptions packed;
     packed.block_words = w;
     auto cp = core::characterize(mod, in, {}, packed);
     ASSERT_EQ(cs.transitions(), cp.transitions()) << "W=" << w;
@@ -361,13 +361,10 @@ TEST(BlockSwapLanes, RegistersAndConstantsCarryOver) {
 TEST(BlockMonteCarlo, WidthsBitIdenticalToScalar) {
   auto mod = netlist::multiplier_module(4);
   const int n_in = mod.total_input_bits();
-  stats::Rng rng_s(9);
-  auto rs = core::monte_carlo_power(
-      mod, [&] { return rng_s.uniform_bits(n_in); }, 0.05, 0.95, 30, 4000, {},
-      sim::SimOptions{sim::EngineKind::Scalar});
+  auto rs = scalar_ref::plain_rule_monte_carlo(mod, 9, 0.05, 30, 4000);
   for (int w : {1, 2, 3, 4, 8, 16, 64}) {
     stats::Rng rng_p(9);
-    sim::SimOptions packed{sim::EngineKind::Packed};
+    sim::SimOptions packed;
     packed.block_words = w;
     auto rp = core::monte_carlo_power(
         mod, [&] { return rng_p.uniform_bits(n_in); }, 0.05, 0.95, 30, 4000,
@@ -385,23 +382,20 @@ TEST(BlockMonteCarlo, QuotaTripsOnTheSamePairAcrossWidths) {
   // 97 is mid-block for every width: the final block must be clipped to
   // the remaining quota, never charged past it.
   const std::size_t quota = 97;
-  stats::Rng rng_s(4);
-  auto bs = exec::Budget::with_step_quota(quota);
-  auto out_s = core::monte_carlo_power_budgeted(
-      mod, [&] { return rng_s.uniform_bits(n_in); }, bs, 1e-9, 0.95, 30, 4000,
-      {}, sim::SimOptions{sim::EngineKind::Scalar});
-  EXPECT_EQ(out_s->pairs, quota);
+  const auto ref = scalar_ref::plain_rule_monte_carlo(mod, 4, 1e-9, 30, quota);
+  ASSERT_EQ(ref.pairs, quota);
   for (int w : {1, 2, 3, 4, 8, 16, 64}) {
     stats::Rng rng_p(4);
-    sim::SimOptions packed{sim::EngineKind::Packed};
+    sim::SimOptions packed;
     packed.block_words = w;
     auto bp = exec::Budget::with_step_quota(quota);
     auto out_p = core::monte_carlo_power_budgeted(
         mod, [&] { return rng_p.uniform_bits(n_in); }, bp, 1e-9, 0.95, 30,
         4000, {}, packed);
     EXPECT_EQ(out_p->pairs, quota) << "W=" << w;
-    EXPECT_EQ(out_p->mean_energy, out_s->mean_energy) << "W=" << w;
-    EXPECT_EQ(out_p->checkpoint.count, out_s->checkpoint.count) << "W=" << w;
+    EXPECT_EQ(out_p->mean_energy, ref.mean_energy) << "W=" << w;
+    EXPECT_EQ(out_p->checkpoint.count, ref.checkpoint.count) << "W=" << w;
+    EXPECT_EQ(out_p->checkpoint.m2, ref.checkpoint.m2) << "W=" << w;
     EXPECT_EQ(out_p->stop_reason,
               core::MonteCarloResult::StopReason::BudgetExhausted);
   }
@@ -447,24 +441,27 @@ TEST(ShardedMonteCarlo, ConvergenceIndependentOfThreadSchedule) {
 }
 
 TEST(ShardedMonteCarlo, ScalarEngineShardsIdentically) {
+  // The scalar reference, one chunk after another, draws the same
+  // per-chunk streams, so every thread count and width agrees with it
+  // bit for bit.
   auto mod = netlist::adder_module(8);
+  const auto ref = scalar_ref::sharded_monte_carlo(mod, 21, 1024, 128);
   core::ShardedMcOptions opts;
   opts.total_pairs = 1024;
   opts.chunk_pairs = 128;
   opts.epsilon = 0.0;
-  opts.sim.engine = sim::EngineKind::Scalar;
-  auto ref = core::monte_carlo_power_sharded(mod, 21, opts);
-  opts.threads = 4;
-  auto r = core::monte_carlo_power_sharded(mod, 21, opts);
-  EXPECT_EQ(ref->mean_energy, r->mean_energy);
-  EXPECT_EQ(ref->pairs, r->pairs);
-  // Scalar and packed shards draw identical per-chunk streams, so the
-  // engines agree bit-for-bit too.
-  core::ShardedMcOptions popts = opts;
-  popts.sim.engine = sim::EngineKind::Packed;
-  auto rp = core::monte_carlo_power_sharded(mod, 21, popts);
-  EXPECT_EQ(ref->mean_energy, rp->mean_energy);
-  EXPECT_EQ(ref->ci_halfwidth, rp->ci_halfwidth);
+  for (int words : {1, 0}) {
+    opts.sim.block_words = words;
+    for (int threads : {1, 4}) {
+      opts.threads = threads;
+      auto r = core::monte_carlo_power_sharded(mod, 21, opts);
+      EXPECT_EQ(r->pairs, ref.count()) << "W=" << words << " x" << threads;
+      EXPECT_EQ(r->mean_energy, ref.mean()) << "W=" << words << " x"
+                                            << threads;
+      EXPECT_EQ(r->checkpoint.m2, ref.m2()) << "W=" << words << " x"
+                                            << threads;
+    }
+  }
 }
 
 TEST(ShardedMonteCarlo, ResumeMidCampaignBitIdentical) {

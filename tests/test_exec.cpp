@@ -14,6 +14,7 @@
 #include "fsm/synth.hpp"
 #include "netlist/generators.hpp"
 #include "netlist/words.hpp"
+#include "scalar_reference.hpp"
 #include "sim/glitch_sim.hpp"
 #include "sim/streams.hpp"
 
@@ -215,21 +216,23 @@ TEST(MonteCarloBudgeted, QuotaTripReturnsResumableCheckpoint) {
 }
 
 TEST(MonteCarloBudgeted, ScalarAndPackedTripOnTheSamePair) {
+  // A quota of 97 stops mid-block at W=1 and at the default width alike,
+  // on the pair where the one-pair-per-step scalar reference stops.
   auto mod = netlist::adder_module(6);
-  sim::SimOptions scalar, packed;
-  scalar.engine = sim::EngineKind::Scalar;
-  packed.engine = sim::EngineKind::Packed;
-  stats::Rng r1(21), r2(21);
-  auto a = core::monte_carlo_power_budgeted(
-      mod, [&] { return r1.uniform_bits(12); }, Budget::with_step_quota(97),
-      1e-6, 0.95, 30, 100000, {}, scalar);
-  auto b = core::monte_carlo_power_budgeted(
-      mod, [&] { return r2.uniform_bits(12); }, Budget::with_step_quota(97),
-      1e-6, 0.95, 30, 100000, {}, packed);
-  EXPECT_EQ(a->pairs, 97u);
-  EXPECT_EQ(b->pairs, 97u);
-  EXPECT_DOUBLE_EQ(a->mean_energy, b->mean_energy);
-  EXPECT_DOUBLE_EQ(a->checkpoint.m2, b->checkpoint.m2);
+  const auto ref = scalar_ref::plain_rule_monte_carlo(mod, 21, 1e-6, 30, 97);
+  for (int words : {1, 0}) {
+    sim::SimOptions opts;
+    opts.block_words = words;
+    stats::Rng rng(21);
+    auto out = core::monte_carlo_power_budgeted(
+        mod, [&] { return rng.uniform_bits(12); }, Budget::with_step_quota(97),
+        1e-6, 0.95, 30, 100000, {}, opts);
+    EXPECT_EQ(out->stop_reason,
+              core::MonteCarloResult::StopReason::BudgetExhausted);
+    EXPECT_EQ(out->pairs, 97u) << "W=" << words;
+    EXPECT_EQ(out->mean_energy, ref.mean_energy) << "W=" << words;
+    EXPECT_EQ(out->checkpoint.m2, ref.checkpoint.m2) << "W=" << words;
+  }
 }
 
 TEST(MonteCarloBudgeted, CancellationStopsTheRun) {

@@ -176,40 +176,24 @@ TEST(FaultInjection, MonteCarloCancellationCountsOnlyPaidPairs) {
   for (std::uint64_t i : {std::uint64_t{0}, std::uint64_t{1},
                           std::uint64_t{63}, std::uint64_t{64},
                           std::uint64_t{100}}) {
-    // Scalar engine: one meter step per pair, so cancellation at step i
-    // preserves exactly i pairs of statistics.
+    // The meter is charged one block of pairs per probe, so a cancellation
+    // inside a block rejects that whole (not yet drawn) block — only
+    // fully-paid blocks survive, and the count is the largest block
+    // boundary at or below i.
     fi::arm_cancel_at_step(i);
     stats::Rng rng(3);
     exec::Budget b;
-    sim::SimOptions scalar{sim::EngineKind::Scalar};
+    sim::SimOptions opts;
+    opts.block_words = 1;  // 64-pair blocks
     auto out = core::monte_carlo_power_budgeted(
-        mod, [&] { return rng.uniform_bits(12); }, b, 1e-6, 0.95, 30, 400, {},
-        scalar);
+        mod, [&] { return rng.uniform_bits(12); }, b, 1e-6, 0.95, 30, 400,
+        {}, opts);
     fi::disarm();
     EXPECT_EQ(out.diag.stop, StopReason::Cancelled) << "inject at " << i;
     EXPECT_EQ(out->stop_reason,
               core::MonteCarloResult::StopReason::BudgetExhausted);
-    EXPECT_EQ(out->pairs, i) << "inject at " << i;
-    EXPECT_EQ(out->checkpoint.count, i);
-
-    // Packed engine: the meter is charged one block of pairs per probe, so
-    // a cancellation inside a block rejects that whole (not yet drawn)
-    // block — only fully-paid blocks survive, and the count is the largest
-    // block boundary at or below i.
-    fi::arm_cancel_at_step(i);
-    stats::Rng rng_p(3);
-    exec::Budget bp;
-    sim::SimOptions packed{sim::EngineKind::Packed};
-    packed.block_words = 1;  // 64-pair blocks
-    auto outp = core::monte_carlo_power_budgeted(
-        mod, [&] { return rng_p.uniform_bits(12); }, bp, 1e-6, 0.95, 30, 400,
-        {}, packed);
-    fi::disarm();
-    EXPECT_EQ(outp.diag.stop, StopReason::Cancelled) << "inject at " << i;
-    EXPECT_EQ(outp->stop_reason,
-              core::MonteCarloResult::StopReason::BudgetExhausted);
-    EXPECT_EQ(outp->pairs, i / 64 * 64) << "inject at " << i;
-    EXPECT_EQ(outp->checkpoint.count, i / 64 * 64);
+    EXPECT_EQ(out->pairs, i / 64 * 64) << "inject at " << i;
+    EXPECT_EQ(out->checkpoint.count, i / 64 * 64);
   }
 }
 

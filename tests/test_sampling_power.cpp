@@ -4,6 +4,7 @@
 
 #include "core/sampling_power.hpp"
 #include "netlist/words.hpp"
+#include "scalar_reference.hpp"
 #include "sim/simulator.hpp"
 #include "sim/streams.hpp"
 #include "stats/descriptive.hpp"
@@ -12,6 +13,7 @@ namespace {
 
 using namespace hlp;
 using namespace hlp::core;
+using scalar_ref::plain_rule_monte_carlo;
 
 struct CosimSetup {
   netlist::Module mod = netlist::adder_module(8);
@@ -103,45 +105,6 @@ TEST(Adaptive, UsesFewGateLevelCycles) {
 
 // --- Monte Carlo stop rule: the squared pre-test changes nothing ----------
 
-/// Scalar Monte Carlo with the plain stop rule, `ci_halfwidth` evaluated
-/// for every pair past min_pairs.
-MonteCarloResult plain_rule_monte_carlo(const netlist::Module& mod,
-                                        std::uint64_t seed, double epsilon,
-                                        std::size_t min_pairs,
-                                        std::size_t max_pairs) {
-  const auto& nl = mod.netlist;
-  const auto loads = nl.loads();
-  const int n_in = mod.total_input_bits();
-  stats::Rng rng(seed);
-  sim::Simulator s(nl);
-  std::vector<bool> prev(nl.gate_count());
-  stats::RunningStats rs;
-  MonteCarloResult res;
-  while (rs.count() < max_pairs) {
-    s.set_all_inputs(rng.uniform_bits(n_in));
-    s.eval();
-    for (netlist::GateId g = 0; g < nl.gate_count(); ++g) prev[g] = s.value(g);
-    s.set_all_inputs(rng.uniform_bits(n_in));
-    s.eval();
-    double e = 0.0;
-    for (netlist::GateId g = 0; g < nl.gate_count(); ++g)
-      if (s.value(g) != prev[g]) e += loads[g];
-    rs.add(e);
-    if (rs.count() >= min_pairs) {
-      const double hw = stats::ci_halfwidth(rs, 0.95);
-      if (rs.mean() > 0.0 && hw <= epsilon * rs.mean()) {
-        res.converged = true;
-        res.ci_halfwidth = hw;
-        break;
-      }
-    }
-  }
-  res.pairs = rs.count();
-  res.mean_energy = rs.mean();
-  if (!res.converged) res.ci_halfwidth = stats::ci_halfwidth(rs, 0.95);
-  return res;
-}
-
 TEST(MonteCarloStopRule, StopsOnTheSamePairAsThePlainRule) {
   for (const auto& mod :
        {netlist::multiplier_module(8), netlist::adder_module(8)}) {
@@ -149,11 +112,13 @@ TEST(MonteCarloStopRule, StopsOnTheSamePairAsThePlainRule) {
     for (double eps : {0.3, 0.2, 0.1, 0.07, 0.05, 0.03, 0.02, 0.015, 0.01}) {
       const auto ref = plain_rule_monte_carlo(mod, 77, eps, 30, 20000);
       ASSERT_TRUE(ref.converged) << "eps=" << eps;
-      for (auto engine : {sim::EngineKind::Scalar, sim::EngineKind::Packed}) {
+      for (int words : {1, 0}) {
         stats::Rng rng(77);
+        sim::SimOptions opts;
+        opts.block_words = words;
         auto r = monte_carlo_power(
             mod, [&] { return rng.uniform_bits(n_in); }, eps, 0.95, 30, 20000,
-            {}, sim::SimOptions{engine});
+            {}, opts);
         EXPECT_EQ(r.pairs, ref.pairs) << "eps=" << eps;
         EXPECT_EQ(r.ci_halfwidth, ref.ci_halfwidth) << "eps=" << eps;
         EXPECT_EQ(r.mean_energy, ref.mean_energy) << "eps=" << eps;
@@ -163,7 +128,7 @@ TEST(MonteCarloStopRule, StopsOnTheSamePairAsThePlainRule) {
   }
 }
 
-// --- Monte Carlo on a sequential netlist (Auto resolves to scalar) --------
+// --- Monte Carlo on a registered netlist (replica lanes) -----------------
 
 /// adder:6 with every sum bit registered: output i is s_i xor q_i, where
 /// q_i is a DFF on s_i initialised to (i odd). Monte Carlo never clocks the
@@ -188,20 +153,27 @@ netlist::Module registered_adder() {
 
 TEST(SequentialMonteCarlo, MatchesTheScalarReferenceLoop) {
   const auto mod = registered_adder();
-  ASSERT_EQ(sim::resolve_engine(mod.netlist, sim::EngineKind::Auto),
-            sim::EngineKind::Scalar);
+  ASSERT_FALSE(sim::temporal_packable(mod.netlist));
   const int n_in = mod.total_input_bits();
-  // 0.05 converges; 1e-9 runs to max_pairs.
+  // 0.05 converges; 1e-9 runs to max_pairs. Every block width runs the
+  // registers on replica lanes; width 3 takes the portable kernel tail.
   for (double eps : {0.05, 1e-9}) {
     const auto ref = plain_rule_monte_carlo(mod, 13, eps, 30, 3000);
     ASSERT_EQ(ref.converged, eps > 0.01) << "eps=" << eps;
-    stats::Rng rng(13);
-    const auto r = monte_carlo_power(
-        mod, [&] { return rng.uniform_bits(n_in); }, eps, 0.95, 30, 3000);
-    EXPECT_EQ(r.pairs, ref.pairs) << "eps=" << eps;
-    EXPECT_EQ(r.mean_energy, ref.mean_energy) << "eps=" << eps;
-    EXPECT_EQ(r.ci_halfwidth, ref.ci_halfwidth) << "eps=" << eps;
-    EXPECT_EQ(r.converged, ref.converged) << "eps=" << eps;
+    for (int words : {0, 1, 2, 3, 4, 8, 16, 64}) {
+      stats::Rng rng(13);
+      sim::SimOptions opts;
+      opts.block_words = words;
+      const auto r = monte_carlo_power(
+          mod, [&] { return rng.uniform_bits(n_in); }, eps, 0.95, 30, 3000,
+          {}, opts);
+      EXPECT_EQ(r.pairs, ref.pairs) << "eps=" << eps << " W=" << words;
+      EXPECT_EQ(r.mean_energy, ref.mean_energy)
+          << "eps=" << eps << " W=" << words;
+      EXPECT_EQ(r.ci_halfwidth, ref.ci_halfwidth)
+          << "eps=" << eps << " W=" << words;
+      EXPECT_EQ(r.converged, ref.converged) << "eps=" << eps << " W=" << words;
+    }
   }
 }
 
@@ -233,16 +205,17 @@ TEST(SequentialMonteCarlo, QuotaStopResumesToTheUninterruptedRun) {
 
 /// The Rng overload against the per-word generator over the same seed: the
 /// same result and checkpoint, and the generator left at the same draw.
-void expect_bulk_matches_per_word(const netlist::Module& mod,
-                                  sim::EngineKind engine, double eps,
-                                  const exec::Budget& budget) {
+void expect_bulk_matches_per_word(const netlist::Module& mod, int words,
+                                  double eps, const exec::Budget& budget) {
   const int n_in = mod.total_input_bits();
   stats::Rng per_word(21), bulk(21);
+  sim::SimOptions opts;
+  opts.block_words = words;
   const auto a = monte_carlo_power_budgeted(
       mod, [&] { return per_word.uniform_bits(n_in); }, budget, eps, 0.95, 30,
-      3000, {}, sim::SimOptions{engine});
+      3000, {}, opts);
   const auto b = monte_carlo_power_budgeted(mod, bulk, budget, eps, 0.95, 30,
-                                            3000, {}, sim::SimOptions{engine});
+                                            3000, {}, opts);
   EXPECT_EQ(b->pairs, a->pairs);
   EXPECT_EQ(b->mean_energy, a->mean_energy);
   EXPECT_EQ(b->ci_halfwidth, a->ci_halfwidth);
@@ -253,11 +226,11 @@ void expect_bulk_matches_per_word(const netlist::Module& mod,
 
 TEST(RngMonteCarlo, BulkDrawMatchesPerWordGenerator) {
   for (const auto& mod : {netlist::multiplier_module(8), registered_adder()}) {
-    for (auto engine : {sim::EngineKind::Auto, sim::EngineKind::Scalar}) {
+    for (int words : {0, 1}) {
       // Converges; runs to max_pairs; stops on a step quota.
-      expect_bulk_matches_per_word(mod, engine, 0.05, {});
-      expect_bulk_matches_per_word(mod, engine, 1e-9, {});
-      expect_bulk_matches_per_word(mod, engine, 1e-9,
+      expect_bulk_matches_per_word(mod, words, 0.05, {});
+      expect_bulk_matches_per_word(mod, words, 1e-9, {});
+      expect_bulk_matches_per_word(mod, words, 1e-9,
                                    exec::Budget::with_step_quota(1500));
     }
   }
@@ -265,16 +238,18 @@ TEST(RngMonteCarlo, BulkDrawMatchesPerWordGenerator) {
 
 TEST(SequentialMonteCarlo, ShardedThreadCountsBitIdentical) {
   const auto mod = registered_adder();
+  const auto ref = scalar_ref::sharded_monte_carlo(mod, 19, 1000, 128);
+  ASSERT_EQ(ref.count(), 1000u);
   ShardedMcOptions opts;
   opts.total_pairs = 1000;
   opts.chunk_pairs = 128;
-  const auto one = monte_carlo_power_sharded(mod, 19, opts);
-  ASSERT_EQ(one->pairs, 1000u);
-  opts.threads = 4;
-  const auto four = monte_carlo_power_sharded(mod, 19, opts);
-  EXPECT_EQ(four->pairs, one->pairs);
-  EXPECT_EQ(four->mean_energy, one->mean_energy);
-  EXPECT_EQ(four->ci_halfwidth, one->ci_halfwidth);
+  for (int threads : {1, 4}) {
+    opts.threads = threads;
+    const auto r = monte_carlo_power_sharded(mod, 19, opts);
+    EXPECT_EQ(r->pairs, ref.count()) << "threads " << threads;
+    EXPECT_EQ(r->mean_energy, ref.mean()) << "threads " << threads;
+    EXPECT_EQ(r->checkpoint.m2, ref.m2()) << "threads " << threads;
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include "core/macromodel.hpp"
 #include "core/sampling_power.hpp"
 #include "netlist/generators.hpp"
+#include "scalar_reference.hpp"
 #include "sim/simulator.hpp"
 #include "sim/streams.hpp"
 #include "stats/rng.hpp"
@@ -39,26 +40,20 @@ TEST(Transpose64, IsAnInvolutionOnRandomMatrices) {
   for (int i = 0; i < 64; ++i) EXPECT_EQ(m[i], orig[i]);
 }
 
-// --- engine resolution ---------------------------------------------------
+// --- backend selection ---------------------------------------------------
 
-TEST(ResolveEngine, AutoPicksPackedForCombinational) {
+TEST(TemporalPacking, CombinationalNetlistsPack) {
   auto mod = netlist::adder_module(8);
-  EXPECT_EQ(sim::resolve_engine(mod.netlist, sim::EngineKind::Auto),
-            sim::EngineKind::Packed);
-  EXPECT_EQ(sim::resolve_engine(mod.netlist, sim::EngineKind::Scalar),
-            sim::EngineKind::Scalar);
+  EXPECT_TRUE(sim::temporal_packable(mod.netlist));
 }
 
-TEST(ResolveEngine, AutoFallsBackToScalarForSequential) {
+TEST(TemporalPacking, RegisteredNetlistsDoNot) {
   Netlist nl;
   auto q = nl.add_dff();
   auto nq = nl.add_unary(GateKind::Not, q);
   nl.set_dff_input(q, nq);
   nl.mark_output(nq);
-  EXPECT_EQ(sim::resolve_engine(nl, sim::EngineKind::Auto),
-            sim::EngineKind::Scalar);
-  EXPECT_THROW(sim::resolve_engine(nl, sim::EngineKind::Packed),
-               std::logic_error);
+  EXPECT_FALSE(sim::temporal_packable(nl));
 }
 
 // --- packed vs scalar differential: activities and outputs ---------------
@@ -68,11 +63,10 @@ void expect_exact_equivalence(const Netlist& nl, int n_in,
   stats::Rng rng(seed);
   auto in = sim::random_stream(n_in, cycles, 0.5, rng);
 
+  ASSERT_TRUE(sim::temporal_packable(nl));
   stats::VectorStream out_s, out_p;
-  auto act_s = sim::simulate_activities(
-      nl, in, &out_s, sim::SimOptions{sim::EngineKind::Scalar});
-  auto act_p = sim::simulate_activities(
-      nl, in, &out_p, sim::SimOptions{sim::EngineKind::Packed});
+  auto act_s = scalar_ref::activities(nl, in, &out_s);
+  auto act_p = sim::simulate_activities(nl, in, &out_p);
 
   ASSERT_EQ(act_s.size(), act_p.size());
   for (std::size_t g = 0; g < act_s.size(); ++g)
@@ -81,11 +75,8 @@ void expect_exact_equivalence(const Netlist& nl, int n_in,
   for (std::size_t t = 0; t < out_s.words.size(); ++t)
     EXPECT_EQ(out_s.words[t], out_p.words[t]) << "output mismatch at " << t;
 
-  auto so = sim::simulate_outputs(nl, in,
-                                  sim::SimOptions{sim::EngineKind::Scalar});
-  auto po = sim::simulate_outputs(nl, in,
-                                  sim::SimOptions{sim::EngineKind::Packed});
-  EXPECT_EQ(so.words, po.words);
+  auto po = sim::simulate_outputs(nl, in);
+  EXPECT_EQ(out_s.words, po.words);
 }
 
 TEST(PackedDifferential, RandomDags) {
@@ -132,14 +123,14 @@ TEST(PackedDifferential, ShortAndPartialStreams) {
   }
 }
 
-// --- Monte Carlo power: packed == scalar, bit for bit --------------------
+// --- Monte Carlo power: packed == scalar reference, bit for bit ----------
 // Each packed run sweeps the block width: the default (0), the odd and
 // widest portable widths, and the AVX2/AVX-512 widths.
 
 constexpr int kWidths[] = {0, 1, 2, 3, 4, 8, 16, 64};
 
 sim::SimOptions packed_at(int words) {
-  sim::SimOptions o{sim::EngineKind::Packed};
+  sim::SimOptions o;
   o.block_words = words;
   return o;
 }
@@ -148,11 +139,7 @@ TEST(PackedMonteCarlo, BitIdenticalToScalar) {
   for (std::uint64_t seed : {2u, 9u}) {
     auto mod = netlist::multiplier_module(4);
     const int n_in = mod.total_input_bits();
-    stats::Rng rng_s(seed);
-    auto gen_s = [&] { return rng_s.uniform_bits(n_in); };
-    auto rs = core::monte_carlo_power(
-        mod, gen_s, 0.05, 0.95, 30, 4000, {},
-        sim::SimOptions{sim::EngineKind::Scalar});
+    auto rs = scalar_ref::plain_rule_monte_carlo(mod, seed, 0.05, 30, 4000);
     for (int w : kWidths) {
       stats::Rng rng_p(seed);
       auto gen_p = [&] { return rng_p.uniform_bits(n_in); };
@@ -169,13 +156,9 @@ TEST(PackedMonteCarlo, BitIdenticalToScalar) {
 TEST(PackedMonteCarlo, ExhaustsMaxPairsIdentically) {
   auto mod = netlist::adder_module(6);
   const int n_in = mod.total_input_bits();
-  stats::Rng rng_s(4);
-  auto gen_s = [&] { return rng_s.uniform_bits(n_in); };
   // Impossible epsilon: both paths must run to max_pairs (not a multiple
   // of 64, so the last packed block is partial).
-  auto rs = core::monte_carlo_power(
-      mod, gen_s, 1e-9, 0.95, 30, 100, {},
-      sim::SimOptions{sim::EngineKind::Scalar});
+  auto rs = scalar_ref::plain_rule_monte_carlo(mod, 4, 1e-9, 30, 100);
   for (int w : kWidths) {
     stats::Rng rng_p(4);
     auto gen_p = [&] { return rng_p.uniform_bits(n_in); };
@@ -188,14 +171,13 @@ TEST(PackedMonteCarlo, ExhaustsMaxPairsIdentically) {
   }
 }
 
-// --- macro-model characterization: packed == scalar ----------------------
+// --- macro-model characterization: packed == scalar reference ------------
 
 TEST(PackedCharacterize, BitIdenticalToScalar) {
   auto mod = netlist::multiplier_module(4);
   stats::Rng rng(31);
   auto in = sim::random_stream(mod.total_input_bits(), 300, 0.5, rng);
-  auto cs =
-      core::characterize(mod, in, {}, sim::SimOptions{sim::EngineKind::Scalar});
+  auto cs = scalar_ref::characterize(mod, in);
   for (int w : kWidths) {
     auto cp = core::characterize(mod, in, {}, packed_at(w));
     ASSERT_EQ(cs.transitions(), cp.transitions()) << "W=" << w;

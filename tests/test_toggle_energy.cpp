@@ -8,6 +8,7 @@
 
 #include "core/sampling_power.hpp"
 #include "netlist/generators.hpp"
+#include "scalar_reference.hpp"
 #include "sim/block_simulator.hpp"
 #include "sim/simulator.hpp"
 #include "sim/toggle_energy.hpp"
@@ -184,12 +185,11 @@ TEST(ToggleEnergy, NonDyadicMonteCarloAndCharacterizeMatchScalar) {
   netlist::CapacitanceModel cap;
   cap.wire_cap_per_fanout = 0.1;
   stats::Rng rng_s(3), rng_p(3);
-  auto rs = core::monte_carlo_power(
-      mod, [&] { return rng_s.uniform_bits(n_in); }, 0.05, 0.95, 30, 3000,
-      cap, sim::SimOptions{sim::EngineKind::Scalar});
+  auto rs = scalar_ref::plain_rule_monte_carlo(
+      mod, [&] { return rng_s.uniform_bits(n_in); }, 0.05, 30, 3000, cap);
   auto rp = core::monte_carlo_power(
       mod, [&] { return rng_p.uniform_bits(n_in); }, 0.05, 0.95, 30, 3000,
-      cap, sim::SimOptions{sim::EngineKind::Packed});
+      cap);
   EXPECT_EQ(rs.mean_energy, rp.mean_energy);
   EXPECT_EQ(rs.pairs, rp.pairs);
   EXPECT_EQ(rs.ci_halfwidth, rp.ci_halfwidth);
@@ -197,10 +197,8 @@ TEST(ToggleEnergy, NonDyadicMonteCarloAndCharacterizeMatchScalar) {
   stats::Rng rng(5);
   stats::VectorStream in;
   for (int t = 0; t < 300; ++t) in.words.push_back(rng.uniform_bits(n_in));
-  auto cs = core::characterize(mod, in, cap,
-                               sim::SimOptions{sim::EngineKind::Scalar});
-  auto cp = core::characterize(mod, in, cap,
-                               sim::SimOptions{sim::EngineKind::Packed});
+  auto cs = scalar_ref::characterize(mod, in, cap);
+  auto cp = core::characterize(mod, in, cap);
   EXPECT_EQ(cs.energy, cp.energy);
 }
 
