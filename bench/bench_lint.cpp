@@ -1,7 +1,7 @@
 // E-LINT — Design-rule checker throughput over the three IRs.
 //
-// The lint pass (src/lint/) is meant to run at every estimator entry point
-// in strict deployments, so it must stay linear in the design: all rules are
+// The lint pass (src/lint/) runs ahead of estimation on whatever design a
+// caller hands it, so it must stay linear in the design: all rules are
 // single-pass reachability/SCC/fanout computations, O(V + E) over the
 // netlist. This bench measures gates/sec on the largest array multiplier
 // and sweeps random DAGs across a 32x size range — if the checker is really
@@ -57,14 +57,6 @@ std::vector<Workload>& workloads() {
   return w;
 }
 
-/// The full default rule set: structural tiers plus the analysis-backed
-/// quantitative tier (NL-CONST, PW-BOUND, estimated-waste fields).
-lint::LintOptions full_opts() {
-  lint::LintOptions opts;
-  opts.mode = lint::LintMode::Warn;
-  return opts;
-}
-
 /// The pre-quantitative rule set (what this bench measured before the
 /// dataflow analyses existed): structural + power-shape rules, no
 /// activity/arrival/const-prop passes, no waste figures. Tracked
@@ -72,7 +64,6 @@ lint::LintOptions full_opts() {
 /// rule-set change.
 lint::LintOptions structural_opts() {
   lint::LintOptions opts;
-  opts.mode = lint::LintMode::Warn;
   opts.quantify = false;
   opts.disabled = {"NL-CONST"};
   return opts;
@@ -82,10 +73,11 @@ std::size_t run_lint(const Workload& w, const lint::LintOptions& opts) {
   return lint::run_module(w.mod, opts).diags.size();
 }
 
+/// Benchmarks the full default rule set: structural tiers plus the
+/// analysis-backed quantitative tier (NL-CONST, PW-BOUND, waste fields).
 void BM_Lint(benchmark::State& state, const Workload& w) {
-  const lint::LintOptions opts = full_opts();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(run_lint(w, opts));
+    benchmark::DoNotOptimize(run_lint(w, {}));
   }
   state.counters["gates_per_sec"] = benchmark::Counter(
       static_cast<double>(w.mod.netlist.gate_count()),
@@ -112,7 +104,7 @@ double measure_gates_per_sec(const Workload& w, const lint::LintOptions& opts,
 void write_report(const std::string& path) {
   benchjson::Array circuits;
   const lint::LintOptions structural = structural_opts();
-  const lint::LintOptions full = full_opts();
+  const lint::LintOptions full{};  // the full default rule set
   std::printf("\nE-LINT — lint throughput (gates/sec), structural rule set "
               "vs full quantitative set\n\n");
   std::printf("%16s %8s %8s %8s %14s %8s %14s\n", "circuit", "gates",

@@ -303,24 +303,43 @@ void write_engine_report(const char* path) {
     return std::chrono::duration<double>(t1 - t0).count();
   };
 
-  auto mult8 = netlist::multiplier_module(8);
-  const std::size_t pairs = 20000;
-  const double gate_evals = static_cast<double>(
-      mult8.netlist.logic_gate_count() * pairs * 2);  // two vectors per pair
-  auto best_evals = [&](auto&& run_once) {
-    double best = 0.0;
-    for (int r = 0; r < 3; ++r) {
-      const double secs = run_once(mult8, pairs);
-      if (secs > 0.0) best = std::max(best, gate_evals / secs);
-    }
-    return best;
+  constexpr int kReps = 9;
+  // Median [p25, p75] of kReps sorted samples.
+  auto quartiles = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return std::array<double, 3>{v[kReps / 2], v[kReps / 4],
+                                 v[kReps - 1 - kReps / 4]};
   };
-  double scalar = best_evals(run_scalar);
-  double packed = best_evals(run);
-  double speedup = scalar > 0.0 ? packed / scalar : 0.0;
-  std::printf("\nMonte Carlo engine throughput (multiplier8, %zu pairs): "
-              "scalar %.3e packed %.3e gate-evals/sec (%.1fx)\n",
-              pairs, scalar, packed, speedup);
+
+  // Each engine's throughput is the median of kReps runs, and every run
+  // lasts at least 50 ms so scheduler noise cannot swing it: the pair
+  // count doubles from 20000 until one run takes that long.
+  auto mult8 = netlist::multiplier_module(8);
+  struct Throughput {
+    std::size_t pairs = 20000;
+    std::array<double, 3> evals{};  // gate-evals/sec: median, p25, p75
+  };
+  auto measure = [&](auto&& run_once) {
+    Throughput t;
+    while (run_once(mult8, t.pairs) < 0.05 && t.pairs < (std::size_t{1} << 26))
+      t.pairs *= 2;
+    const double gate_evals = static_cast<double>(
+        mult8.netlist.logic_gate_count() * t.pairs * 2);  // two per pair
+    std::vector<double> v;
+    for (int r = 0; r < kReps; ++r)
+      v.push_back(gate_evals / run_once(mult8, t.pairs));
+    t.evals = quartiles(std::move(v));
+    return t;
+  };
+  const Throughput scalar = measure(run_scalar);
+  const Throughput packed = measure(run);
+  const double speedup = packed.evals[0] / scalar.evals[0];
+  std::printf("\nMonte Carlo engine throughput (multiplier8, gate-evals/sec, "
+              "median [p25, p75] of %d runs): scalar %.3e [%.3e, %.3e] over "
+              "%zu pairs, packed %.3e [%.3e, %.3e] over %zu pairs (%.1fx)\n",
+              kReps, scalar.evals[0], scalar.evals[1], scalar.evals[2],
+              scalar.pairs, packed.evals[0], packed.evals[1], packed.evals[2],
+              packed.pairs, speedup);
 
   struct Design {
     const char* name;
@@ -333,13 +352,6 @@ void write_engine_report(const char* path) {
       {"random:24:2000:8", netlist::random_logic_module(24, 2000, 8, 8)},
   };
   const std::size_t mc_pairs = 65536;
-  constexpr int kReps = 9;
-  // Median [p25, p75] of kReps sorted samples.
-  auto quartiles = [](std::vector<double> v) {
-    std::sort(v.begin(), v.end());
-    return std::array<double, 3>{v[kReps / 2], v[kReps / 4],
-                                 v[kReps - 1 - kReps / 4]};
-  };
   std::printf("\nMonte Carlo ns/pair (packed, W=%d, %zu pairs, median "
               "[p25, p75] of %d runs), and its layers (medians; sum/total "
               "should read within 10%% of 1):\n",
@@ -405,9 +417,15 @@ void write_engine_report(const char* path) {
        benchjson::Array{benchjson::Object{
            {"name", "multiplier8_monte_carlo"},
            {"gates", mult8.netlist.logic_gate_count()},
-           {"cycles", pairs * 2},
-           {"scalar_gate_evals_per_sec", scalar},
-           {"packed_gate_evals_per_sec", packed},
+           {"runs", kReps},
+           {"scalar_pairs", scalar.pairs},
+           {"scalar_gate_evals_per_sec", scalar.evals[0]},
+           {"scalar_gate_evals_per_sec_p25", scalar.evals[1]},
+           {"scalar_gate_evals_per_sec_p75", scalar.evals[2]},
+           {"packed_pairs", packed.pairs},
+           {"packed_gate_evals_per_sec", packed.evals[0]},
+           {"packed_gate_evals_per_sec_p25", packed.evals[1]},
+           {"packed_gate_evals_per_sec_p75", packed.evals[2]},
            {"speedup", speedup},
        }}},
       {"block_words", sim::default_block_words()},

@@ -101,13 +101,11 @@ NetlistBdds build_bdds_ordered(Manager& mgr, const netlist::Netlist& nl,
   std::uint32_t next_var = 0;
   for (std::size_t k = 0; k < input_order.size(); ++k) {
     GateId g = nl.inputs()[input_order[k]];
-    out.var_of[g] = next_var;
     out.input_vars[input_order[k]] = next_var;
     out.fn[g] = mgr.var(next_var);
     ++next_var;
   }
   for (GateId g : nl.dffs()) {
-    out.var_of[g] = next_var;
     out.state_vars.push_back(next_var);
     out.fn[g] = mgr.var(next_var);
     ++next_var;

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "bdd/bdd.hpp"
@@ -13,7 +12,6 @@ namespace hlp::bdd {
 /// primary inputs and DFF outputs (present-state lines).
 struct NetlistBdds {
   std::vector<NodeRef> fn;  ///< indexed by GateId
-  std::unordered_map<netlist::GateId, std::uint32_t> var_of;  ///< sources
   std::vector<std::uint32_t> input_vars;  ///< in primary-input order
   std::vector<std::uint32_t> state_vars;  ///< in DFF order
 

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 
-#include "lint/lint.hpp"
 #include "netlist/index.hpp"
 #include "sim/block_simulator.hpp"
 #include "sim/simulator.hpp"
@@ -89,7 +88,6 @@ ModuleCharacterization characterize(const netlist::Module& mod,
                                     const stats::VectorStream& input,
                                     const netlist::CapacitanceModel& cap,
                                     const sim::SimOptions& opts) {
-  lint::enforce_module(mod, opts.lint, "characterize");
   ModuleCharacterization chr;
   chr.n_in = mod.total_input_bits();
   chr.n_out = mod.total_output_bits();

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "exec/fi.hpp"
-#include "lint/lint.hpp"
 #include "sim/block_simulator.hpp"
 #include "sim/toggle_energy.hpp"
 #include "stats/descriptive.hpp"
@@ -255,7 +254,6 @@ MonteCarloResult sequential_monte_carlo(
     std::size_t min_pairs, std::size_t max_pairs,
     const netlist::CapacitanceModel& cap, const sim::SimOptions& opts,
     exec::Meter* meter, const MonteCarloCheckpoint& resume) {
-  lint::enforce_module(mod, opts.lint, "monte_carlo_power");
   const auto& nl = mod.netlist;
   fi::alloc_checkpoint();
   const sim::LoadClasses classes(nl.loads(cap));
@@ -345,7 +343,6 @@ exec::Outcome<MonteCarloResult> monte_carlo_power_sharded(
     const netlist::Module& mod, std::uint64_t seed,
     const ShardedMcOptions& opts, const exec::Budget& budget,
     const netlist::CapacitanceModel& cap, const MonteCarloCheckpoint& resume) {
-  lint::enforce_module(mod, opts.sim.lint, "monte_carlo_power_sharded");
   const auto& nl = mod.netlist;
   const int n_in = mod.total_input_bits();
   const std::size_t chunk = opts.chunk_pairs ? opts.chunk_pairs : 4096;

@@ -5,7 +5,6 @@
 #include <set>
 #include <string>
 
-#include "lint/lint.hpp"
 #include "stats/rng.hpp"
 
 namespace hlp::core {
@@ -90,9 +89,8 @@ namespace {
 
 PowerManagedSchedule monteiro_schedule_impl(
     const Cdfg& g, int latency_slack, const OpDelays& d,
-    const std::map<OpId, double>& branch_prob, const lint::LintOptions& lint,
-    exec::Meter* meter, std::size_t* muxes_considered) {
-  lint::enforce_cdfg(g, lint, "monteiro_schedule");
+    const std::map<OpId, double>& branch_prob, exec::Meter* meter,
+    std::size_t* muxes_considered) {
   PowerManagedSchedule res;
   res.activation_prob.assign(g.size(), 1.0);
   Schedule base = cdfg::asap(g, d);
@@ -177,20 +175,18 @@ PowerManagedSchedule monteiro_schedule_impl(
 
 PowerManagedSchedule monteiro_schedule(
     const Cdfg& g, int latency_slack, const OpDelays& d,
-    const std::map<OpId, double>& branch_prob,
-    const lint::LintOptions& lint) {
-  return monteiro_schedule_impl(g, latency_slack, d, branch_prob, lint,
-                                nullptr, nullptr);
+    const std::map<OpId, double>& branch_prob) {
+  return monteiro_schedule_impl(g, latency_slack, d, branch_prob, nullptr,
+                                nullptr);
 }
 
 exec::Outcome<PowerManagedSchedule> monteiro_schedule_budgeted(
     const Cdfg& g, const exec::Budget& budget, int latency_slack,
-    const OpDelays& d, const std::map<OpId, double>& branch_prob,
-    const lint::LintOptions& lint) {
+    const OpDelays& d, const std::map<OpId, double>& branch_prob) {
   exec::Meter meter(budget);
   exec::Outcome<PowerManagedSchedule> out;
   std::size_t considered = 0;
-  out.value = monteiro_schedule_impl(g, latency_slack, d, branch_prob, lint,
+  out.value = monteiro_schedule_impl(g, latency_slack, d, branch_prob,
                                      &meter, &considered);
   out.diag = meter.diag();
   if (out.diag.stop != exec::StopReason::None) {
@@ -289,9 +285,7 @@ namespace {
 Schedule activity_driven_schedule_impl(const Cdfg& g,
                                        const std::map<OpKind, int>& limits,
                                        const OpDelays& d,
-                                       const lint::LintOptions& lint,
                                        exec::Meter* meter, bool* tripped) {
-  lint::enforce_cdfg(g, lint, "activity_driven_schedule");
   // List scheduling where, among ready ops, we prefer one sharing an operand
   // with the op most recently issued to the same kind of unit.
   Schedule s;
@@ -397,20 +391,17 @@ Schedule activity_driven_schedule_impl(const Cdfg& g,
 
 Schedule activity_driven_schedule(const Cdfg& g,
                                   const std::map<OpKind, int>& limits,
-                                  const OpDelays& d,
-                                  const lint::LintOptions& lint) {
-  return activity_driven_schedule_impl(g, limits, d, lint, nullptr, nullptr);
+                                  const OpDelays& d) {
+  return activity_driven_schedule_impl(g, limits, d, nullptr, nullptr);
 }
 
 exec::Outcome<Schedule> activity_driven_schedule_budgeted(
     const Cdfg& g, const exec::Budget& budget,
-    const std::map<OpKind, int>& limits, const OpDelays& d,
-    const lint::LintOptions& lint) {
+    const std::map<OpKind, int>& limits, const OpDelays& d) {
   exec::Meter meter(budget);
   exec::Outcome<Schedule> out;
   bool tripped = false;
-  out.value =
-      activity_driven_schedule_impl(g, limits, d, lint, &meter, &tripped);
+  out.value = activity_driven_schedule_impl(g, limits, d, &meter, &tripped);
   out.diag = meter.diag();
   if (tripped) {
     // A half-filled list schedule is unusable; fall back to the cheap

@@ -6,7 +6,6 @@
 #include "cdfg/cdfg.hpp"
 #include "cdfg/datasim.hpp"
 #include "exec/exec.hpp"
-#include "lint/diagnostics.hpp"
 
 namespace hlp::core {
 
@@ -45,13 +44,11 @@ struct PowerManagedSchedule {
 /// strictly after the control cone settles; feasible muxes get precedence
 /// edges and their unselected branch cone is shut down at runtime.
 /// `branch_prob[mux]` = probability the control input is 1 (default 0.5).
-/// `lint` optionally runs the CD-* design rules on `g` first (strict mode
-/// rejects malformed dataflow before scheduling).
+/// `g` must be well formed; `lint::run_cdfg` reports malformed dataflow.
 PowerManagedSchedule monteiro_schedule(
     const cdfg::Cdfg& g, int latency_slack = 2,
     const cdfg::OpDelays& d = {},
-    const std::map<cdfg::OpId, double>& branch_prob = {},
-    const lint::LintOptions& lint = {});
+    const std::map<cdfg::OpId, double>& branch_prob = {});
 
 /// Budgeted power-managed scheduling: one meter step per mux candidate
 /// (plus one per feasibility trial). On a budget trip, muxes already
@@ -61,8 +58,7 @@ PowerManagedSchedule monteiro_schedule(
 exec::Outcome<PowerManagedSchedule> monteiro_schedule_budgeted(
     const cdfg::Cdfg& g, const exec::Budget& budget, int latency_slack = 2,
     const cdfg::OpDelays& d = {},
-    const std::map<cdfg::OpId, double>& branch_prob = {},
-    const lint::LintOptions& lint = {});
+    const std::map<cdfg::OpId, double>& branch_prob = {});
 
 /// --- Musoll–Cortadella [60]: activity-driven scheduling -----------------
 
@@ -82,12 +78,12 @@ double fu_input_switching(const cdfg::Cdfg& g, const cdfg::Schedule& s,
 
 /// List scheduling whose priority favors placing ops that share operands
 /// consecutively on the same unit (the Musoll–Cortadella objective).
-/// `lint` optionally runs the CD-* rules on `g` before scheduling, and in
-/// strict mode also self-checks the produced schedule against `limits`
-/// (CD-UNSCHED / CD-RESOURCE).
+/// `g` must be well formed (`lint::run_cdfg` reports malformed dataflow).
+/// Every op starts after its operands finish and no step exceeds `limits`,
+/// so `lint::run_cdfg(g, s, limits)` reports no CD-UNSCHED or CD-RESOURCE.
 cdfg::Schedule activity_driven_schedule(
     const cdfg::Cdfg& g, const std::map<cdfg::OpKind, int>& limits,
-    const cdfg::OpDelays& d = {}, const lint::LintOptions& lint = {});
+    const cdfg::OpDelays& d = {});
 
 /// Budgeted activity-driven scheduling: one meter step per time step of the
 /// list scheduler. A budget trip degrades to the plain (resource-unaware)
@@ -95,8 +91,7 @@ cdfg::Schedule activity_driven_schedule(
 /// recorded in the diag rather than returning a half-filled schedule.
 exec::Outcome<cdfg::Schedule> activity_driven_schedule_budgeted(
     const cdfg::Cdfg& g, const exec::Budget& budget,
-    const std::map<cdfg::OpKind, int>& limits, const cdfg::OpDelays& d = {},
-    const lint::LintOptions& lint = {});
+    const std::map<cdfg::OpKind, int>& limits, const cdfg::OpDelays& d = {});
 
 /// --- Kim–Choi [62]: power-conscious loop folding -------------------------
 ///

@@ -5,7 +5,6 @@
 
 #include "fsm/encoding.hpp"
 #include "fsm/synth.hpp"
-#include "lint/lint.hpp"
 #include "sim/power.hpp"
 #include "sim/simulator.hpp"
 
@@ -101,9 +100,7 @@ DecompositionEval evaluate_decomposition(const Stg& stg,
                                          const Partition& part,
                                          std::size_t cycles,
                                          std::uint64_t seed,
-                                         std::span<const double> input_probs,
-                                         const sim::SimOptions& opts) {
-  lint::enforce_fsm(stg, opts.lint, "evaluate_decomposition");
+                                         std::span<const double> input_probs) {
   DecompositionEval ev;
   sim::PowerParams pp;
 

@@ -5,7 +5,6 @@
 
 #include "fsm/markov.hpp"
 #include "fsm/stg.hpp"
-#include "sim/engine.hpp"
 
 namespace hlp::fsm {
 
@@ -61,10 +60,9 @@ struct DecompositionEval {
 };
 
 /// FSM state recurrences are inherently serial and run on the scalar
-/// simulator; `opts` carries the lint pass.
+/// simulator.
 DecompositionEval evaluate_decomposition(
     const Stg& stg, const Partition& part, std::size_t cycles,
-    std::uint64_t seed, std::span<const double> input_probs = {},
-    const sim::SimOptions& opts = {});
+    std::uint64_t seed, std::span<const double> input_probs = {});
 
 }  // namespace hlp::fsm

@@ -6,8 +6,6 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "lint/lint.hpp"
-
 namespace hlp::fsm {
 namespace {
 
@@ -42,9 +40,7 @@ int encoding_bits(EncodingStyle style, std::size_t n_states) {
 
 std::vector<std::uint64_t> encode_states(const Stg& stg, EncodingStyle style,
                                          const MarkovAnalysis* ma,
-                                         std::uint64_t seed,
-                                         const lint::LintOptions& lint) {
-  lint::enforce_fsm(stg, lint, "encode_states");
+                                         std::uint64_t seed) {
   const std::size_t n = stg.num_states();
   std::vector<std::uint64_t> codes(n);
   switch (style) {

@@ -5,7 +5,6 @@
 
 #include "fsm/markov.hpp"
 #include "fsm/stg.hpp"
-#include "lint/diagnostics.hpp"
 #include "stats/rng.hpp"
 
 namespace hlp::fsm {
@@ -24,12 +23,11 @@ int encoding_bits(EncodingStyle style, std::size_t n_states);
 
 /// Assign a code to every state. `ma` is required for LowPower (the edge
 /// probabilities are the optimization weights, following [90]-[95]);
-/// `seed` drives Random and the annealer. `lint` optionally runs the FS-*
-/// design rules first (strict mode rejects ill-formed / non-ergodic STGs,
-/// whose edge weights would misdirect the optimizer).
+/// `seed` drives Random and the annealer. A non-ergodic STG's edge weights
+/// misdirect the optimizer; `lint::run_fsm` flags one (FS-ERGODIC).
 std::vector<std::uint64_t> encode_states(
     const Stg& stg, EncodingStyle style, const MarkovAnalysis* ma = nullptr,
-    std::uint64_t seed = 1, const lint::LintOptions& lint = {});
+    std::uint64_t seed = 1);
 
 /// Low-power re-encoding (Section III-H "reencoding"): starts from the given
 /// codes and anneals pairwise swaps (plus moves to unused codes) to minimize

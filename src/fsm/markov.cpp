@@ -6,7 +6,6 @@
 #include <string>
 
 #include "exec/fi.hpp"
-#include "lint/lint.hpp"
 
 namespace hlp::fsm {
 
@@ -56,9 +55,7 @@ void validate_input_probs(std::span<const double> input_probs,
 MarkovAnalysis analyze_markov_impl(const Stg& stg,
                                    std::span<const double> input_probs,
                                    int max_iters, double tol,
-                                   const lint::LintOptions& lint,
                                    exec::Meter* meter) {
-  lint::enforce_fsm(stg, lint, "analyze_markov");
   const std::size_t n = stg.num_states();
   const std::size_t sym = stg.n_symbols();
   validate_input_probs(input_probs, sym);
@@ -102,19 +99,16 @@ MarkovAnalysis analyze_markov_impl(const Stg& stg,
 
 MarkovAnalysis analyze_markov(const Stg& stg,
                               std::span<const double> input_probs,
-                              int max_iters, const lint::LintOptions& lint) {
-  return analyze_markov_impl(stg, input_probs, max_iters, 1e-12, lint,
-                             nullptr);
+                              int max_iters) {
+  return analyze_markov_impl(stg, input_probs, max_iters, 1e-12, nullptr);
 }
 
 exec::Outcome<MarkovAnalysis> analyze_markov_budgeted(
     const Stg& stg, const exec::Budget& budget,
-    std::span<const double> input_probs, int max_iters, double tol,
-    const lint::LintOptions& lint) {
+    std::span<const double> input_probs, int max_iters, double tol) {
   exec::Meter meter(budget);
   exec::Outcome<MarkovAnalysis> out;
-  out.value = analyze_markov_impl(stg, input_probs, max_iters, tol, lint,
-                                  &meter);
+  out.value = analyze_markov_impl(stg, input_probs, max_iters, tol, &meter);
   out.diag = meter.diag();
   if (!out.value.converged && out.diag.stop == exec::StopReason::None)
     out.diag.note = "did not converge within " + std::to_string(max_iters) +

@@ -5,7 +5,6 @@
 
 #include "exec/exec.hpp"
 #include "fsm/stg.hpp"
-#include "lint/diagnostics.hpp"
 #include "stats/entropy.hpp"
 #include "stats/rng.hpp"
 
@@ -50,13 +49,12 @@ struct MarkovAnalysis {
 /// Power iteration runs until the L1 residual drops below 1e-12 or
 /// `max_iters` sweeps elapse; convergence state is reported in the result
 /// (`iterations`/`residual`/`converged`) instead of being silently assumed.
-/// `lint` optionally runs the FS-* design rules first: strict mode rejects
-/// non-ergodic chains (FS-ERGODIC), whose steady state puts zero mass on
-/// every transient state.
+/// A non-ergodic chain's steady state puts zero mass on every transient
+/// state; a caller that must reject one runs `lint::run_fsm` first and
+/// checks FS-ERGODIC.
 MarkovAnalysis analyze_markov(const Stg& stg,
                               std::span<const double> input_probs = {},
-                              int max_iters = 2000,
-                              const lint::LintOptions& lint = {});
+                              int max_iters = 2000);
 
 /// Budgeted power iteration: one meter step per sweep. On a budget trip the
 /// outcome carries the best iterate so far with `converged == false` and
@@ -64,7 +62,7 @@ MarkovAnalysis analyze_markov(const Stg& stg,
 exec::Outcome<MarkovAnalysis> analyze_markov_budgeted(
     const Stg& stg, const exec::Budget& budget,
     std::span<const double> input_probs = {}, int max_iters = 2000,
-    double tol = 1e-12, const lint::LintOptions& lint = {});
+    double tol = 1e-12);
 
 /// Expected state-register switching per cycle for an encoding:
 /// sum_{i,j} p_ij * Hamming(code_i, code_j).

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -13,16 +12,17 @@ namespace hlp::lint {
 /// The survey's estimators are only defined on well-formed inputs: acyclic
 /// combinational logic, ergodic FSM Markov chains, consistently scheduled
 /// CDFGs. `hlp::lint` is the static pass that checks those preconditions
-/// before any simulation cycles are spent, reporting violations as
-/// structured `Diagnostic`s instead of hangs, asserts, or bad estimates.
-/// See DESIGN.md §6 for the rule catalog.
+/// before any simulation cycles are spent, reporting every violation as a
+/// structured `Diagnostic` rather than the first exception or a bad
+/// estimate. The estimators do not call it; callers that want to reject
+/// bad input do. See DESIGN.md §6 for the rule catalog.
 
 /// Severity tiers. `Power` is the "power-lint" tier: the design is
 /// functionally well formed but contains a structure the paper identifies
 /// as power-relevant (glitch-prone reconvergence, clock-gating candidates,
-/// capacitance hot spots). Power diagnostics never fail strict mode.
+/// capacitance hot spots). Power diagnostics never count as errors.
 enum class Severity : std::uint8_t {
-  Error,    ///< estimator precondition violated; strict mode throws
+  Error,    ///< estimator precondition violated; has_errors() is true
   Warning,  ///< suspicious structure; estimate may be misleading
   Power,    ///< power design-rule hint (Section II/III opportunities)
 };
@@ -85,16 +85,8 @@ struct Report {
   std::string to_string() const;
 };
 
-/// Lint enforcement level for estimator entry points.
-enum class LintMode : std::uint8_t {
-  Off,     ///< skip linting entirely (zero overhead; the historical behavior)
-  Warn,    ///< run rules, report diagnostics, continue
-  Strict,  ///< run rules; any Error-severity diagnostic throws LintError
-};
-
-/// Knobs threaded through the estimator APIs (see SimOptions::lint).
+/// Rule thresholds and switches read by the run_* entry points.
 struct LintOptions {
-  LintMode mode = LintMode::Off;
   bool power_rules = true;  ///< include the Power severity tier
   /// NL-FANOUT: flag nets whose fanout exceeds this (the statistical
   /// wire-load model charges wire_cap_per_fanout per sink, so high-fanout
@@ -114,31 +106,17 @@ struct LintOptions {
   /// estimated-waste figures to the power-tier diagnostics (and enable
   /// PW-BOUND, which is an arrival-analysis product). Off: power rules
   /// still fire structurally but report waste = 0 — the cheap
-  /// configuration for hot estimator entry points that only need
-  /// pass/fail. NL-CONST only needs const-propagation and stays on either
-  /// way.
+  /// configuration for a caller that only needs pass/fail. NL-CONST only
+  /// needs const-propagation and stays on either way.
   bool quantify = true;
   /// Rule ids to skip.
   std::vector<std::string> disabled;
-  /// Warn-mode destination; when null, diagnostics go to stderr.
-  std::vector<Diagnostic>* sink = nullptr;
 
   bool enabled(std::string_view rule_id) const {
     for (const std::string& d : disabled)
       if (d == rule_id) return false;
     return true;
   }
-};
-
-/// Thrown by strict-mode enforcement; carries the full report.
-class LintError : public std::runtime_error {
- public:
-  LintError(std::string what, Report report)
-      : std::runtime_error(std::move(what)), report_(std::move(report)) {}
-  const Report& report() const { return report_; }
-
- private:
-  Report report_;
 };
 
 }  // namespace hlp::lint

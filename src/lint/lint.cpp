@@ -137,52 +137,4 @@ std::string Report::to_string() const {
   return out;
 }
 
-void enforce(Report report, const LintOptions& opts,
-             std::string_view context) {
-  if (opts.mode == LintMode::Off || report.clean()) return;
-  const bool strict = opts.mode == LintMode::Strict;
-  bool errors = strict && report.has_errors();
-  if (opts.sink) {
-    for (const Diagnostic& d : report.diags) opts.sink->push_back(d);
-  } else if (!errors) {
-    // Warn mode without a sink: report on stderr, once per diagnostic.
-    for (const Diagnostic& d : report.diags)
-      std::fprintf(stderr, "[hlp::lint] %.*s: %s %s: %s\n",
-                   static_cast<int>(context.size()), context.data(),
-                   d.rule_id.c_str(), severity_name(d.severity),
-                   d.message.c_str());
-  }
-  if (errors) {
-    std::string what = "lint: ";
-    what += context;
-    what += ": input rejected in strict mode:\n";
-    what += report.to_string();
-    throw LintError(std::move(what), std::move(report));
-  }
-}
-
-void enforce_netlist(const netlist::Netlist& nl, const LintOptions& opts,
-                     std::string_view context) {
-  if (opts.mode == LintMode::Off) return;
-  enforce(run_netlist(nl, opts), opts, context);
-}
-
-void enforce_module(const netlist::Module& mod, const LintOptions& opts,
-                    std::string_view context) {
-  if (opts.mode == LintMode::Off) return;
-  enforce(run_module(mod, opts), opts, context);
-}
-
-void enforce_fsm(const fsm::Stg& stg, const LintOptions& opts,
-                 std::string_view context) {
-  if (opts.mode == LintMode::Off) return;
-  enforce(run_fsm(stg, opts), opts, context);
-}
-
-void enforce_cdfg(const cdfg::Cdfg& g, const LintOptions& opts,
-                  std::string_view context) {
-  if (opts.mode == LintMode::Off) return;
-  enforce(run_cdfg(g, opts), opts, context);
-}
-
 }  // namespace hlp::lint

@@ -44,8 +44,9 @@ class RuleRegistry {
 ///
 /// All run in O(V + E) over the IR (bench/bench_lint.cpp tracks gates/sec).
 /// They never throw on malformed input — malformed structure is the thing
-/// they report. `opts.mode` is ignored by run_* (they always run); it only
-/// matters to the enforce_* wrappers below.
+/// they report. The estimators do not lint their inputs: a caller that
+/// wants to reject bad input runs these first and checks
+/// `Report::has_errors()`, as tools/hlp_lint does.
 
 /// Netlist structural + power rules (NL-*, PW-*).
 Report run_netlist(const netlist::Netlist& nl, const LintOptions& opts = {});
@@ -66,23 +67,6 @@ Report run_cdfg(const cdfg::Cdfg& g, const cdfg::Schedule& s,
                 const std::map<cdfg::OpKind, int>& limits = {},
                 const cdfg::OpDelays& delays = {},
                 const LintOptions& opts = {});
-
-/// --- Enforcement wrappers (the estimator-entry-point glue) ---------------
-///
-/// Off: no-op (the rules never even run). Warn: diagnostics go to
-/// opts.sink, or stderr when no sink is given. Strict: Error-severity
-/// diagnostics throw LintError; warnings are still routed to the sink.
-/// `context` names the calling estimator in messages.
-
-void enforce(Report report, const LintOptions& opts, std::string_view context);
-void enforce_netlist(const netlist::Netlist& nl, const LintOptions& opts,
-                     std::string_view context);
-void enforce_module(const netlist::Module& mod, const LintOptions& opts,
-                    std::string_view context);
-void enforce_fsm(const fsm::Stg& stg, const LintOptions& opts,
-                 std::string_view context);
-void enforce_cdfg(const cdfg::Cdfg& g, const LintOptions& opts,
-                  std::string_view context);
 
 const char* severity_name(Severity s);
 const char* ir_name(Ir ir);

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 
-#include "lint/diagnostics.hpp"
 #include "netlist/netlist.hpp"
 
 namespace hlp::sim {
@@ -64,21 +63,13 @@ SimDispatch active_dispatch();
 /// evals; call it between simulations.
 void set_dispatch_cap(SimDispatch cap);
 
-/// Options threaded through the simulating estimator APIs. Neither field
-/// changes a computed value.
-///
-/// `block_words` is the number of 64-bit lane words per gate in the packed
+/// Options threaded through the simulating estimator APIs. The one field
+/// changes no computed value: `block_words` is the number of 64-bit lane words per gate in the packed
 /// backend (lane count = 64 × block_words). 0 picks the widest profitable
 /// block for the active dispatch level (`default_block_words`). Any value
 /// in [1, 64] is legal and bit-identical; widths that are multiples of 8
 /// (resp. 4) ride the AVX-512 (resp. AVX2) kernels when available.
-///
-/// `lint` runs the hlp::lint static pass over the input IR before any
-/// simulation cycles are spent (see lint/lint.hpp). Off by default (zero
-/// overhead); Strict turns malformed-input crashes into structured
-/// LintError diagnostics, Warn reports and continues.
 struct SimOptions {
-  lint::LintOptions lint;
   int block_words = 0;  ///< words per lane block; 0 = auto, 1 = legacy 64-lane
 };
 

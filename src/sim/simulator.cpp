@@ -5,7 +5,6 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "lint/lint.hpp"
 #include "sim/block_simulator.hpp"
 
 namespace hlp::sim {
@@ -188,7 +187,6 @@ std::vector<double> simulate_activities(const netlist::Netlist& nl,
                                         const stats::VectorStream& in_stream,
                                         stats::VectorStream* out_stream,
                                         const SimOptions& opts) {
-  lint::enforce_netlist(nl, opts.lint, "simulate_activities");
   if (temporal_packable(nl))
     return packed_activities(nl, in_stream, out_stream, opts.block_words);
   Simulator sim(nl);
@@ -210,7 +208,6 @@ std::vector<double> simulate_activities(const netlist::Netlist& nl,
 stats::VectorStream simulate_outputs(const netlist::Netlist& nl,
                                      const stats::VectorStream& in_stream,
                                      const SimOptions& opts) {
-  lint::enforce_netlist(nl, opts.lint, "simulate_outputs");
   stats::VectorStream out;
   if (temporal_packable(nl)) {
     BlockSimulator bs(nl, opts.block_words);

@@ -379,12 +379,12 @@ TEST(BlockMonteCarlo, WidthsBitIdenticalToScalar) {
 TEST(BlockMonteCarlo, QuotaTripsOnTheSamePairAcrossWidths) {
   auto mod = netlist::adder_module(6);
   const int n_in = mod.total_input_bits();
-  // 97 is mid-block for every width: the final block must be clipped to
-  // the remaining quota, never charged past it.
+  // 97 is mid-block for every width, the default (0) included: the final
+  // block must be clipped to the remaining quota, never charged past it.
   const std::size_t quota = 97;
   const auto ref = scalar_ref::plain_rule_monte_carlo(mod, 4, 1e-9, 30, quota);
   ASSERT_EQ(ref.pairs, quota);
-  for (int w : {1, 2, 3, 4, 8, 16, 64}) {
+  for (int w : {0, 1, 2, 3, 4, 8, 16, 64}) {
     stats::Rng rng_p(4);
     sim::SimOptions packed;
     packed.block_words = w;

@@ -14,7 +14,6 @@
 #include "fsm/synth.hpp"
 #include "netlist/generators.hpp"
 #include "netlist/words.hpp"
-#include "scalar_reference.hpp"
 #include "sim/glitch_sim.hpp"
 #include "sim/streams.hpp"
 
@@ -213,26 +212,6 @@ TEST(MonteCarloBudgeted, QuotaTripReturnsResumableCheckpoint) {
   EXPECT_EQ(resumed->pairs, straight.pairs);
   EXPECT_DOUBLE_EQ(resumed->mean_energy, straight.mean_energy);
   EXPECT_DOUBLE_EQ(resumed->ci_halfwidth, straight.ci_halfwidth);
-}
-
-TEST(MonteCarloBudgeted, ScalarAndPackedTripOnTheSamePair) {
-  // A quota of 97 stops mid-block at W=1 and at the default width alike,
-  // on the pair where the one-pair-per-step scalar reference stops.
-  auto mod = netlist::adder_module(6);
-  const auto ref = scalar_ref::plain_rule_monte_carlo(mod, 21, 1e-6, 30, 97);
-  for (int words : {1, 0}) {
-    sim::SimOptions opts;
-    opts.block_words = words;
-    stats::Rng rng(21);
-    auto out = core::monte_carlo_power_budgeted(
-        mod, [&] { return rng.uniform_bits(12); }, Budget::with_step_quota(97),
-        1e-6, 0.95, 30, 100000, {}, opts);
-    EXPECT_EQ(out->stop_reason,
-              core::MonteCarloResult::StopReason::BudgetExhausted);
-    EXPECT_EQ(out->pairs, 97u) << "W=" << words;
-    EXPECT_EQ(out->mean_energy, ref.mean_energy) << "W=" << words;
-    EXPECT_EQ(out->checkpoint.m2, ref.checkpoint.m2) << "W=" << words;
-  }
 }
 
 TEST(MonteCarloBudgeted, CancellationStopsTheRun) {

@@ -5,11 +5,9 @@
 #include "cdfg/generators.hpp"
 #include "core/scheduling_power.hpp"
 #include "fsm/benchmarks.hpp"
-#include "fsm/markov.hpp"
+#include "jobs/kernels.hpp"
 #include "lint/lint.hpp"
 #include "netlist/generators.hpp"
-#include "sim/simulator.hpp"
-#include "stats/rng.hpp"
 
 namespace {
 
@@ -19,12 +17,6 @@ using netlist::GateKind;
 using netlist::Netlist;
 
 // ---- Property: every generator in the library lints clean ----------------
-
-lint::LintOptions warn_all() {
-  lint::LintOptions o;
-  o.mode = lint::LintMode::Warn;
-  return o;
-}
 
 TEST(LintClean, NetlistGenerators) {
   netlist::Module mods[] = {
@@ -41,7 +33,7 @@ TEST(LintClean, NetlistGenerators) {
   };
   for (const auto& m : mods) {
     SCOPED_TRACE(m.name);
-    lint::Report r = lint::run_module(m, warn_all());
+    lint::Report r = lint::run_module(m);
     EXPECT_FALSE(r.has_errors()) << r.to_string();
   }
 }
@@ -50,12 +42,12 @@ TEST(LintClean, FsmGenerators) {
   fsm::Stg stgs[] = {fsm::counter_fsm(3), fsm::sequence_detector_fsm(0b1011, 4),
                      fsm::protocol_fsm(4), fsm::random_fsm(12, 2, 3, 5)};
   for (const auto& stg : stgs) {
-    lint::Report r = lint::run_fsm(stg, warn_all());
+    lint::Report r = lint::run_fsm(stg);
     EXPECT_TRUE(r.clean()) << r.to_string();
   }
   for (const auto& [name, stg] : fsm::controller_benchmarks()) {
     SCOPED_TRACE(name);
-    lint::Report r = lint::run_fsm(stg, warn_all());
+    lint::Report r = lint::run_fsm(stg);
     EXPECT_FALSE(r.has_errors()) << r.to_string();
   }
 }
@@ -67,7 +59,7 @@ TEST(LintClean, CdfgGenerators) {
       cdfg::branching_cdfg(3, 4, 7), cdfg::operand_sharing_cdfg(4, 4),
   };
   for (const auto& g : graphs) {
-    lint::Report r = lint::run_cdfg(g, warn_all());
+    lint::Report r = lint::run_cdfg(g);
     EXPECT_FALSE(r.has_errors()) << r.to_string();
   }
 }
@@ -77,8 +69,26 @@ TEST(LintClean, ScheduledCdfgPassesScheduleRules) {
   std::map<cdfg::OpKind, int> limits{{cdfg::OpKind::Mul, 1},
                                      {cdfg::OpKind::Add, 1}};
   cdfg::Schedule s = cdfg::list_schedule(g, limits);
-  lint::Report r = lint::run_cdfg(g, s, limits, {}, warn_all());
+  lint::Report r = lint::run_cdfg(g, s, limits);
   EXPECT_FALSE(r.has_errors()) << r.to_string();
+}
+
+// The power-aware schedulers must hand back schedules the schedule rules
+// accept: every op placed after its operands, and no step over `limits`.
+TEST(LintClean, PowerAwareSchedulesPassScheduleRules) {
+  const std::map<cdfg::OpKind, int> limits{{cdfg::OpKind::Add, 1},
+                                           {cdfg::OpKind::Mul, 1}};
+  for (const char* spec : {"fir:8", "fir:32", "poly:6", "horner:6",
+                           "expr:20:3", "branching:4:4:5", "opshare:4:4"}) {
+    SCOPED_TRACE(spec);
+    const cdfg::Cdfg g = jobs::make_cdfg(spec);
+    lint::Report ad =
+        lint::run_cdfg(g, core::activity_driven_schedule(g, limits), limits);
+    EXPECT_FALSE(ad.has("CD-UNSCHED")) << ad.to_string();
+    EXPECT_FALSE(ad.has("CD-RESOURCE")) << ad.to_string();
+    lint::Report pm = lint::run_cdfg(g, core::monteiro_schedule(g, 2).schedule);
+    EXPECT_FALSE(pm.has("CD-UNSCHED")) << pm.to_string();
+  }
 }
 
 // ---- One deliberately broken fixture per rule ----------------------------
@@ -90,7 +100,7 @@ TEST(LintNetlist, CombinationalCycleNamesThePath) {
   GateId y = nl.add_unary(GateKind::Not, x, "y");
   nl.mark_output(y);
   nl.set_fanin(x, 1, y);  // x -> y -> x
-  lint::Report r = lint::run_netlist(nl, warn_all());
+  lint::Report r = lint::run_netlist(nl);
   ASSERT_TRUE(r.has("NL-CYCLE")) << r.to_string();
   const lint::Diagnostic* d = r.find("NL-CYCLE");
   // The diagnostic must name the gates on the cycle, not just say "cycle".
@@ -98,47 +108,26 @@ TEST(LintNetlist, CombinationalCycleNamesThePath) {
   EXPECT_NE(d->message.find("y"), std::string::npos) << d->message;
 }
 
-TEST(LintNetlist, StrictModeTurnsCycleIntoTypedError) {
-  Netlist nl;
-  GateId a = nl.add_input("a");
-  GateId x = nl.add_binary(GateKind::And, a, a, "x");
-  GateId y = nl.add_unary(GateKind::Not, x, "y");
-  nl.mark_output(y);
-  nl.set_fanin(x, 1, y);
-  sim::SimOptions opts;
-  opts.lint.mode = lint::LintMode::Strict;
-  stats::VectorStream in;
-  in.width = 1;
-  in.words = {0, 1, 1, 0};
-  try {
-    (void)sim::simulate_activities(nl, in, nullptr, opts);
-    FAIL() << "expected LintError";
-  } catch (const lint::LintError& e) {
-    EXPECT_TRUE(e.report().has("NL-CYCLE"));
-    EXPECT_NE(std::string(e.what()).find("NL-CYCLE"), std::string::npos);
-  }
-}
-
 TEST(LintNetlist, BadReferenceAndArity) {
   Netlist nl;
   GateId a = nl.add_input("a");
   GateId bogus[] = {a, GateId{999}};
   nl.add_gate(GateKind::And, bogus, "bad");
-  EXPECT_TRUE(lint::run_netlist(nl, warn_all()).has("NL-REF"));
+  EXPECT_TRUE(lint::run_netlist(nl).has("NL-REF"));
 
   Netlist nl2;
   GateId b = nl2.add_input("b");
   GateId one[] = {b};
   GateId g = nl2.add_gate(GateKind::And, one, "unary_and");
   nl2.mark_output(g);
-  EXPECT_TRUE(lint::run_netlist(nl2, warn_all()).has("NL-ARITY"));
+  EXPECT_TRUE(lint::run_netlist(nl2).has("NL-ARITY"));
 }
 
 TEST(LintNetlist, UnwiredDffD) {
   Netlist nl;
   GateId q = nl.add_dff();
   nl.mark_output(q);
-  EXPECT_TRUE(lint::run_netlist(nl, warn_all()).has("NL-DFF-D"));
+  EXPECT_TRUE(lint::run_netlist(nl).has("NL-DFF-D"));
 }
 
 TEST(LintNetlist, FloatingAndDeadGates) {
@@ -149,7 +138,7 @@ TEST(LintNetlist, FloatingAndDeadGates) {
   GateId dead = nl.add_unary(GateKind::Not, a, "dead");
   GateId floating = nl.add_unary(GateKind::Buf, dead, "floating");
   (void)floating;
-  lint::Report r = lint::run_netlist(nl, warn_all());
+  lint::Report r = lint::run_netlist(nl);
   EXPECT_TRUE(r.has("NL-FLOAT")) << r.to_string();
   EXPECT_TRUE(r.has("NL-DEAD")) << r.to_string();
 }
@@ -160,7 +149,7 @@ TEST(LintNetlist, MultiplyMarkedOutputAndFanoutCap) {
   GateId x = nl.add_unary(GateKind::Not, a, "x");
   nl.mark_output(x, "o1");
   nl.mark_output(x, "o2");
-  lint::LintOptions o = warn_all();
+  lint::LintOptions o;
   o.fanout_cap = 2;
   GateId f1 = nl.add_unary(GateKind::Buf, a, "f1");
   GateId f2 = nl.add_unary(GateKind::Buf, a, "f2");
@@ -179,7 +168,7 @@ TEST(LintNetlist, ModulePortRules) {
   // Port word claims a non-input gate as an input bit.
   m.input_words.push_back({a, g});
   m.output_words.push_back({g});
-  lint::Report r = lint::run_module(m, warn_all());
+  lint::Report r = lint::run_module(m);
   EXPECT_TRUE(r.has("NL-PORT")) << r.to_string();
 }
 
@@ -191,7 +180,7 @@ TEST(LintPower, GlitchProneReconvergence) {
   for (int i = 0; i < 5; ++i) chain = nl.add_unary(GateKind::Not, chain);
   GateId x = nl.add_binary(GateKind::Xor, a, chain, "deep_vs_shallow");
   nl.mark_output(x);
-  lint::Report r = lint::run_netlist(nl, warn_all());
+  lint::Report r = lint::run_netlist(nl);
   EXPECT_TRUE(r.has("PW-GLITCH")) << r.to_string();
 }
 
@@ -203,7 +192,7 @@ TEST(LintPower, ClockGatingCandidate) {
   GateId m = nl.add_mux(en, q, d, "hold_mux");
   nl.set_dff_input(q, m);
   nl.mark_output(q);
-  lint::Report r = lint::run_netlist(nl, warn_all());
+  lint::Report r = lint::run_netlist(nl);
   EXPECT_TRUE(r.has("PW-GATE")) << r.to_string();
 }
 
@@ -216,7 +205,7 @@ TEST(LintPower, HotCapacitanceNode) {
   for (int i = 0; i < 20; ++i)
     acc = nl.add_binary(GateKind::Xor, acc, hub);
   nl.mark_output(acc);
-  lint::LintOptions o = warn_all();
+  lint::LintOptions o;
   o.hot_load_fraction = 0.2;
   lint::Report r = lint::run_netlist(nl, o);
   ASSERT_TRUE(r.has("PW-HOTCAP")) << r.to_string();
@@ -230,7 +219,7 @@ TEST(LintPower, PowerRulesCanBeDisabled) {
   GateId q = nl.add_dff(netlist::kNullGate, false, "q");
   nl.set_dff_input(q, nl.add_mux(en, q, d));
   nl.mark_output(q);
-  lint::LintOptions o = warn_all();
+  lint::LintOptions o;
   o.power_rules = false;
   EXPECT_FALSE(lint::run_netlist(nl, o).has("PW-GATE"));
   o.power_rules = true;
@@ -245,7 +234,7 @@ TEST(LintConst, ProvablyConstantGateIsReportedWithWaste) {
   GateId g = nl.add_binary(GateKind::And, a, zero, "stuck0");
   GateId out = nl.add_binary(GateKind::Or, g, a, "out");
   nl.mark_output(out);
-  lint::Report r = lint::run_netlist(nl, warn_all());
+  lint::Report r = lint::run_netlist(nl);
   ASSERT_TRUE(r.has("NL-CONST")) << r.to_string();
   const lint::Diagnostic* d = r.find("NL-CONST");
   EXPECT_EQ(d->loc.object, g);
@@ -262,7 +251,7 @@ TEST(LintConst, ConstantRegisterIsReported) {
   GateId d = nl.add_binary(GateKind::And, q, zero, "feedback_and");
   nl.set_dff_input(q, d);
   nl.mark_output(q);
-  lint::Report r = lint::run_netlist(nl, warn_all());
+  lint::Report r = lint::run_netlist(nl);
   // Both the AND (always 0) and the register (init 0, D provably 0) fold.
   EXPECT_GE(r.count("NL-CONST"), 2u) << r.to_string();
 }
@@ -278,7 +267,7 @@ TEST(LintPower, TransitionBoundViolation) {
   GateId chain = b;
   for (int i = 0; i < 14; ++i) chain = nl.add_binary(GateKind::Xor, chain, a);
   nl.mark_output(chain);
-  lint::LintOptions o = warn_all();
+  lint::LintOptions o;
   o.transition_bound = 8;
   lint::Report r = lint::run_netlist(nl, o);
   ASSERT_TRUE(r.has("PW-BOUND")) << r.to_string();
@@ -290,7 +279,7 @@ TEST(LintPower, TransitionBoundViolation) {
 
 TEST(LintPower, PowerTierIsRankedByEstimatedWaste) {
   const netlist::Module m = netlist::multiplier_module(8);
-  lint::Report r = lint::run_module(m, warn_all());
+  lint::Report r = lint::run_module(m);
   double prev = -1.0;
   std::size_t power_seen = 0;
   bool in_power_tail = false;
@@ -316,14 +305,14 @@ TEST(LintFsm, RangeTrapUnreachableErgodic) {
   bad.add_state("s0");
   bad.set_transition(0, 0, 7);
   bad.set_transition(0, 1, 0);
-  EXPECT_TRUE(lint::run_fsm(bad, warn_all()).has("FS-RANGE"));
+  EXPECT_TRUE(lint::run_fsm(bad).has("FS-RANGE"));
 
   // Never-wired state: default self-loops make it a trap.
   fsm::Stg trap(1, 1);
   trap.add_state("s0");
   trap.add_state("dead_end");
   trap.set_all_transitions(0, 0);
-  EXPECT_TRUE(lint::run_fsm(trap, warn_all()).has("FS-TRAP"));
+  EXPECT_TRUE(lint::run_fsm(trap).has("FS-TRAP"));
 
   // Reachable but absorbing pair -> non-ergodic; s2 unreachable.
   fsm::Stg erg(1, 1);
@@ -333,7 +322,7 @@ TEST(LintFsm, RangeTrapUnreachableErgodic) {
   erg.set_all_transitions(0, 1);
   erg.set_all_transitions(1, 1);
   erg.set_all_transitions(2, 0);
-  lint::Report r = lint::run_fsm(erg, warn_all());
+  lint::Report r = lint::run_fsm(erg);
   EXPECT_TRUE(r.has("FS-ERGODIC")) << r.to_string();
   EXPECT_TRUE(r.has("FS-UNREACH")) << r.to_string();
 }
@@ -343,19 +332,7 @@ TEST(LintFsm, OutputWiderThanDeclared) {
   stg.add_state("s0");
   stg.set_transition(0, 0, 0, 0b111);  // 3 bits into a 2-bit output
   stg.set_transition(0, 1, 0, 0b01);
-  EXPECT_TRUE(lint::run_fsm(stg, warn_all()).has("FS-OUT-WIDTH"));
-}
-
-TEST(LintFsm, StrictModeBlocksMarkovOnNonErgodicChain) {
-  fsm::Stg erg(1, 1);
-  erg.add_state("start");
-  erg.add_state("sink");
-  erg.set_all_transitions(0, 1);
-  erg.set_all_transitions(1, 1);
-  lint::LintOptions strict;
-  strict.mode = lint::LintMode::Strict;
-  EXPECT_THROW((void)fsm::analyze_markov(erg, {}, 2000, strict),
-               lint::LintError);
+  EXPECT_TRUE(lint::run_fsm(stg).has("FS-OUT-WIDTH"));
 }
 
 TEST(LintCdfg, ArityWidthDeadAndScheduleRules) {
@@ -368,7 +345,7 @@ TEST(LintCdfg, ArityWidthDeadAndScheduleRules) {
   g.add_binary(cdfg::OpKind::Mul, a, a, "dead_mul", 8);
   g.mark_output(wmix);
   g.mark_output(lonely);
-  lint::Report r = lint::run_cdfg(g, warn_all());
+  lint::Report r = lint::run_cdfg(g);
   EXPECT_TRUE(r.has("CD-ARITY")) << r.to_string();
   EXPECT_TRUE(r.has("CD-WIDTH")) << r.to_string();
   EXPECT_TRUE(r.has("CD-DEAD")) << r.to_string();
@@ -383,7 +360,7 @@ TEST(LintCdfg, ArityWidthDeadAndScheduleRules) {
   cdfg::Schedule s;
   s.start = {0, 0, 0, 0, 0};  // s2 starts before s1 finishes
   s.length = 1;
-  lint::Report rs = lint::run_cdfg(h, s, {}, {}, warn_all());
+  lint::Report rs = lint::run_cdfg(h, s);
   EXPECT_TRUE(rs.has("CD-UNSCHED")) << rs.to_string();
 
   // Resource conflict: two adds in the same step with a limit of one.
@@ -396,40 +373,8 @@ TEST(LintCdfg, ArityWidthDeadAndScheduleRules) {
   k.mark_output(a2);
   cdfg::Schedule cs = cdfg::asap(k);
   std::map<cdfg::OpKind, int> limits{{cdfg::OpKind::Add, 1}};
-  lint::Report rr = lint::run_cdfg(k, cs, limits, {}, warn_all());
+  lint::Report rr = lint::run_cdfg(k, cs, limits);
   EXPECT_TRUE(rr.has("CD-RESOURCE")) << rr.to_string();
-}
-
-TEST(LintCdfg, StrictSchedulerRejectsMalformedGraph) {
-  cdfg::Cdfg g;
-  cdfg::OpId a = g.add_input("a");
-  cdfg::OpId one[] = {a};
-  cdfg::OpId bad = g.add_op(cdfg::OpKind::Mul, one, "unary_mul");
-  g.mark_output(bad);
-  lint::LintOptions strict;
-  strict.mode = lint::LintMode::Strict;
-  EXPECT_THROW((void)core::activity_driven_schedule(g, {}, {}, strict),
-               lint::LintError);
-}
-
-// ---- Sink / mode plumbing ------------------------------------------------
-
-TEST(LintModes, OffIsSilentAndSinkCollects) {
-  Netlist nl;
-  GateId q = nl.add_dff();  // NL-DFF-D error
-  nl.mark_output(q);
-  // Off: enforce does nothing even on a broken netlist.
-  lint::LintOptions off;
-  EXPECT_NO_THROW(lint::enforce_netlist(nl, off, "test"));
-  // Warn with a sink: diagnostics are collected, nothing thrown.
-  std::vector<lint::Diagnostic> sink;
-  lint::LintOptions warn = warn_all();
-  warn.sink = &sink;
-  EXPECT_NO_THROW(lint::enforce_netlist(nl, warn, "test"));
-  ASSERT_FALSE(sink.empty());
-  bool found = false;
-  for (const auto& d : sink) found |= d.rule_id == "NL-DFF-D";
-  EXPECT_TRUE(found);
 }
 
 TEST(LintRegistry, EveryRuleHasCatalogEntry) {

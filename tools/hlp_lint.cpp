@@ -240,7 +240,6 @@ void print_json(const std::vector<InputResult>& results,
 int main(int argc, char** argv) {
   bool json = false;
   hlp::lint::LintOptions opts;
-  opts.mode = hlp::lint::LintMode::Warn;
   std::vector<std::string> inputs;
 
   for (int i = 1; i < argc; ++i) {
