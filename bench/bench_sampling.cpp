@@ -351,16 +351,21 @@ void write_engine_report(const char* path) {
       {"adder:16", netlist::adder_module(16)},
       {"random:24:2000:8", netlist::random_logic_module(24, 2000, 8, 8)},
   };
-  const std::size_t mc_pairs = 65536;
-  std::printf("\nMonte Carlo ns/pair (packed, W=%d, %zu pairs, median "
-              "[p25, p75] of %d runs), and its layers (medians; sum/total "
-              "should read within 10%% of 1):\n",
-              sim::default_block_words(), mc_pairs, kReps);
-  std::printf("%18s %6s %22s %6s %6s %6s %6s %6s %6s %7s %6s\n", "design",
-              "gates", "total", "draw", "trans", "eval", "swap", "count",
-              "stop", "sum", "ratio");
+  std::printf("\nMonte Carlo ns/pair (packed, W=%d, median [p25, p75] of "
+              "%d runs of at least 50 ms each), and its layers (medians; "
+              "sum/total should read within 10%% of 1):\n",
+              sim::default_block_words(), kReps);
+  std::printf("%18s %6s %8s %22s %6s %6s %6s %6s %6s %6s %7s %6s\n",
+              "design", "gates", "pairs", "total", "draw", "trans", "eval",
+              "swap", "count", "stop", "sum", "ratio");
   benchjson::Array per_pair, layers;
   for (const Design& d : designs) {
+    // Size the runs like the throughput row: the pair count doubles from
+    // 65536 until one run lasts at least 50 ms, so a burst of host load
+    // cannot move a whole quartile.
+    std::size_t mc_pairs = 65536;
+    while (run(d.mod, mc_pairs) < 0.05 && mc_pairs < (std::size_t{1} << 26))
+      mc_pairs *= 2;
     // Whole runs and layer splits alternate, so both see the same host.
     std::vector<double> ns;
     std::vector<Layers> split;
@@ -381,9 +386,10 @@ void write_engine_report(const char* path) {
                               &Layers::stop})
       m.*f = median(f);
     const double ratio = p50 > 0.0 ? m.sum() / p50 : 0.0;
-    std::printf("%18s %6zu %9.1f [%.1f, %.1f] %6.1f %6.1f %6.1f %6.1f %6.1f "
-                "%6.1f %7.1f %6.2f%s\n",
-                d.name, d.mod.netlist.gate_count(), p50, p25, p75, m.draw,
+    std::printf("%18s %6zu %8zu %9.1f [%.1f, %.1f] %6.1f %6.1f %6.1f %6.1f "
+                "%6.1f %6.1f %7.1f %6.2f%s\n",
+                d.name, d.mod.netlist.gate_count(), mc_pairs, p50, p25, p75,
+                m.draw,
                 m.transpose, m.eval, m.swap, m.count, m.stop, m.sum(), ratio,
                 std::abs(ratio - 1.0) <= 0.10 ? "" : "  (outside 10%)");
     per_pair.push_back(benchjson::Object{

@@ -7,14 +7,23 @@
 // >= 5x single-word packed -> block-wide on the random-DAG sweep, all
 // bit-identical. A sharded Monte Carlo section reports pairs/sec per
 // lane-shard thread count (bit-identical across counts by construction).
+// A layer table splits the activity sweep (sim::sweep_stream with toggles
+// and the output stream) on multiplier8 and random_dag at the default width
+// into setup, input transpose, gate eval, temporal toggles, toggle count and
+// output transpose, next to the measured whole sweep.
 //
 // Results go to BENCH_simengine.json (cwd, or argv[1] after the
 // google-benchmark flags) so future PRs can track the trajectory.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -156,6 +165,75 @@ double measure_kernel_evals_per_sec(const Workload& w, int words, int reps) {
   return best;
 }
 
+/// Median [p25, p75] of `v` (sorted in place).
+std::array<double, 3> quartiles(std::vector<double>& v) {
+  std::sort(v.begin(), v.end());
+  auto at = [&v](double q) {
+    return v[static_cast<std::size_t>(q * static_cast<double>(v.size() - 1) +
+                                      0.5)];
+  };
+  return {at(0.5), at(0.25), at(0.75)};
+}
+
+/// The packed activity sweep (`sim::sweep_stream` asked for toggles and the
+/// output stream) split into its layers, each under its own clock, in
+/// microseconds per sweep. `setup` is the block simulator and buffers.
+struct SweepLayers {
+  double setup = 0, transpose_in = 0, eval = 0, toggles = 0, count = 0,
+         transpose_out = 0;
+  double sum() const {
+    return setup + transpose_in + eval + toggles + count + transpose_out;
+  }
+};
+
+SweepLayers time_sweep_layers(const Workload& w, int words) {
+  using clock = std::chrono::steady_clock;
+  SweepLayers t;
+  auto timed = [](double& acc, auto&& stage) {
+    const auto t0 = clock::now();
+    stage();
+    acc += std::chrono::duration<double, std::micro>(clock::now() - t0).count();
+  };
+  const auto& nl = w.mod.netlist;
+  const std::size_t n = nl.gate_count();
+  const std::size_t total = w.in.words.size();
+  std::optional<sim::BlockSimulator> bs;
+  std::vector<std::uint8_t> last;
+  std::vector<std::uint64_t> tw, counts, ob, out;
+  timed(t.setup, [&] {
+    bs.emplace(nl, words);
+    last.assign(n, 0);
+    tw.resize(n * static_cast<std::size_t>(bs->words()));
+    counts.assign(n, 0);
+    ob.resize(static_cast<std::size_t>(bs->lane_count()));
+    out.reserve(total);
+  });
+  const auto W = static_cast<std::size_t>(bs->words());
+  const auto lanes = static_cast<std::size_t>(bs->lane_count());
+  for (std::size_t base = 0; base < total; base += lanes) {
+    const std::size_t count = std::min(lanes, total - base);
+    timed(t.transpose_in, [&] {
+      bs->set_inputs_from_cycles(std::span(w.in.words).subspan(base, count));
+    });
+    timed(t.eval, [&] { bs->eval(); });
+    timed(t.toggles,
+          [&] { bs->temporal_toggles(count, base == 0, last, tw); });
+    timed(t.count, [&] {
+      for (std::size_t g = 0; g < n; ++g)
+        for (std::size_t k = 0; k < W; ++k)
+          counts[g] += static_cast<std::uint64_t>(std::popcount(tw[g * W + k]));
+    });
+    timed(t.transpose_out, [&] {
+      bs->outputs_to_cycles(std::span(ob).first(count));
+      out.insert(out.end(), ob.begin(),
+                 ob.begin() + static_cast<std::ptrdiff_t>(count));
+    });
+  }
+  benchmark::DoNotOptimize(counts.data());
+  benchmark::DoNotOptimize(out.data());
+  return t;
+}
+
 void write_report(const std::string& path) {
   benchjson::Array circuits;
   std::printf("\nE-SIM — scalar vs packed vs block sweep throughput "
@@ -217,6 +295,68 @@ void write_report(const std::string& path) {
   std::printf("  kernel-only widening (best width / W=1): %.1fx\n",
               kernel_widening);
 
+  // The activity sweep with its output stream, split into layers at the
+  // default width: whole sweeps and layer splits alternate, so both see
+  // the same host; medians of kLayerReps.
+  constexpr int kLayerReps = 21;
+  benchjson::Array sweep_layers;
+  std::printf("\nactivity sweep layers (W=%d, us per %zu-cycle sweep with "
+              "output stream; medians of %d, sum/sweep should read within "
+              "10%% of 1)\n",
+              block_w, workloads()[0].in.words.size(), kLayerReps);
+  std::printf("%14s %22s %7s %7s %7s %7s %7s %7s %8s %6s\n", "circuit",
+              "sweep", "setup", "in", "eval", "toggle", "count", "out", "sum",
+              "ratio");
+  for (const Workload* w : {&workloads()[0], &workloads()[1]}) {
+    sim::SimOptions opts;
+    opts.block_words = block_w;
+    std::vector<double> sweep_us;
+    std::vector<SweepLayers> split;
+    for (int r = 0; r < kLayerReps; ++r) {
+      stats::VectorStream out;
+      const auto t0 = std::chrono::steady_clock::now();
+      benchmark::DoNotOptimize(
+          sim::simulate_activities(w->mod.netlist, w->in, &out, opts));
+      sweep_us.push_back(std::chrono::duration<double, std::micro>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count());
+      split.push_back(time_sweep_layers(*w, block_w));
+    }
+    const auto [p50, p25, p75] = quartiles(sweep_us);
+    SweepLayers m;
+    for (double SweepLayers::*f :
+         {&SweepLayers::setup, &SweepLayers::transpose_in, &SweepLayers::eval,
+          &SweepLayers::toggles, &SweepLayers::count,
+          &SweepLayers::transpose_out}) {
+      std::vector<double> v;
+      for (const SweepLayers& l : split) v.push_back(l.*f);
+      m.*f = quartiles(v)[0];
+    }
+    const double ratio = p50 > 0.0 ? m.sum() / p50 : 0.0;
+    std::printf("%14s %8.1f [%.1f, %.1f] %7.1f %7.1f %7.1f %7.1f %7.1f %7.1f "
+                "%8.1f %6.2f%s\n",
+                w->name.c_str(), p50, p25, p75, m.setup, m.transpose_in,
+                m.eval, m.toggles, m.count, m.transpose_out, m.sum(), ratio,
+                std::abs(ratio - 1.0) <= 0.10 ? "" : "  (outside 10%)");
+    sweep_layers.push_back(benchjson::Object{
+        {"name", w->name},
+        {"block_words", block_w},
+        {"cycles", w->in.words.size()},
+        {"runs", kLayerReps},
+        {"sweep_us_p50", p50},
+        {"sweep_us_p25", p25},
+        {"sweep_us_p75", p75},
+        {"setup_us", m.setup},
+        {"input_transpose_us", m.transpose_in},
+        {"gate_eval_us", m.eval},
+        {"temporal_toggles_us", m.toggles},
+        {"toggle_count_us", m.count},
+        {"output_transpose_us", m.transpose_out},
+        {"layer_sum_us", m.sum()},
+        {"sum_over_sweep", ratio},
+    });
+  }
+
   // Sharded Monte Carlo: pairs/sec per lane-shard thread count. Results
   // are bit-identical across rows (chunked claim order + per-chunk seeds);
   // only throughput may differ, and on a single-core host it will not.
@@ -264,6 +404,7 @@ void write_report(const std::string& path) {
       {"circuits", std::move(circuits)},
       {"block_widths", std::move(widths)},
       {"kernel_widening", kernel_widening},
+      {"sweep_layers", std::move(sweep_layers)},
       {"sharded_monte_carlo", std::move(shards)},
   };
   if (benchjson::save(path, root))

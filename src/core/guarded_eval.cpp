@@ -294,25 +294,18 @@ GuardedEvalResult evaluate_guarded(const netlist::Module& mod,
                                    const sim::PowerParams& params,
                                    const sim::SimOptions& opts) {
   GuardedEvalResult res;
-  // Reference module is combinational: packed sweep.
-  stats::VectorStream ref_out;
+  // The reference is combinational and sweeps packed; the guarded circuit
+  // holds state in its latches and sweeps cycle by cycle.
+  stats::VectorStream ref_out, out;
   auto ref_acts = sim::simulate_activities(mod.netlist, input, &ref_out, opts);
-  // The guarded circuit holds state in its latches; it stays scalar.
-  sim::Simulator s(gc.netlist);
-  sim::ActivityCollector col(gc.netlist);
-  for (std::size_t t = 0; t < input.words.size(); ++t) {
-    s.set_all_inputs(input.words[t]);
-    s.eval();
-    col.record(s);
-    if (ref_out.words[t] != s.output_bits()) res.functionally_correct = false;
-    s.tick();
-  }
+  auto acts = sim::simulate_activities(gc.netlist, input, &out, opts);
+  res.functionally_correct = out.words == ref_out.words;
   res.base_power =
       sim::compute_power(mod.netlist, ref_acts, params).total_power;
   // Transparent latches are level-sensitive: they add pin and mux loads
   // (already in the netlist) but no clock-tree load, so clock power is not
   // charged here.
-  auto rep = sim::compute_power(gc.netlist, col.activities(), params);
+  auto rep = sim::compute_power(gc.netlist, acts, params);
   res.guarded_power = rep.total_power;
   return res;
 }

@@ -64,8 +64,8 @@ struct GuardedEvalResult {
     return base_power > 0.0 ? 1.0 - guarded_power / base_power : 0.0;
   }
 };
-/// The combinational reference sweep is packed (see sim::temporal_packable);
-/// the guarded circuit contains latches and always runs scalar.
+/// Both circuits run through sim::sweep_stream: the combinational reference
+/// packed, the latched guarded circuit cycle by cycle.
 GuardedEvalResult evaluate_guarded(const netlist::Module& mod,
                                    const GuardedCircuit& gc,
                                    const stats::VectorStream& input,

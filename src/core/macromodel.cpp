@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "netlist/index.hpp"
-#include "sim/block_simulator.hpp"
 #include "sim/simulator.hpp"
 #include "sim/toggle_energy.hpp"
 #include "stats/descriptive.hpp"
@@ -43,45 +42,6 @@ void push_transition(ModuleCharacterization& chr,
   chr.prev_word.push_back(prev);
 }
 
-/// Packed characterization sweep (combinational modules): lane w·64+k of a
-/// block carries cycle base+w·64+k; per-gate toggle words go through the
-/// block toggle-energy counter, which reproduces the scalar per-cycle load
-/// summation bit-exactly at every block width (sim/toggle_energy.hpp).
-ModuleCharacterization characterize_packed(
-    ModuleCharacterization chr, const netlist::Netlist& nl,
-    const stats::VectorStream& input, const netlist::CapacitanceModel& cap,
-    int block_words) {
-  const sim::LoadClasses classes(nl.loads(cap));
-  sim::BlockSimulator bs(nl, block_words);
-  sim::ToggleEnergy energy(classes, bs.words());
-  const auto W = static_cast<std::size_t>(bs.words());
-  const auto lanes = static_cast<std::size_t>(bs.lane_count());
-  const std::size_t n = nl.gate_count();
-  const std::size_t total = input.words.size();
-  std::vector<std::uint8_t> last(n, 0);
-  std::vector<std::uint64_t> toggles(n * W);
-  std::uint64_t prev_out = 0;
-  std::vector<double> e_buf(lanes);
-  std::vector<std::uint64_t> ob(lanes);
-
-  for (std::size_t base = 0; base < total; base += lanes) {
-    const std::size_t count = std::min(lanes, total - base);
-    bs.set_inputs_from_cycles(std::span(input.words).subspan(base, count));
-    bs.eval();
-    bs.temporal_toggles(count, base == 0, last, toggles);
-    energy.energies(toggles, count, e_buf.data());
-    bs.outputs_to_cycles(std::span(ob).first(count));
-    for (std::size_t k = 0; k < count; ++k) {
-      const std::size_t t = base + k;
-      if (t > 0)
-        push_transition(chr, input, t, e_buf[k], ob[k],
-                        k > 0 ? ob[k - 1] : prev_out);
-    }
-    prev_out = ob[count - 1];
-  }
-  return chr;
-}
-
 }  // namespace
 
 ModuleCharacterization characterize(const netlist::Module& mod,
@@ -93,31 +53,13 @@ ModuleCharacterization characterize(const netlist::Module& mod,
   chr.n_out = mod.total_output_bits();
   chr.total_cap = mod.netlist.total_capacitance(cap);
 
-  const auto& nl = mod.netlist;
-  if (sim::temporal_packable(nl))
-    return characterize_packed(std::move(chr), nl, input, cap,
-                               opts.block_words);
-  auto loads = nl.loads(cap);
-  sim::Simulator s(nl);
-  std::vector<std::uint8_t> prev_vals(nl.gate_count(), 0);
-  std::uint64_t prev_out = 0;
-
-  for (std::size_t t = 0; t < input.words.size(); ++t) {
-    s.set_all_inputs(input.words[t]);
-    s.eval();
-    if (t > 0) {
-      double e = 0.0;
-      for (netlist::GateId g = 0; g < nl.gate_count(); ++g) {
-        std::uint8_t v = s.value(g) ? 1 : 0;
-        if (v != prev_vals[g]) e += loads[g];
-      }
-      push_transition(chr, input, t, e, s.output_bits(), prev_out);
-    }
-    prev_out = s.output_bits();
-    for (netlist::GateId g = 0; g < nl.gate_count(); ++g)
-      prev_vals[g] = s.value(g) ? 1 : 0;
-    s.tick();
-  }
+  const sim::LoadClasses loads(mod.netlist.loads(cap));
+  std::vector<double> energy;
+  stats::VectorStream out;
+  sim::sweep_stream(mod.netlist, input, opts, nullptr, &loads, &energy, &out);
+  for (std::size_t t = 1; t < input.words.size(); ++t)
+    push_transition(chr, input, t, energy[t - 1], out.words[t],
+                    out.words[t - 1]);
   return chr;
 }
 

@@ -35,10 +35,10 @@ struct ModuleCharacterization {
   double mean_energy() const;
 };
 
-/// Simulate the module under `input` and collect characterization data.
-/// Combinational modules run the packed backend, 64·W cycles per step;
-/// registered ones run scalar. Energies and predictor variables are
-/// bit-identical either way.
+/// Simulate the module under `input` and collect characterization data:
+/// one sim::sweep_stream for the per-transition energies and output words
+/// (packed for combinational modules, cycle by cycle for registered ones;
+/// bit-identical either way), then the predictor variables per transition.
 ModuleCharacterization characterize(const netlist::Module& mod,
                                     const stats::VectorStream& input,
                                     const netlist::CapacitanceModel& cap = {},

@@ -60,8 +60,8 @@ struct PrecomputationEval {
   double coverage_observed = 0.0;
   bool functionally_correct = true;
 };
-/// The combinational reference sweep is packed (see sim::temporal_packable);
-/// the gated circuit itself holds registers and always simulates scalar.
+/// Both circuits run through sim::sweep_stream: the combinational reference
+/// packed, the registered gated circuit cycle by cycle.
 PrecomputationEval evaluate_precomputed(const PrecomputedCircuit& pc,
                                         const netlist::Module& reference,
                                         const stats::VectorStream& input,

@@ -21,13 +21,13 @@ namespace hlp::sim {
 ///    `uint64_t` loop otherwise — and toggle counting into popcounts.
 ///    At W=1 it is the single-word (64-lane) engine.
 ///
-/// The netlist picks the backend; callers do not. Stream sweeps
-/// (`simulate_activities`, `simulate_outputs`, `characterize`) pack
-/// consecutive cycles into lanes — lane k carries cycle base+k — which is
-/// legal only for combinational netlists (`temporal_packable`): a DFF's
-/// next state depends on the previous cycle's settled values, which
-/// serializes consecutive cycles, so registered netlists sweep on the
-/// scalar `Simulator`. Monte Carlo always runs packed, in *replica* mode:
+/// The netlist picks the backend; callers do not. Every stream sweep runs
+/// through `sweep_stream` (simulator.hpp), which packs consecutive cycles
+/// into lanes — lane k carries cycle base+k — where that is legal: for
+/// combinational netlists (`temporal_packable`). A DFF's next state
+/// depends on the previous cycle's settled values, which serializes
+/// consecutive cycles, so registered netlists sweep on the scalar
+/// `Simulator`. Monte Carlo always runs packed, in *replica* mode:
 /// lane k carries an independent vector pair, and register lanes hold
 /// their own state. Glitch simulation (`glitch_sim`) always stays scalar:
 /// event timing does not vectorize across lanes.

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <optional>
 #include <stdexcept>
 
 #include "sim/block_simulator.hpp"
+#include "sim/toggle_energy.hpp"
 
 namespace hlp::sim {
 
@@ -135,105 +137,134 @@ std::vector<double> ActivityCollector::activities() const {
 
 namespace {
 
-/// Temporal-lane packed sweep over a combinational netlist: lane w·64+k of
-/// a block carries cycle base+w·64+k, and a gate's toggle count is the
-/// popcount of its temporal toggle words. Exactly reproduces the scalar
-/// record-per-cycle toggle counts for every block width.
-std::vector<double> packed_activities(const netlist::Netlist& nl,
-                                      const stats::VectorStream& in_stream,
-                                      stats::VectorStream* out_stream,
-                                      int block_words) {
-  BlockSimulator bs(nl, block_words);
-  const auto W = static_cast<std::size_t>(bs.words());
-  const std::size_t lanes = static_cast<std::size_t>(bs.lane_count());
+/// sweep_stream's packed branch: lane w·64+k of a block carries cycle
+/// base+w·64+k. A gate's toggle count is the popcount of its temporal
+/// toggle words, and the block toggle-energy counter sums their loads per
+/// lane; both reproduce sweep_cycles bit for bit at every block width.
+void sweep_packed(const netlist::Netlist& nl,
+                  const stats::VectorStream& in_stream, int block_words,
+                  std::vector<std::uint64_t>* toggles,
+                  const LoadClasses* loads, std::vector<double>* energy,
+                  stats::VectorStream* out_stream) {
   const std::size_t n = nl.gate_count();
   const std::size_t total = in_stream.words.size();
-  std::vector<std::uint64_t> counts(n, 0), toggles(n * W);
-  std::vector<std::uint8_t> last(n, 0);
-  std::vector<std::uint64_t> ob;
+  const bool track = toggles || energy;
+  BlockSimulator bs(nl, block_words);
+  const auto W = static_cast<std::size_t>(bs.words());
+  const auto lanes = static_cast<std::size_t>(bs.lane_count());
+  std::vector<std::uint8_t> last(track ? n : 0);
+  std::vector<std::uint64_t> tw(track ? n * W : 0);
+  std::optional<ToggleEnergy> counter;
+  if (energy) counter.emplace(*loads, bs.words());
+  std::vector<double> eb(energy ? lanes : 0);
+  std::vector<std::uint64_t> ob(out_stream ? lanes : 0);
+  for (std::size_t base = 0; base < total; base += lanes) {
+    const std::size_t count = std::min(lanes, total - base);
+    bs.set_inputs_from_cycles(
+        std::span(in_stream.words).subspan(base, count));
+    bs.eval();
+    if (track) bs.temporal_toggles(count, base == 0, last, tw);
+    if (toggles)
+      for (GateId g = 0; g < n; ++g)
+        for (std::size_t w = 0; w < W; ++w)
+          (*toggles)[g] +=
+              static_cast<std::uint64_t>(std::popcount(tw[g * W + w]));
+    if (energy) {
+      // Lane 0 of the first block is cycle 0: no transition into it.
+      counter->energies(tw, count, eb.data());
+      energy->insert(energy->end(), eb.begin() + (base == 0 ? 1 : 0),
+                     eb.begin() + static_cast<std::ptrdiff_t>(count));
+    }
+    if (out_stream) {
+      bs.outputs_to_cycles(std::span(ob).first(count));
+      out_stream->words.insert(
+          out_stream->words.end(), ob.begin(),
+          ob.begin() + static_cast<std::ptrdiff_t>(count));
+    }
+  }
+}
+
+/// sweep_stream's cycle-by-cycle branch (registered netlists, or wider than
+/// 64 lines): one eval per cycle, clocked after each; a transition's energy
+/// sums the toggled gates' loads in gate order.
+void sweep_cycles(const netlist::Netlist& nl,
+                  const stats::VectorStream& in_stream,
+                  std::vector<std::uint64_t>* toggles,
+                  const LoadClasses* loads, std::vector<double>* energy,
+                  stats::VectorStream* out_stream) {
+  const std::size_t n = nl.gate_count();
+  const bool track = toggles || energy;
+  Simulator sim(nl);
+  std::vector<std::uint8_t> prev(track ? n : 0);
+  const std::span<const double> ld =
+      loads ? loads->loads() : std::span<const double>{};
+  for (std::size_t t = 0; t < in_stream.words.size(); ++t) {
+    sim.set_all_inputs(in_stream.words[t]);
+    sim.eval();
+    if (track) {
+      double e = 0.0;
+      for (GateId g = 0; g < n; ++g) {
+        const std::uint8_t v = sim.value(g) ? 1 : 0;
+        if (t > 0 && v != prev[g]) {
+          if (toggles) ++(*toggles)[g];
+          if (energy) e += ld[g];
+        }
+        prev[g] = v;
+      }
+      if (energy && t > 0) energy->push_back(e);
+    }
+    if (out_stream) out_stream->words.push_back(sim.output_bits());
+    sim.tick();
+  }
+}
+
+}  // namespace
+
+void sweep_stream(const netlist::Netlist& nl,
+                  const stats::VectorStream& in_stream, const SimOptions& opts,
+                  std::vector<std::uint64_t>* toggles,
+                  const LoadClasses* loads, std::vector<double>* energy,
+                  stats::VectorStream* out_stream) {
+  assert((loads == nullptr) == (energy == nullptr));
+  const std::size_t total = in_stream.words.size();
+  if (toggles) toggles->assign(nl.gate_count(), 0);
+  if (energy) {
+    energy->clear();
+    energy->reserve(total > 0 ? total - 1 : 0);
+  }
   if (out_stream) {
     out_stream->width = static_cast<int>(nl.outputs().size());
     out_stream->words.clear();
     out_stream->words.reserve(total);
-    ob.resize(lanes);
   }
-  for (std::size_t base = 0; base < total; base += lanes) {
-    const std::size_t count = std::min(lanes, total - base);
-    bs.set_inputs_from_cycles(std::span(in_stream.words).subspan(base, count));
-    bs.eval();
-    bs.temporal_toggles(count, base == 0, last, toggles);
-    for (GateId g = 0; g < n; ++g)
-      for (std::size_t w = 0; w < W; ++w)
-        counts[g] +=
-            static_cast<std::uint64_t>(std::popcount(toggles[g * W + w]));
-    if (out_stream) {
-      bs.outputs_to_cycles(std::span(ob).first(count));
-      for (std::size_t k = 0; k < count; ++k)
-        out_stream->words.push_back(ob[k]);
-    }
-  }
-  std::vector<double> e(n, 0.0);
-  if (total >= 2) {
-    double denom = static_cast<double>(total - 1);
-    for (std::size_t g = 0; g < n; ++g)
-      e[g] = static_cast<double>(counts[g]) / denom;
-  }
-  return e;
+  if (temporal_packable(nl))
+    sweep_packed(nl, in_stream, opts.block_words, toggles, loads, energy,
+                 out_stream);
+  else
+    sweep_cycles(nl, in_stream, toggles, loads, energy, out_stream);
 }
-
-}  // namespace
 
 std::vector<double> simulate_activities(const netlist::Netlist& nl,
                                         const stats::VectorStream& in_stream,
                                         stats::VectorStream* out_stream,
                                         const SimOptions& opts) {
-  if (temporal_packable(nl))
-    return packed_activities(nl, in_stream, out_stream, opts.block_words);
-  Simulator sim(nl);
-  ActivityCollector col(nl);
-  if (out_stream) {
-    out_stream->width = static_cast<int>(nl.outputs().size());
-    out_stream->words.clear();
+  std::vector<std::uint64_t> toggles;
+  sweep_stream(nl, in_stream, opts, &toggles, nullptr, nullptr, out_stream);
+  std::vector<double> e(toggles.size(), 0.0);
+  const std::size_t total = in_stream.words.size();
+  if (total >= 2) {
+    const double denom = static_cast<double>(total - 1);
+    for (std::size_t g = 0; g < e.size(); ++g)
+      e[g] = static_cast<double>(toggles[g]) / denom;
   }
-  for (std::uint64_t w : in_stream.words) {
-    sim.set_all_inputs(w);
-    sim.eval();
-    col.record(sim);
-    if (out_stream) out_stream->words.push_back(sim.output_bits());
-    sim.tick();
-  }
-  return col.activities();
+  return e;
 }
 
 stats::VectorStream simulate_outputs(const netlist::Netlist& nl,
                                      const stats::VectorStream& in_stream,
                                      const SimOptions& opts) {
   stats::VectorStream out;
-  if (temporal_packable(nl)) {
-    BlockSimulator bs(nl, opts.block_words);
-    const std::size_t lanes = static_cast<std::size_t>(bs.lane_count());
-    const std::size_t total = in_stream.words.size();
-    out.width = static_cast<int>(nl.outputs().size());
-    out.words.reserve(total);
-    std::vector<std::uint64_t> ob(lanes);
-    for (std::size_t base = 0; base < total; base += lanes) {
-      const std::size_t count = std::min(lanes, total - base);
-      bs.set_inputs_from_cycles(std::span(in_stream.words).subspan(base, count));
-      bs.eval();
-      bs.outputs_to_cycles(std::span(ob).first(count));
-      for (std::size_t k = 0; k < count; ++k) out.words.push_back(ob[k]);
-    }
-    return out;
-  }
-  Simulator sim(nl);
-  out.width = static_cast<int>(nl.outputs().size());
-  out.words.reserve(in_stream.words.size());
-  for (std::uint64_t w : in_stream.words) {
-    sim.set_all_inputs(w);
-    sim.eval();
-    out.words.push_back(sim.output_bits());
-    sim.tick();
-  }
+  sweep_stream(nl, in_stream, opts, nullptr, nullptr, nullptr, &out);
   return out;
 }
 

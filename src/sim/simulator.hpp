@@ -85,18 +85,35 @@ class ActivityCollector {
   std::size_t cycles_ = 0;
 };
 
-/// Run the netlist over an input stream (one word per cycle; stream bit i
-/// drives primary input i) and return per-gate zero-delay activities.
-/// If `out_stream` is non-null it receives the primary-output stream.
-/// Netlists that are `temporal_packable` run on the packed backend, the
-/// rest (registered or wider than 64 lines) on the scalar one; the results
-/// are bit-identical either way (see engine.hpp).
+class LoadClasses;
+
+/// The zero-delay stream sweep under every cycle-by-cycle estimator (the
+/// survey's reference P = ½V²f·ΣCᵢEᵢ and the census characterization of
+/// §II-C). Runs the netlist over an input stream (one word per cycle;
+/// stream bit i drives primary input i) and fills only what the caller asks
+/// for; a null output is never computed:
+///  - `toggles`: per-gate toggle counts over the stream;
+///  - `energy`, with `loads`: the switched capacitance of each transition,
+///    energy[t-1] for the one into cycle t;
+///  - `out_stream`: the primary-output stream.
+/// Netlists that are `temporal_packable` run on the packed `BlockSimulator`,
+/// 64·W consecutive cycles per eval (W = `opts.block_words`); registered
+/// netlists, and combinational ones wider than 64 lines, run cycle by cycle
+/// on `Simulator`. The results are bit-identical either way (engine.hpp).
+void sweep_stream(const netlist::Netlist& nl,
+                  const stats::VectorStream& in_stream, const SimOptions& opts,
+                  std::vector<std::uint64_t>* toggles,
+                  const LoadClasses* loads, std::vector<double>* energy,
+                  stats::VectorStream* out_stream);
+
+/// Per-gate zero-delay activities (toggles / (cycles - 1)) of a
+/// `sweep_stream`; if `out_stream` is non-null it receives the
+/// primary-output stream.
 std::vector<double> simulate_activities(
     const netlist::Netlist& nl, const stats::VectorStream& in_stream,
     stats::VectorStream* out_stream = nullptr, const SimOptions& opts = {});
 
-/// Run the netlist over an input stream and return only the primary-output
-/// stream (packed where `temporal_packable`, as above).
+/// The primary-output stream of a `sweep_stream`, and nothing else.
 stats::VectorStream simulate_outputs(const netlist::Netlist& nl,
                                      const stats::VectorStream& in_stream,
                                      const SimOptions& opts = {});

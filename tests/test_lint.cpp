@@ -285,9 +285,10 @@ TEST(LintPower, PowerTierIsRankedByEstimatedWaste) {
   bool in_power_tail = false;
   for (const lint::Diagnostic& d : r.diags) {
     if (d.severity == lint::Severity::Power) {
-      if (in_power_tail && prev >= 0.0)
+      if (in_power_tail && prev >= 0.0) {
         EXPECT_LE(d.waste, prev) << "power diagnostics must be ranked "
                                     "largest estimated waste first";
+      }
       in_power_tail = true;
       prev = d.waste;
       ++power_seen;

@@ -294,7 +294,9 @@ TEST(ModelFit, IllConditionedDesignRaisesTheWarning) {
   opts.holdout_frac = 0.0;
   const model::FitReport rep =
       model::fit_macromodel(rows, "fake", "symbolic", opts);
-  if (rep.condition > 1e8) EXPECT_TRUE(rep.condition_warning);
+  if (rep.condition > 1e8) {
+    EXPECT_TRUE(rep.condition_warning);
+  }
   EXPECT_GT(rep.condition, 0.0);
 }
 
