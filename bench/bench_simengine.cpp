@@ -23,6 +23,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <optional>
 #include <span>
 #include <string>
@@ -178,6 +179,10 @@ std::array<double, 3> quartiles(std::vector<double>& v) {
 /// The packed activity sweep (`sim::sweep_stream` asked for toggles and the
 /// output stream) split into its layers, each under its own clock, in
 /// microseconds per sweep. `setup` is the block simulator and buffers.
+/// The layers time a copy of the library's packed loop (`sweep_packed` in
+/// sim/simulator.cpp), which has to be edited along with it: a change to
+/// the library loop moves the measured sweep, not these rows. The copy is
+/// checked to compute the library's toggles and output stream.
 struct SweepLayers {
   double setup = 0, transpose_in = 0, eval = 0, toggles = 0, count = 0,
          transpose_out = 0;
@@ -229,8 +234,16 @@ SweepLayers time_sweep_layers(const Workload& w, int words) {
                  ob.begin() + static_cast<std::ptrdiff_t>(count));
     });
   }
-  benchmark::DoNotOptimize(counts.data());
-  benchmark::DoNotOptimize(out.data());
+  std::vector<std::uint64_t> lib_counts;
+  stats::VectorStream lib_out;
+  sim::SimOptions opts;
+  opts.block_words = words;
+  sim::sweep_stream(nl, w.in, opts, &lib_counts, nullptr, nullptr, &lib_out);
+  if (counts != lib_counts || out != lib_out.words) {
+    std::fprintf(stderr, "bench_simengine: sweep layer copy on %s differs "
+                 "from sim::sweep_stream\n", w.name.c_str());
+    std::exit(1);
+  }
   return t;
 }
 

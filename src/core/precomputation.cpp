@@ -327,46 +327,33 @@ namespace {
 
 /// Power and functional check of a gated netlist whose primary outputs are
 /// an optional `fired` flag followed by `n_y` outputs; those must equal
-/// `ref_out` (the plain block's output words) one cycle late.
+/// `ref_out` (the plain block's output words) one cycle late. This is a
+/// cycle loop rather than a `sim::sweep_stream`: `fired` next to a 64-output
+/// reference makes 65 lines, more than one stream word holds.
 PrecomputationEval evaluate_gated(const netlist::Netlist& nl, std::size_t n_y,
                                   std::span<const std::uint64_t> ref_out,
                                   const stats::VectorStream& input,
-                                  const sim::PowerParams& params,
-                                  const sim::SimOptions& opts) {
+                                  const sim::PowerParams& params) {
   PrecomputationEval ev;
   const bool has_fired = nl.outputs().size() > n_y;
   const std::size_t y_base = has_fired ? 1 : 0;
   std::size_t fired_cycles = 0;
-  std::vector<double> acts;
-  auto check = [&](std::size_t t, bool fired, std::uint64_t y) {
-    if (has_fired && fired) ++fired_cycles;
-    if (t >= 1 && y != ref_out[t - 1]) ev.functionally_correct = false;
-  };
-  if (nl.outputs().size() <= 64) {
-    stats::VectorStream out;
-    acts = sim::simulate_activities(nl, input, &out, opts);
-    const std::uint64_t y_mask =
-        n_y >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n_y) - 1;
-    for (std::size_t t = 0; t < out.words.size(); ++t)
-      check(t, (out.words[t] & 1u) != 0, (out.words[t] >> y_base) & y_mask);
-  } else {
-    // `fired` next to a 64-output reference makes 65 lines, wider than one
-    // stream word, so only a cycle loop can read them.
-    sim::Simulator s(nl);
-    sim::ActivityCollector col(nl);
-    for (std::size_t t = 0; t < input.words.size(); ++t) {
-      s.set_all_inputs(input.words[t]);
-      s.eval();
-      col.record(s);
+  sim::Simulator s(nl);
+  sim::ActivityCollector col(nl);
+  for (std::size_t t = 0; t < input.words.size(); ++t) {
+    s.set_all_inputs(input.words[t]);
+    s.eval();
+    col.record(s);
+    if (has_fired && s.value(nl.outputs()[0])) ++fired_cycles;
+    if (t >= 1) {
       std::uint64_t y = 0;
       for (std::size_t o = 0; o < n_y; ++o)
         if (s.value(nl.outputs()[y_base + o])) y |= std::uint64_t{1} << o;
-      check(t, s.value(nl.outputs()[0]), y);
-      s.tick();
+      if (y != ref_out[t - 1]) ev.functionally_correct = false;
     }
-    acts = col.activities();
+    s.tick();
   }
-  ev.power = sim::compute_power(nl, acts, params).total_power;
+  ev.power = sim::compute_power(nl, col.activities(), params).total_power;
   if (!input.words.empty())
     ev.coverage_observed = static_cast<double>(fired_cycles) /
                            static_cast<double>(input.words.size());
@@ -381,8 +368,7 @@ PrecomputationEval evaluate_precomputed_multi(
     const sim::SimOptions& opts) {
   const stats::VectorStream ref =
       sim::simulate_outputs(reference.netlist, input, opts);
-  return evaluate_gated(pc.netlist, pc.n_outputs, ref.words, input, params,
-                        opts);
+  return evaluate_gated(pc.netlist, pc.n_outputs, ref.words, input, params);
 }
 
 PrecomputationEval evaluate_precomputed(const PrecomputedCircuit& pc,
@@ -394,7 +380,7 @@ PrecomputationEval evaluate_precomputed(const PrecomputedCircuit& pc,
   stats::VectorStream ref =
       sim::simulate_outputs(reference.netlist, input, opts);
   for (std::uint64_t& w : ref.words) w &= 1u;
-  return evaluate_gated(pc.netlist, 1, ref.words, input, params, opts);
+  return evaluate_gated(pc.netlist, 1, ref.words, input, params);
 }
 
 }  // namespace hlp::core

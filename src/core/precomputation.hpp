@@ -60,8 +60,9 @@ struct PrecomputationEval {
   double coverage_observed = 0.0;
   bool functionally_correct = true;
 };
-/// Both circuits run through sim::sweep_stream: the combinational reference
-/// packed, the registered gated circuit cycle by cycle.
+/// The combinational reference runs through sim::sweep_stream (packed); the
+/// registered gated circuit runs its own cycle loop, because `fired` next to
+/// a 64-output reference is wider than one stream word.
 PrecomputationEval evaluate_precomputed(const PrecomputedCircuit& pc,
                                         const netlist::Module& reference,
                                         const stats::VectorStream& input,

@@ -225,7 +225,8 @@ void sweep_stream(const netlist::Netlist& nl,
                   std::vector<std::uint64_t>* toggles,
                   const LoadClasses* loads, std::vector<double>* energy,
                   stats::VectorStream* out_stream) {
-  assert((loads == nullptr) == (energy == nullptr));
+  if ((loads == nullptr) != (energy == nullptr))
+    throw std::invalid_argument("sweep_stream: loads and energy go together");
   const std::size_t total = in_stream.words.size();
   if (toggles) toggles->assign(nl.gate_count(), 0);
   if (energy) {

@@ -94,7 +94,8 @@ class LoadClasses;
 /// for; a null output is never computed:
 ///  - `toggles`: per-gate toggle counts over the stream;
 ///  - `energy`, with `loads`: the switched capacitance of each transition,
-///    energy[t-1] for the one into cycle t;
+///    energy[t-1] for the one into cycle t (one of the two without the
+///    other throws std::invalid_argument);
 ///  - `out_stream`: the primary-output stream.
 /// Netlists that are `temporal_packable` run on the packed `BlockSimulator`,
 /// 64·W consecutive cycles per eval (W = `opts.block_words`); registered

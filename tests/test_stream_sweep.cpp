@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -14,6 +15,7 @@
 #include "sim/power.hpp"
 #include "sim/simulator.hpp"
 #include "sim/streams.hpp"
+#include "sim/toggle_energy.hpp"
 #include "stats/rng.hpp"
 
 // The cycle-by-cycle branch of sim::sweep_stream (registered netlists and
@@ -145,6 +147,23 @@ TEST(StreamSweep, PrecomputeBesideA64OutputReferenceReadsEveryLine) {
             sim::compute_power(pc.netlist,
                                scalar_ref::activities(pc.netlist, in), {})
                 .total_power);
+}
+
+TEST(StreamSweep, LoadsAndEnergyMustComeTogether) {
+  auto mod = netlist::adder_module(4);
+  stats::Rng rng(5);
+  auto in = sim::random_stream(mod.total_input_bits(), 20, 0.5, rng);
+  const std::vector<double> ld(mod.netlist.gate_count(), 1.0);
+  const sim::LoadClasses loads(ld);
+  std::vector<double> energy;
+  EXPECT_THROW(sim::sweep_stream(mod.netlist, in, {}, nullptr, nullptr,
+                                 &energy, nullptr),
+               std::invalid_argument);
+  EXPECT_THROW(sim::sweep_stream(mod.netlist, in, {}, nullptr, &loads,
+                                 nullptr, nullptr),
+               std::invalid_argument);
+  sim::sweep_stream(mod.netlist, in, {}, nullptr, &loads, &energy, nullptr);
+  EXPECT_EQ(energy.size(), 19u);
 }
 
 }  // namespace
