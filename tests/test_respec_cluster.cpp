@@ -9,18 +9,25 @@ namespace {
 using namespace hlp;
 using namespace hlp::core;
 
+// 8 bits x 4 sources plus the select is 34 input lines, one stream word;
+// 8 x 8 is 67 lines, which takes the word-sliced cycle loop.
 TEST(ControlRespec, SavesPowerWhenIdle) {
-  auto res = evaluate_control_respec(8, 4, 3000, 0.5, 7);
-  EXPECT_GT(res.idle_fraction, 0.4);
-  EXPECT_LT(res.power_respec, res.power_default);
-  EXPECT_GT(res.saving(), 0.05);
+  for (int sources : {4, 8}) {
+    auto res = evaluate_control_respec(8, sources, 3000, 0.5, 7);
+    EXPECT_GT(res.idle_fraction, 0.4) << sources;
+    EXPECT_LT(res.power_respec, res.power_default) << sources;
+    EXPECT_GT(res.saving(), 0.05) << sources;
+  }
 }
 
 TEST(ControlRespec, NoIdleNoDifference) {
-  auto res = evaluate_control_respec(8, 4, 2000, 0.0, 9);
-  EXPECT_EQ(res.idle_fraction, 0.0);
-  EXPECT_NEAR(res.power_respec, res.power_default,
-              1e-6 * res.power_default);
+  for (int sources : {4, 8}) {
+    auto res = evaluate_control_respec(8, sources, 2000, 0.0, 9);
+    EXPECT_EQ(res.idle_fraction, 0.0) << sources;
+    EXPECT_NEAR(res.power_respec, res.power_default,
+                1e-6 * res.power_default)
+        << sources;
+  }
 }
 
 TEST(ControlRespec, SavingGrowsWithIdleFraction) {
