@@ -5,8 +5,10 @@
 // to N×64 lanes streamed through runtime-dispatched SIMD kernels (portable /
 // AVX2 / AVX-512). Targets: >= 10x gate-evals/sec scalar -> packed, and
 // >= 5x single-word packed -> block-wide on the random-DAG sweep, all
-// bit-identical. A sharded Monte Carlo section reports pairs/sec per
-// lane-shard thread count (bit-identical across counts by construction).
+// bit-identical. Every throughput row is the median [p25, p75] of 9
+// back-to-back runs, each repeating its sweep until it lasts at least 50 ms.
+// A sharded Monte Carlo section reports pairs/sec per lane-shard thread
+// count (bit-identical across counts by construction).
 // A layer table splits the activity sweep (sim::sweep_stream with toggles
 // and the output stream) on multiplier8 and random_dag at the default width
 // into setup, input transpose, gate eval, temporal toggles, toggle count and
@@ -112,21 +114,46 @@ void BM_Sweep(benchmark::State& state, const Workload& w, int block_words) {
       benchmark::Counter::kIsIterationInvariantRate);
 }
 
-/// Wall-clock gate-evals/sec of one sweep (`block_words` as in
-/// run_sweep), repeated and best-of to damp scheduler noise.
-double measure_evals_per_sec(const Workload& w, int block_words, int reps) {
+/// Median [p25, p75] of `v` (sorted in place).
+std::array<double, 3> quartiles(std::vector<double>& v) {
+  std::sort(v.begin(), v.end());
+  auto at = [&v](double q) {
+    return v[static_cast<std::size_t>(q * static_cast<double>(v.size() - 1) +
+                                      0.5)];
+  };
+  return {at(0.5), at(0.25), at(0.75)};
+}
+
+/// Runs behind every throughput row.
+constexpr int kRateRuns = 9;
+
+/// Wall-clock rate of `pass` (one call does `evals` gate evaluations):
+/// median [p25, p75] of kRateRuns back-to-back runs, each repeating `pass`
+/// until it lasts at least 50 ms (the repeat count doubles from 1), so a
+/// burst of host load shorter than a run cannot move a quartile.
+template <class Pass>
+std::array<double, 3> measure_rate(double evals, Pass&& pass) {
   using clock = std::chrono::steady_clock;
-  const double gate_evals = static_cast<double>(
-      w.mod.netlist.logic_gate_count() * w.in.words.size());
-  double best = 0.0;
-  for (int r = 0; r < reps; ++r) {
-    auto t0 = clock::now();
-    benchmark::DoNotOptimize(run_sweep(w, block_words));
-    auto t1 = clock::now();
-    double secs = std::chrono::duration<double>(t1 - t0).count();
-    if (secs > 0.0) best = std::max(best, gate_evals / secs);
-  }
-  return best;
+  auto run = [&pass](int repeats) {
+    const auto t0 = clock::now();
+    for (int i = 0; i < repeats; ++i) pass();
+    return std::chrono::duration<double>(clock::now() - t0).count();
+  };
+  int repeats = 1;
+  while (run(repeats) < 0.05 && repeats < (1 << 20)) repeats *= 2;
+  std::vector<double> rates;
+  for (int r = 0; r < kRateRuns; ++r)
+    rates.push_back(evals * repeats / run(repeats));
+  return quartiles(rates);
+}
+
+/// Gate-evals/sec of whole sweeps (`block_words` as in run_sweep).
+std::array<double, 3> measure_evals_per_sec(const Workload& w,
+                                            int block_words) {
+  return measure_rate(
+      static_cast<double>(w.mod.netlist.logic_gate_count() *
+                          w.in.words.size()),
+      [&] { benchmark::DoNotOptimize(run_sweep(w, block_words)); });
 }
 
 /// Kernel a width actually selects under the current CPU/env caps.
@@ -140,40 +167,23 @@ const char* width_dispatch(const netlist::Netlist& nl, int words) {
 /// counting or output transposition. This isolates what the SIMD kernels
 /// buy; the sweep rows above include the (width-invariant) per-cycle
 /// bookkeeping of a full activity run.
-double measure_kernel_evals_per_sec(const Workload& w, int words, int reps) {
-  using clock = std::chrono::steady_clock;
+std::array<double, 3> measure_kernel_evals_per_sec(const Workload& w,
+                                                   int words) {
   sim::BlockSimulator bs(w.mod.netlist, words);
   const std::size_t lanes = static_cast<std::size_t>(bs.lane_count());
   const std::size_t blocks = (w.in.words.size() + lanes - 1) / lanes;
   const double gate_evals =
       static_cast<double>(w.mod.netlist.logic_gate_count()) *
       static_cast<double>(blocks) * static_cast<double>(lanes);
-  double best = 0.0;
-  for (int r = 0; r < reps; ++r) {
-    auto t0 = clock::now();
+  return measure_rate(gate_evals, [&] {
     for (std::size_t b = 0; b < blocks; ++b) {
       const std::size_t base = b * lanes;
       const std::size_t n = std::min(lanes, w.in.words.size() - base);
-      bs.set_inputs_from_cycles(
-          std::span(w.in.words.data() + base, n));
+      bs.set_inputs_from_cycles(std::span(w.in.words.data() + base, n));
       bs.eval();
     }
-    auto t1 = clock::now();
     benchmark::DoNotOptimize(bs.lane_words(0));
-    double secs = std::chrono::duration<double>(t1 - t0).count();
-    if (secs > 0.0) best = std::max(best, gate_evals / secs);
-  }
-  return best;
-}
-
-/// Median [p25, p75] of `v` (sorted in place).
-std::array<double, 3> quartiles(std::vector<double>& v) {
-  std::sort(v.begin(), v.end());
-  auto at = [&v](double q) {
-    return v[static_cast<std::size_t>(q * static_cast<double>(v.size() - 1) +
-                                      0.5)];
-  };
-  return {at(0.5), at(0.25), at(0.75)};
+  });
 }
 
 /// The packed activity sweep (`sim::sweep_stream` asked for toggles and the
@@ -250,29 +260,40 @@ SweepLayers time_sweep_layers(const Workload& w, int words) {
 void write_report(const std::string& path) {
   benchjson::Array circuits;
   std::printf("\nE-SIM — scalar vs packed vs block sweep throughput "
-              "(gate-evals/sec)\n\n");
-  std::printf("%14s %8s %8s %14s %14s %14s %9s %9s\n", "circuit", "gates",
-              "cycles", "scalar", "packed_w1", "block", "pk/sc",
-              "blk/pk");
+              "(gate-evals/sec, median [p25, p75] of %d runs of at least "
+              "50 ms each)\n\n",
+              kRateRuns);
+  std::printf("%12s %6s %6s %30s %30s %30s %7s %7s\n", "circuit", "gates",
+              "cycles", "scalar", "packed_w1", "block", "pk/sc", "blk/pk");
   const int block_w = sim::default_block_words();
   for (const auto& w : workloads()) {
-    double scalar = measure_evals_per_sec(w, kScalar, 5);
+    const auto scalar = measure_evals_per_sec(w, kScalar);
     // W=1 is the historical single-word packed engine (portable kernel by
     // construction: one word is not SIMD-divisible).
-    double packed1 = measure_evals_per_sec(w, /*block_words=*/1, 5);
-    double block = measure_evals_per_sec(w, block_w, 5);
-    double speedup = scalar > 0.0 ? packed1 / scalar : 0.0;
-    double widening = packed1 > 0.0 ? block / packed1 : 0.0;
-    std::printf("%14s %8zu %8zu %14.3e %14.3e %14.3e %8.1fx %8.1fx\n",
+    const auto packed1 = measure_evals_per_sec(w, /*block_words=*/1);
+    const auto block = measure_evals_per_sec(w, block_w);
+    const double speedup = packed1[0] / scalar[0];
+    const double widening = block[0] / packed1[0];
+    std::printf("%12s %6zu %6zu %9.3e [%.2e, %.2e] %9.3e [%.2e, %.2e] "
+                "%9.3e [%.2e, %.2e] %6.1fx %6.1fx\n",
                 w.name.c_str(), w.mod.netlist.logic_gate_count(),
-                w.in.words.size(), scalar, packed1, block, speedup, widening);
+                w.in.words.size(), scalar[0], scalar[1], scalar[2],
+                packed1[0], packed1[1], packed1[2], block[0], block[1],
+                block[2], speedup, widening);
     circuits.push_back(benchjson::Object{
         {"name", w.name},
         {"gates", w.mod.netlist.logic_gate_count()},
         {"cycles", w.in.words.size()},
-        {"scalar_gate_evals_per_sec", scalar},
-        {"packed_gate_evals_per_sec", packed1},
-        {"block_gate_evals_per_sec", block},
+        {"runs", kRateRuns},
+        {"scalar_gate_evals_per_sec", scalar[0]},
+        {"scalar_gate_evals_per_sec_p25", scalar[1]},
+        {"scalar_gate_evals_per_sec_p75", scalar[2]},
+        {"packed_gate_evals_per_sec", packed1[0]},
+        {"packed_gate_evals_per_sec_p25", packed1[1]},
+        {"packed_gate_evals_per_sec_p75", packed1[2]},
+        {"block_gate_evals_per_sec", block[0]},
+        {"block_gate_evals_per_sec_p25", block[1]},
+        {"block_gate_evals_per_sec_p75", block[2]},
         {"block_words", block_w},
         {"speedup", speedup},
         {"block_over_packed", widening},
@@ -288,24 +309,29 @@ void write_report(const std::string& path) {
               dag.name.c_str(), sim::to_string(sim::active_dispatch()));
   double kernel_w1 = 0.0, kernel_best = 0.0;
   for (int wds : {1, 2, 4, 8, 16, 32}) {
-    double evals = measure_evals_per_sec(dag, wds, 5);
-    double kernel = measure_kernel_evals_per_sec(dag, wds, 5);
+    const auto evals = measure_evals_per_sec(dag, wds);
+    const auto kernel = measure_kernel_evals_per_sec(dag, wds);
     const char* disp = width_dispatch(dag.mod.netlist, wds);
-    if (wds == 1) kernel_w1 = kernel;
-    kernel_best = std::max(kernel_best, kernel);
-    std::printf("  W=%-3d (%8s): %14.3e activity  %14.3e kernel-only "
-                "gate-evals/sec\n",
-                wds, disp, evals, kernel);
+    if (wds == 1) kernel_w1 = kernel[0];
+    kernel_best = std::max(kernel_best, kernel[0]);
+    std::printf("  W=%-3d (%8s): %9.3e [%.2e, %.2e] activity  "
+                "%9.3e [%.2e, %.2e] kernel-only gate-evals/sec\n",
+                wds, disp, evals[0], evals[1], evals[2], kernel[0],
+                kernel[1], kernel[2]);
     widths.push_back(benchjson::Object{
         {"words", wds},
         {"dispatch", disp},
-        {"gate_evals_per_sec", evals},
-        {"kernel_gate_evals_per_sec", kernel},
+        {"runs", kRateRuns},
+        {"gate_evals_per_sec", evals[0]},
+        {"gate_evals_per_sec_p25", evals[1]},
+        {"gate_evals_per_sec_p75", evals[2]},
+        {"kernel_gate_evals_per_sec", kernel[0]},
+        {"kernel_gate_evals_per_sec_p25", kernel[1]},
+        {"kernel_gate_evals_per_sec_p75", kernel[2]},
     });
   }
-  const double kernel_widening = kernel_w1 > 0.0 ? kernel_best / kernel_w1
-                                                 : 0.0;
-  std::printf("  kernel-only widening (best width / W=1): %.1fx\n",
+  const double kernel_widening = kernel_best / kernel_w1;
+  std::printf("  kernel-only widening (best median / W=1 median): %.1fx\n",
               kernel_widening);
 
   // The activity sweep with its output stream, split into layers at the

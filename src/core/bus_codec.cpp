@@ -82,46 +82,38 @@ CodecEval evaluate_bus_invert_codec(const BusInvertCodec& codec,
                                     const netlist::CapacitanceModel& cap) {
   CodecEval ev;
   const netlist::Netlist& nl = codec.netlist;
-  // Registered bus: the cycle recurrence is serial, so it runs scalar.
-  sim::Simulator s(nl);
-  sim::ActivityCollector col(nl);
-
-  std::uint64_t prev_bus = 0, prev_word = 0, prev_raw = 0;
-  bool have_prev = false;
-  std::uint64_t bus_trans = 0, raw_trans = 0;
-  std::size_t idx = 0;
   const std::uint64_t mask =
       codec.width >= 64 ? ~std::uint64_t{0}
                         : ((std::uint64_t{1} << codec.width) - 1);
+  stats::VectorStream in{codec.width, {}};
+  in.words.reserve(words.size());
+  for (std::uint64_t w : words) in.words.push_back(w & mask);
 
-  for (std::uint64_t w : words) {
-    w &= mask;
-    s.set_word(codec.data_in, w);
-    s.eval();
-    col.record(s);
-    if (have_prev && (s.word_value(codec.decoded) & mask) != prev_word)
-      ev.functionally_correct = false;
-    std::uint64_t bus_now = s.word_value(codec.bus) |
-                            (static_cast<std::uint64_t>(s.value(codec.inv))
-                             << codec.width);
-    if (have_prev && idx >= 2) {
-      // Skip the reset transient (the bus register powers up cleared).
-      bus_trans += static_cast<std::uint64_t>(
-          std::popcount(bus_now ^ prev_bus));
-      raw_trans += static_cast<std::uint64_t>(std::popcount(w ^ prev_raw));
-    }
-    prev_bus = bus_now;
-    prev_word = w;
-    prev_raw = w;
-    have_prev = true;
-    ++idx;
-    s.tick();
-  }
+  std::vector<std::uint64_t> toggles;
+  stats::VectorStream out;
+  sim::sweep_stream(nl, in, {}, &toggles, nullptr, nullptr, &out);
+  // The receiver reproduces each word one cycle late.
+  for (std::size_t t = 1; t < out.words.size(); ++t)
+    if (out.words[t] != in.words[t - 1]) ev.functionally_correct = false;
+
   if (words.size() > 2) {
+    // Skip the reset transient (the bus register powers up cleared): the
+    // bus and INV toggles into cycles 2.. are the whole sweep's less those
+    // of a sweep of the first two words, which runs the same two cycles.
+    std::vector<std::uint64_t> head;
+    sim::sweep_stream(nl, {codec.width, {in.words[0], in.words[1]}}, {}, &head,
+                      nullptr, nullptr, nullptr);
+    std::uint64_t bus_trans = toggles[codec.inv] - head[codec.inv];
+    for (GateId q : codec.bus) bus_trans += toggles[q] - head[q];
+    std::uint64_t raw_trans = 0;
+    for (std::size_t t = 2; t < in.words.size(); ++t)
+      raw_trans += static_cast<std::uint64_t>(
+          std::popcount(in.words[t] ^ in.words[t - 1]));
     double n = static_cast<double>(words.size() - 2);
     ev.bus_transitions_bi = static_cast<double>(bus_trans) / n;
     ev.bus_transitions_binary = static_cast<double>(raw_trans) / n;
-    auto rep = sim::compute_power(nl, col.activities(),
+    auto rep = sim::compute_power(nl,
+                                  sim::toggle_activities(toggles, words.size()),
                                   sim::PowerParams{1.0, 1.0, cap});
     // Switched cap per cycle inside the codec (clock tree of the bus/INV
     // registers included: 2 edges x per-DFF clock cap).

@@ -46,9 +46,9 @@ struct CodecEval {
 };
 
 /// Simulate the codec netlist on a word stream; verifies decoded == input
-/// (one cycle late) and accounts bus vs codec switching separately.
-/// The codec registers its bus, so the cycle recurrence is inherently
-/// serial and runs on the scalar simulator.
+/// (one cycle late) and accounts bus vs codec switching separately, all
+/// from one `sim::sweep_stream` of the codec (plus a two-word one that
+/// measures the reset transient the bus count leaves out).
 CodecEval evaluate_bus_invert_codec(const BusInvertCodec& codec,
                                     const std::vector<std::uint64_t>& words,
                                     const netlist::CapacitanceModel& cap = {});

@@ -43,36 +43,15 @@ ClockGatingResult evaluate_clock_gating(const fsm::Stg& stg,
   nl.mark_output(fa, "Fa");
   res.fa_gates = nl.gate_count() - watermark;
 
-  // Simulate. The state recurrence is serial, so it runs scalar.
-  sim::Simulator s(nl);
-  sim::ActivityCollector col(nl);
+  // Simulate. F_a holds exactly on the walk's self-loop cycles.
+  stats::VectorStream in{stg.n_inputs(), {}};
+  const auto states = fsm::simulate_states(stg, cycles, rng, input_probs, 0,
+                                           &in.words, nullptr);
   std::size_t idle = 0;
-  const std::size_t sym = stg.n_symbols();
-  for (std::size_t c = 0; c < cycles; ++c) {
-    std::uint64_t a;
-    if (input_probs.empty()) {
-      a = static_cast<std::uint64_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(sym) - 1));
-    } else {
-      double u = rng.uniform_real();
-      double acc = 0.0;
-      a = sym - 1;
-      for (std::size_t k = 0; k < sym; ++k) {
-        acc += input_probs[k];
-        if (u <= acc) {
-          a = k;
-          break;
-        }
-      }
-    }
-    s.set_word(gated.inputs, a);
-    s.eval();
-    col.record(s);
-    if (s.value(fa)) ++idle;
-    s.tick();
-  }
+  for (std::size_t c = 0; c < cycles; ++c)
+    if (stg.next(states[c], in.words[c]) == states[c]) ++idle;
 
-  auto rep = sim::compute_power(nl, col.activities(), params);
+  auto rep = sim::compute_power(nl, sim::simulate_activities(nl, in), params);
   double logic_sc = 0.0, fa_sc = 0.0;
   for (GateId g = 0; g < nl.gate_count(); ++g) {
     if (g < watermark)

@@ -33,8 +33,9 @@ struct ClockGatingResult {
 /// scale by the fraction of enabled cycles; the F_a cover and the gating
 /// latch add their own switching. Combinational logic power is unchanged
 /// (gating fires only on self-loops, so gate values are identical).
-/// The FSM state recurrence is inherently serial and runs on the scalar
-/// simulator.
+/// Activities come from one `sim::simulate_activities` of the gated
+/// netlist; the idle cycles are the symbol walk's self-loops, which is
+/// exactly where F_a holds.
 ClockGatingResult evaluate_clock_gating(const fsm::Stg& stg,
                                         const fsm::SynthesizedFsm& fsmnl,
                                         std::size_t cycles, stats::Rng& rng,

@@ -1,7 +1,6 @@
 #include "core/fsm_encoding_power.hpp"
 
-#include <bit>
-
+#include "fsm/markov.hpp"
 #include "sim/simulator.hpp"
 
 namespace hlp::core {
@@ -33,42 +32,18 @@ EncodingReport evaluate_encoding(const fsm::Stg& stg,
   rep.gates = sf.netlist.logic_gate_count();
 
   // Drive with random symbols; measure gate-level power and actual
-  // state-register switching.
+  // state-register switching (the state DFFs start at codes[0], so cycle 0
+  // adds no toggle).
   stats::Rng rng(seed + 17);
-  // The state recurrence is serial, so it runs scalar.
-  sim::Simulator s(sf.netlist);
-  sim::ActivityCollector col(sf.netlist);
-  std::uint64_t prev_state = codes[0];
+  stats::VectorStream in{stg.n_inputs(), {}};
+  fsm::simulate_states(stg, cycles, rng, input_probs, 0, &in.words, nullptr);
+  std::vector<std::uint64_t> toggles;
+  sim::sweep_stream(sf.netlist, in, {}, &toggles, nullptr, nullptr, nullptr);
   std::uint64_t state_toggles = 0;
-  const std::size_t sym = stg.n_symbols();
-  for (std::size_t c = 0; c < cycles; ++c) {
-    std::uint64_t a;
-    if (input_probs.empty()) {
-      a = static_cast<std::uint64_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(sym) - 1));
-    } else {
-      double u = rng.uniform_real();
-      double acc = 0.0;
-      a = sym - 1;
-      for (std::size_t k = 0; k < sym; ++k) {
-        acc += input_probs[k];
-        if (u <= acc) {
-          a = k;
-          break;
-        }
-      }
-    }
-    s.set_word(sf.inputs, a);
-    s.eval();
-    col.record(s);
-    std::uint64_t st = s.word_value(sf.state);
-    state_toggles += static_cast<std::uint64_t>(
-        std::popcount(st ^ prev_state));
-    prev_state = st;
-    s.tick();
-  }
+  for (netlist::GateId q : sf.state) state_toggles += toggles[q];
   rep.simulated_power =
-      sim::compute_power(sf.netlist, col.activities(), params)
+      sim::compute_power(sf.netlist, sim::toggle_activities(toggles, cycles),
+                         params)
           .power_with_clock();
   rep.simulated_state_switching =
       cycles > 1 ? static_cast<double>(state_toggles) /

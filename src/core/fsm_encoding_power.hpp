@@ -25,8 +25,9 @@ struct EncodingReport {
   double simulated_state_switching = 0.0;  ///< measured bits/cycle
 };
 
-/// Evaluate one encoding style on an STG. The synthesized FSM's state
-/// recurrence is inherently serial and runs on the scalar simulator.
+/// Evaluate one encoding style on an STG: one `sim::sweep_stream` of the
+/// synthesized FSM over a random symbol stream gives both the gate-level
+/// power and the state-register toggles.
 EncodingReport evaluate_encoding(const fsm::Stg& stg,
                                  fsm::EncodingStyle style,
                                  const fsm::MarkovAnalysis& ma,

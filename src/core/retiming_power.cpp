@@ -64,19 +64,10 @@ RetimingEval evaluate_retimed(const RetimedCircuit& rc,
   ev.power_functional = rep_fn.total_power + rep_fn.clock_power;
 
   // Functional check: settled outputs equal the reference delayed one cycle.
-  sim::Simulator ref(reference.netlist);
-  sim::Simulator s(rc.netlist);
-  std::vector<std::uint64_t> ref_out;
-  for (std::size_t t = 0; t < input.words.size(); ++t) {
-    ref.set_all_inputs(input.words[t]);
-    ref.eval();
-    ref_out.push_back(ref.output_bits());
-    s.set_all_inputs(input.words[t]);
-    s.eval();
-    if (t >= 1 && s.output_bits() != ref_out[t - 1])
-      ev.functionally_correct = false;
-    s.tick();
-  }
+  const auto ref = sim::simulate_outputs(reference.netlist, input);
+  const auto out = sim::simulate_outputs(rc.netlist, input);
+  for (std::size_t t = 1; t < out.words.size(); ++t)
+    if (out.words[t] != ref.words[t - 1]) ev.functionally_correct = false;
   return ev;
 }
 

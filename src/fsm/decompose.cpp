@@ -118,20 +118,13 @@ DecompositionEval evaluate_decomposition(const Stg& stg,
   auto states =
       simulate_states(stg, cycles, rng, input_probs, 0, &inputs, &outputs);
 
-  {
-    // The state recurrence is serial, so it runs scalar.
-    sim::Simulator s(mono.netlist);
-    sim::ActivityCollector col(mono.netlist);
-    for (std::size_t c = 0; c < cycles; ++c) {
-      s.set_word(mono.inputs, inputs[c]);
-      s.eval();
-      col.record(s);
-      s.tick();
-    }
-    ev.mono_power =
-        sim::compute_power(mono.netlist, col.activities(), pp)
-            .power_with_clock();
-  }
+  // synthesize_fsm adds the symbol bits as the first inputs, in order.
+  ev.mono_power =
+      sim::compute_power(
+          mono.netlist,
+          sim::simulate_activities(mono.netlist, {stg.n_inputs(), inputs}),
+          pp)
+          .power_with_clock();
 
   // Submachines with selective clocking.
   auto subs = build_submachines(stg, part);

@@ -59,8 +59,9 @@ struct DecompositionEval {
   }
 };
 
-/// FSM state recurrences are inherently serial and run on the scalar
-/// simulator.
+/// The monolithic machine runs through `sim::simulate_activities`; each
+/// submachine keeps its own cycle loop on `sim::Simulator`, because a
+/// gated cycle skips its eval and freezes the inputs.
 DecompositionEval evaluate_decomposition(
     const Stg& stg, const Partition& part, std::size_t cycles,
     std::uint64_t seed, std::span<const double> input_probs = {});

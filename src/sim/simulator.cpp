@@ -42,19 +42,9 @@ void Simulator::set_all_inputs(std::uint64_t packed) {
   auto ins = nl_->inputs();
   if (ins.size() > 64)
     throw std::out_of_range(
-        "Simulator::set_all_inputs: netlist has more than 64 inputs; "
-        "use set_inputs(span)");
+        "Simulator::set_all_inputs: netlist has more than 64 inputs");
   for (std::size_t i = 0; i < ins.size(); ++i)
     values_[ins[i]] = (packed >> i) & 1u;
-}
-
-void Simulator::set_inputs(std::span<const std::uint8_t> bits) {
-  auto ins = nl_->inputs();
-  if (bits.size() < ins.size())
-    throw std::out_of_range("Simulator::set_inputs: span shorter than the "
-                            "primary input list");
-  for (std::size_t i = 0; i < ins.size(); ++i)
-    values_[ins[i]] = bits[i] ? 1 : 0;
 }
 
 void Simulator::eval() {
@@ -88,21 +78,11 @@ std::uint64_t Simulator::output_bits() const {
   auto outs = nl_->outputs();
   if (outs.size() > 64)
     throw std::out_of_range(
-        "Simulator::output_bits: netlist has more than 64 outputs; "
-        "use read_outputs(span)");
+        "Simulator::output_bits: netlist has more than 64 outputs");
   std::uint64_t v = 0;
   for (std::size_t i = 0; i < outs.size(); ++i)
     if (values_[outs[i]]) v |= std::uint64_t{1} << i;
   return v;
-}
-
-void Simulator::read_outputs(std::span<std::uint8_t> out) const {
-  auto outs = nl_->outputs();
-  if (out.size() < outs.size())
-    throw std::out_of_range("Simulator::read_outputs: span shorter than the "
-                            "primary output list");
-  for (std::size_t i = 0; i < outs.size(); ++i)
-    out[i] = values_[outs[i]] ? 1 : 0;
 }
 
 ActivityCollector::ActivityCollector(const netlist::Netlist& nl) : nl_(&nl) {
@@ -127,12 +107,7 @@ void ActivityCollector::record(const Simulator& sim) {
 }
 
 std::vector<double> ActivityCollector::activities() const {
-  std::vector<double> e(toggles_.size(), 0.0);
-  if (cycles_ < 2) return e;
-  double denom = static_cast<double>(cycles_ - 1);
-  for (std::size_t g = 0; g < toggles_.size(); ++g)
-    e[g] = static_cast<double>(toggles_[g]) / denom;
-  return e;
+  return toggle_activities(toggles_, cycles_);
 }
 
 namespace {
@@ -245,20 +220,23 @@ void sweep_stream(const netlist::Netlist& nl,
     sweep_cycles(nl, in_stream, toggles, loads, energy, out_stream);
 }
 
+std::vector<double> toggle_activities(std::span<const std::uint64_t> toggles,
+                                      std::size_t cycles) {
+  std::vector<double> e(toggles.size(), 0.0);
+  if (cycles < 2) return e;
+  const double denom = static_cast<double>(cycles - 1);
+  for (std::size_t g = 0; g < e.size(); ++g)
+    e[g] = static_cast<double>(toggles[g]) / denom;
+  return e;
+}
+
 std::vector<double> simulate_activities(const netlist::Netlist& nl,
                                         const stats::VectorStream& in_stream,
                                         stats::VectorStream* out_stream,
                                         const SimOptions& opts) {
   std::vector<std::uint64_t> toggles;
   sweep_stream(nl, in_stream, opts, &toggles, nullptr, nullptr, out_stream);
-  std::vector<double> e(toggles.size(), 0.0);
-  const std::size_t total = in_stream.words.size();
-  if (total >= 2) {
-    const double denom = static_cast<double>(total - 1);
-    for (std::size_t g = 0; g < e.size(); ++g)
-      e[g] = static_cast<double>(toggles[g]) / denom;
-  }
-  return e;
+  return toggle_activities(toggles, in_stream.words.size());
 }
 
 stats::VectorStream simulate_outputs(const netlist::Netlist& nl,

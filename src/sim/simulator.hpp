@@ -29,12 +29,8 @@ class Simulator {
   void set_word(const netlist::Word& w, std::uint64_t value);
   /// Assign all primary inputs from packed bits (bit i -> inputs()[i]).
   /// Throws std::out_of_range on netlists with more than 64 inputs (one
-  /// word cannot carry them); use set_inputs() there.
+  /// word cannot carry them; drive those with set_input/set_word).
   void set_all_inputs(std::uint64_t packed);
-  /// Assign all primary inputs from a bit span (bits[i] -> inputs()[i]);
-  /// works for any input count. Throws if the span is shorter than the
-  /// input list.
-  void set_inputs(std::span<const std::uint8_t> bits);
 
   /// Propagate values through the combinational logic (in the topological
   /// order taken at construction).
@@ -46,12 +42,9 @@ class Simulator {
   bool value(netlist::GateId g) const { return values_[g] != 0; }
   std::uint64_t word_value(const netlist::Word& w) const;
   /// Packed primary-output bits (output i -> bit i). Throws
-  /// std::out_of_range on netlists with more than 64 outputs; use
-  /// read_outputs() there.
+  /// std::out_of_range on netlists with more than 64 outputs (read those
+  /// with value/word_value).
   std::uint64_t output_bits() const;
-  /// Copy primary-output values into `out` (out[i] = outputs()[i]); works
-  /// for any output count. Throws if the span is too short.
-  void read_outputs(std::span<std::uint8_t> out) const;
 
   const netlist::Netlist& netlist() const { return *nl_; }
 
@@ -107,7 +100,12 @@ void sweep_stream(const netlist::Netlist& nl,
                   const LoadClasses* loads, std::vector<double>* energy,
                   stats::VectorStream* out_stream);
 
-/// Per-gate zero-delay activities (toggles / (cycles - 1)) of a
+/// Per-gate zero-delay activities E_g = toggles[g] / (cycles - 1); all zero
+/// below two cycles.
+std::vector<double> toggle_activities(std::span<const std::uint64_t> toggles,
+                                      std::size_t cycles);
+
+/// Per-gate zero-delay activities (`toggle_activities`) of a
 /// `sweep_stream`; if `out_stream` is non-null it receives the
 /// primary-output stream.
 std::vector<double> simulate_activities(
