@@ -16,6 +16,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <vector>
 
 #include "bench_json.hpp"
@@ -27,6 +28,7 @@
 #include "sim/streams.hpp"
 #include "sim/toggle_energy.hpp"
 #include "stats/descriptive.hpp"
+#include "stats/exact_moments.hpp"
 
 namespace {
 
@@ -195,10 +197,18 @@ void print_accuracy_tables() {
 
 /// One design's Monte Carlo pair loop split into its layers, in ns/pair:
 /// the stages the estimator runs per batch (core/sampling_power.cpp
-/// `PairSampler`), each under its own clock.
+/// `PairSampler`), each under its own clock. The designs use the default
+/// capacitance model, so the run keeps exact integer moments: `readout` is
+/// the counter's integer readout and `stop` the integer stop rule.
 struct Layers {
-  double draw = 0, transpose = 0, eval = 0, swap = 0, count = 0, stop = 0;
-  double sum() const { return draw + transpose + eval + swap + count + stop; }
+  double draw = 0, transpose = 0, eval = 0, swap = 0, count = 0, readout = 0,
+         stop = 0;
+  double sum() const {
+    return draw + transpose + eval + swap + count + readout + stop;
+  }
+  static constexpr double Layers::*kFields[] = {
+      &Layers::draw,  &Layers::transpose, &Layers::eval, &Layers::swap,
+      &Layers::count, &Layers::readout,   &Layers::stop};
 };
 
 Layers time_layers(const netlist::Module& mod, std::size_t pairs) {
@@ -206,14 +216,15 @@ Layers time_layers(const netlist::Module& mod, std::size_t pairs) {
   const auto& nl = mod.netlist;
   const int n_in = mod.total_input_bits();
   const sim::LoadClasses classes(nl.loads());
+  if (!classes.narrow()) std::abort();  // the default model always passes
   sim::BlockSimulator bs(nl, 0);
   sim::ToggleEnergy energy(classes, bs.words());
   const auto lanes = static_cast<std::size_t>(bs.lane_count());
-  std::vector<std::uint64_t> drawn(2 * lanes), w1(lanes), w2(lanes);
-  std::vector<double> e(lanes);
+  std::vector<std::uint64_t> drawn(2 * lanes), w1(lanes), w2(lanes), q(lanes);
   stats::Rng rng(23);
-  stats::RunningStats rs;
-  double hw = 0.0;
+  stats::ExactMoments m;
+  const stats::RelativeCiRule rule(1e-9, 0.95);
+  std::uint64_t next_test = 30;  // as the estimator: min_pairs, then skips
   bool converged = false;
   Layers t;
   auto timed = [](double& acc, auto&& stage) {
@@ -237,21 +248,27 @@ Layers time_layers(const netlist::Module& mod, std::size_t pairs) {
     timed(t.transpose,
           [&] { bs.set_inputs_from_cycles(std::span(w2).first(batch)); });
     timed(t.eval, [&] { bs.eval(); });
-    timed(t.count, [&] {
-      energy.energies(bs.previous_lanes(), bs.lanes(), batch, e.data());
-    });
+    timed(t.count, [&] { energy.count(bs.previous_lanes(), bs.lanes()); });
+    timed(t.readout, [&] { energy.quanta(batch, q.data()); });
     timed(t.stop, [&] {
-      for (std::size_t k = 0; k < batch && !converged; ++k) {
-        rs.add(e[k]);
-        converged = rs.count() >= 30 && core::ci_converged(rs, 1e-9, 0.95, hw);
+      // The estimator's loop: add up to the next pair worth testing, then
+      // test it.
+      for (std::span<const std::uint64_t> qs(q.data(), batch);
+           !qs.empty() && !converged;) {
+        const std::size_t k = std::min<std::uint64_t>(
+            qs.size(), next_test > m.count() ? next_test - m.count() : 1);
+        m.add(qs.first(k));
+        qs = qs.subspan(k);
+        if (m.count() < next_test) break;
+        converged = rule(m);
+        if (!converged)
+          next_test = rule.next_candidate(m, classes.quanta_bound());
       }
     });
     done += batch;
   }
-  benchmark::DoNotOptimize(hw);
-  const auto n = static_cast<double>(pairs);
-  for (double* x : {&t.draw, &t.transpose, &t.eval, &t.swap, &t.count, &t.stop})
-    *x /= n;
+  benchmark::DoNotOptimize(m);
+  for (double Layers::*f : Layers::kFields) t.*f /= static_cast<double>(pairs);
   return t;
 }
 
@@ -274,16 +291,18 @@ void write_engine_report(const char* path) {
     return std::chrono::duration<double>(t1 - t0).count();
   };
   // The scalar baseline: the same pairs and stop rule on `sim::Simulator`,
-  // one pair per step, energy summed over the gates that toggled.
+  // one pair per step, energy summed over the gates that toggled and kept
+  // as exact integer moments.
   auto run_scalar = [](const netlist::Module& mod, std::size_t pairs) {
     const auto& nl = mod.netlist;
     const auto loads = nl.loads();
     const int n_in = mod.total_input_bits();
+    const int scale = sim::LoadClasses(loads).scale();
     stats::Rng vg(23);
     sim::Simulator s(nl);
     std::vector<std::uint8_t> prev(nl.gate_count());
-    stats::RunningStats rs;
-    double hw = 0.0;
+    stats::ExactMoments m;
+    const stats::RelativeCiRule rule(1e-9, 0.95);
     auto t0 = clock::now();
     for (std::size_t k = 0; k < pairs; ++k) {
       s.set_all_inputs(vg.uniform_bits(n_in));
@@ -295,11 +314,11 @@ void write_engine_report(const char* path) {
       double e = 0.0;
       for (netlist::GateId g = 0; g < nl.gate_count(); ++g)
         if ((s.value(g) ? 1 : 0) != prev[g]) e += loads[g];
-      rs.add(e);
-      if (rs.count() >= 30 && ci_converged(rs, 1e-9, 0.95, hw)) break;
+      m.add(static_cast<std::uint64_t>(std::ldexp(e, scale)));
+      if (m.count() >= 30 && rule(m)) break;
     }
     auto t1 = clock::now();
-    benchmark::DoNotOptimize(rs.mean());
+    benchmark::DoNotOptimize(m);
     return std::chrono::duration<double>(t1 - t0).count();
   };
 
@@ -355,47 +374,55 @@ void write_engine_report(const char* path) {
               "%d runs of at least 50 ms each), and its layers (medians; "
               "sum/total should read within 10%% of 1):\n",
               sim::default_block_words(), kReps);
-  std::printf("%18s %6s %8s %22s %6s %6s %6s %6s %6s %6s %7s %6s\n",
-              "design", "gates", "pairs", "total", "draw", "trans", "eval",
-              "swap", "count", "stop", "sum", "ratio");
+  std::printf("%18s %6s %8s %8s %22s %6s %6s %6s %6s %6s %6s %6s %7s %6s\n",
+              "design", "gates", "pairs", "l-pairs", "total", "draw",
+              "trans", "eval", "swap", "count", "read", "stop", "sum",
+              "ratio");
   benchjson::Array per_pair, layers;
+  // The pair count of a run doubles from 65536 until one run lasts at
+  // least 50 ms, so a burst of host load cannot move a whole quartile.
+  auto sized = [](auto&& run_once) {
+    std::size_t pairs = 65536;
+    while (run_once(pairs) < 0.05 && pairs < (std::size_t{1} << 26))
+      pairs *= 2;
+    return pairs;
+  };
   for (const Design& d : designs) {
-    // Size the runs like the throughput row: the pair count doubles from
-    // 65536 until one run lasts at least 50 ms, so a burst of host load
-    // cannot move a whole quartile.
-    std::size_t mc_pairs = 65536;
-    while (run(d.mod, mc_pairs) < 0.05 && mc_pairs < (std::size_t{1} << 26))
-      mc_pairs *= 2;
-    // Whole runs and layer splits alternate, so both see the same host.
+    // Whole runs and layer splits are sized apart (the layer clocks cost
+    // time of their own) and alternate, so both see the same host.
+    const std::size_t mc_pairs =
+        sized([&](std::size_t n) { return run(d.mod, n); });
+    const std::size_t layer_pairs = sized([&](std::size_t n) {
+      const auto t0 = clock::now();
+      time_layers(d.mod, n);
+      return std::chrono::duration<double>(clock::now() - t0).count();
+    });
     std::vector<double> ns;
     std::vector<Layers> split;
     for (int r = 0; r < kReps; ++r) {
       ns.push_back(run(d.mod, mc_pairs) * 1e9 /
                    static_cast<double>(mc_pairs));
-      split.push_back(time_layers(d.mod, mc_pairs));
+      split.push_back(time_layers(d.mod, layer_pairs));
     }
     const auto [p50, p25, p75] = quartiles(ns);
-    auto median = [&](double Layers::*field) {
-      std::vector<double> v;
-      for (const Layers& l : split) v.push_back(l.*field);
-      return quartiles(v)[0];
-    };
     Layers m;
-    for (double Layers::*f : {&Layers::draw, &Layers::transpose,
-                              &Layers::eval, &Layers::swap, &Layers::count,
-                              &Layers::stop})
-      m.*f = median(f);
+    for (double Layers::*f : Layers::kFields) {
+      std::vector<double> v;
+      for (const Layers& l : split) v.push_back(l.*f);
+      m.*f = quartiles(v)[0];
+    }
     const double ratio = p50 > 0.0 ? m.sum() / p50 : 0.0;
-    std::printf("%18s %6zu %8zu %9.1f [%.1f, %.1f] %6.1f %6.1f %6.1f %6.1f "
-                "%6.1f %6.1f %7.1f %6.2f%s\n",
-                d.name, d.mod.netlist.gate_count(), mc_pairs, p50, p25, p75,
-                m.draw,
-                m.transpose, m.eval, m.swap, m.count, m.stop, m.sum(), ratio,
+    std::printf("%18s %6zu %8zu %8zu %9.1f [%.1f, %.1f] %6.1f %6.1f %6.1f "
+                "%6.1f %6.1f %6.1f %6.1f %7.1f %6.2f%s\n",
+                d.name, d.mod.netlist.gate_count(), mc_pairs, layer_pairs,
+                p50, p25, p75, m.draw, m.transpose, m.eval, m.swap, m.count,
+                m.readout, m.stop, m.sum(), ratio,
                 std::abs(ratio - 1.0) <= 0.10 ? "" : "  (outside 10%)");
     per_pair.push_back(benchjson::Object{
         {"design", d.name},
         {"gates", d.mod.netlist.gate_count()},
         {"pairs", mc_pairs},
+        {"layer_pairs", layer_pairs},
         {"ns_per_pair_p50", p50},
         {"ns_per_pair_p25", p25},
         {"ns_per_pair_p75", p75},
@@ -406,7 +433,8 @@ void write_engine_report(const char* path) {
         {"input_transpose", m.transpose},
         {"gate_eval", m.eval},
         {"lane_swap", m.swap},
-        {"count_readout", m.count},
+        {"count", m.count},
+        {"readout", m.readout},
         {"stop_rule", m.stop},
         {"layer_sum", m.sum()},
         {"total_p50", p50},

@@ -8,6 +8,7 @@
 #include "exec/exec.hpp"
 #include "sim/engine.hpp"
 #include "stats/descriptive.hpp"
+#include "stats/exact_moments.hpp"
 #include "stats/rng.hpp"
 
 namespace hlp::core {
@@ -82,23 +83,48 @@ double gate_level_mean(const ModuleCharacterization& eval_set);
 /// switching on registered netlists. Clocking them on the replica lanes is
 /// an open ROADMAP item ("Sequential Monte Carlo").
 ///
-/// Resume token: the full Welford state of the running estimate. A stopped
-/// run's checkpoint, fed back into monte_carlo_power_budgeted together with
-/// the *same, un-rewound* vector generator, continues the estimate exactly
-/// where it left off.
+/// Moments: when every load is a nonnegative multiple of 2^-k with
+/// Σm < 2^32 (`sim::LoadClasses::narrow()`, which the default
+/// `CapacitanceModel` passes), a pair's energy is the integer q = e·2^k and
+/// the run keeps n, S1 = Σq and S2 = Σq² exactly (`stats::ExactMoments`):
+/// the stop rule is `stats::RelativeCiRule`, which has no divide, and the
+/// mean and half-width are computed once, at the end, from the integers.
+/// Every other load model keeps Welford's running mean and M2
+/// (`stats::RunningStats`) with `ci_converged`. Both rules are the same
+/// inequality, hw <= epsilon · mean.
+///
+/// Resume token: the full state of the running moments. A stopped run's
+/// checkpoint, fed back into monte_carlo_power_budgeted together with the
+/// *same, un-rewound* vector generator, continues the estimate exactly
+/// where it left off. A checkpoint of the other form — a Welford
+/// checkpoint for a run that keeps exact moments, or one recorded at
+/// another scale — is never mixed in: the run restarts at pair 0, so a
+/// caller that fast-forwards its generator asks `monte_carlo_resumes`
+/// first.
 struct MonteCarloCheckpoint {
+  enum class Form : std::uint8_t { Welford, Exact };
+  Form form = Form::Welford;
   std::size_t count = 0;
+  /// Exact form: S1 and S2 of the pairs' energies in units of 2^-scale.
+  int scale = 0;
+  stats::u128 s1 = 0;
+  stats::u128 s2 = 0;
+  /// Welford form: running mean and M2.
   double mean = 0.0;
   double m2 = 0.0;
   bool valid() const { return count > 0; }
+  bool operator==(const MonteCarloCheckpoint&) const = default;
 
-  /// Canonical text form `"<count> <mean> <m2>"`. Doubles are rendered by
+  /// Canonical text form: `"exact <scale> <count> <s1> <s2>"` (decimal
+  /// integers) or `"<count> <mean> <m2>"`. Doubles are rendered by
   /// std::to_chars shortest-round-trip, so serialize → parse → serialize is
   /// byte-identical and parse(serialize(c)) reconstructs c bit-for-bit —
   /// the property the hlp::jobs crash-safe ledger relies on to resume an
   /// interrupted estimate with no drift. Locale-independent.
   std::string serialize() const;
-  /// Strict inverse: exactly three space-separated fields, fully consumed.
+  /// Strict inverse: exactly the fields of one form, space-separated and
+  /// fully consumed, and for the exact form sums that some stream of
+  /// `count` values below 2^32 could have (`ExactMoments::plausible`).
   /// Returns false (leaving `out` untouched) on any malformation.
   static bool parse(std::string_view text, MonteCarloCheckpoint& out);
 };
@@ -162,16 +188,22 @@ exec::Outcome<MonteCarloResult> monte_carlo_power_budgeted(
     std::size_t max_pairs = 100000, const netlist::CapacitanceModel& cap = {},
     const sim::SimOptions& opts = {}, const MonteCarloCheckpoint& resume = {});
 
-/// The Monte Carlo stop rule `ci_halfwidth(rs, confidence) <= epsilon ·
-/// mean` with mean > 0, evaluated for every pair past min_pairs; when it
-/// holds, `hw` is set to that half-width. A squared pre-test with a 1e-9
-/// relative margin, far wider than the few ulps the two sides can round
-/// by, rejects the unconverged majority without the two square roots;
-/// whenever it cannot reject, the original expression decides, so the
-/// stopping pair and `hw` are exactly those of the plain rule. Inline, like
-/// `RunningStats::add`, so the per-pair Welford update stays in registers.
+/// True when `resume` would continue a Monte Carlo run on `mod` under
+/// `cap` rather than be ignored: it is valid and of the form (and scale)
+/// that run keeps. Builds the run's load classes, so call it only with a
+/// checkpoint in hand.
+bool monte_carlo_resumes(const netlist::Module& mod,
+                         const MonteCarloCheckpoint& resume,
+                         const netlist::CapacitanceModel& cap = {});
+
+/// The Welford-path stop rule `ci_halfwidth(rs, confidence) <= epsilon ·
+/// mean` with mean > 0, evaluated for every pair past min_pairs. A squared
+/// pre-test with a 1e-9 relative margin, far wider than the few ulps the
+/// two sides can round by, rejects the unconverged majority without the two
+/// square roots; whenever it cannot reject, the original expression
+/// decides, so the stopping pair is exactly that of the plain rule.
 inline bool ci_converged(const stats::RunningStats& rs, double epsilon,
-                         double confidence, double& hw) {
+                         double confidence) {
   const double mean = rs.mean();
   if (!(mean > 0.0)) return false;
   const double z = stats::normal_quantile_two_sided(confidence);
@@ -179,10 +211,7 @@ inline bool ci_converged(const stats::RunningStats& rs, double epsilon,
   if (z * z * rs.variance() / static_cast<double>(rs.count()) >
       target * target * (1.0 + 1e-9))
     return false;
-  const double h = stats::ci_halfwidth(rs, confidence);
-  if (!(h <= target)) return false;
-  hw = h;
-  return true;
+  return stats::ci_halfwidth(rs, confidence) <= target;
 }
 
 /// Sharded Monte Carlo: the pair stream is decomposed into fixed-size
@@ -190,9 +219,10 @@ inline bool ci_converged(const stats::RunningStats& rs, double epsilon,
 /// pairs from `Rng(stats::shard_seed(seed, c))` — so every (threads,
 /// resume-point) configuration simulates exactly the same pairs. Workers
 /// claim chunks in index order and the supervisor merges completed chunks
-/// strictly in chunk order with `RunningStats::merge`, which makes the
-/// merged moments deterministic: serial, threaded, and resumed runs return
-/// bit-identical mean/M2/CI.
+/// strictly in chunk order — integer addition on the exact path,
+/// `RunningStats::merge` on the Welford one — which makes the merged
+/// moments deterministic: serial, threaded, and resumed runs return
+/// bit-identical moments, mean and CI.
 struct ShardedMcOptions {
   std::size_t total_pairs = 100000;  ///< campaign size (upper bound on pairs)
   std::size_t chunk_pairs = 4096;    ///< pairs per chunk (determinism unit)

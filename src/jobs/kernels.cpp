@@ -226,8 +226,12 @@ namespace {
 AttemptOutcome sampled_power(const KernelRequest& rq,
                              const exec::Budget& budget) {
   netlist::Module mod = make_module(rq.design);
+  // A checkpoint the run would not continue (another moment form, such as
+  // a Welford-era record for a run that keeps exact moments) restarts the
+  // attempt at pair 0, generator included.
   core::MonteCarloCheckpoint resume;
-  if (rq.resume && rq.resume->valid()) resume = *rq.resume;
+  if (rq.resume && core::monte_carlo_resumes(mod, *rq.resume))
+    resume = *rq.resume;
   exec::Outcome<core::MonteCarloResult> out;
   if (rq.mc_threads > 0) {
     // Chunk-sharded estimator: per-chunk seeds derive from the job seed, so
@@ -252,7 +256,7 @@ AttemptOutcome sampled_power(const KernelRequest& rq,
       // fresh generator by 2*count outputs re-creates the exact stream
       // position the checkpointed run would have continued from. A stopped
       // run's over-draws (at most one batch past a deadline or cancel)
-      // don't matter: they were never folded into the Welford state the
+      // don't matter: they were never folded into the moments the
       // checkpoint captured.
       rng.engine().discard(2 * static_cast<unsigned long long>(resume.count));
     }

@@ -38,7 +38,7 @@ jobs::AttemptOutcome biased_mc_label(const std::string& design, double p,
     return v;
   };
   core::MonteCarloCheckpoint resume;
-  if (ckpt && ckpt->valid()) {
+  if (ckpt && core::monte_carlo_resumes(mod, *ckpt)) {  // else from pair 0
     resume = *ckpt;
     // Fast-forward: the checkpointed pairs consumed 2 vectors each.
     for (std::size_t i = 0; i < 2 * resume.count; ++i) (void)gen();

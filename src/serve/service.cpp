@@ -478,10 +478,12 @@ Service::Keys Service::keys(const Request& rq) {
   k.cache_key = base;
   k.cache_key += "|seed=";
   append_u64(k.cache_key, k.seed);
-  // Version of the tier-0 values, bumped whenever the static estimator's
-  // numbers change, so a persisted segment never serves stale ones. It sits
-  // after the seed, which it must not move.
-  if (rq.kind == jobs::JobKind::Static) k.cache_key += "|static-v3";
+  // Versions of the values, bumped whenever an estimator's numbers change,
+  // so a persisted segment never serves stale ones. They sit after the
+  // seed, which they must not move. The static tag also covers Monte Carlo,
+  // which a static estimate escalates to.
+  if (rq.kind == jobs::JobKind::Static) k.cache_key += "|static-v4";
+  if (rq.kind == jobs::JobKind::MonteCarlo) k.cache_key += "|mc-v2";
   // Flight key adds the budget fields (and the cache opt-out): only
   // requests that would do byte-identical work under the same limits may
   // share one execution.

@@ -64,10 +64,32 @@ using CountPairKernelFn = void (*)(const std::uint64_t* prev,
                                    const netlist::GateId* gates,
                                    std::uint64_t* planes);
 
+/// In-place 64x64 bit-matrix transpose (sim::transpose64's contract): bit
+/// c of m[r] moves to bit r of m[c]. Every level moves the same bits.
+using TransposeKernelFn = void (*)(std::uint64_t* m);
+
+/// The counter's readout: per-lane quanta from the bit planes the count
+/// kernels stored. For every 64-lane sub-word w with w·64 < count, lane
+/// l = w·64 + k gets q[l] = Σ_c mult[c] · count_c(l) modulo 2^64, where
+/// count_c(l) is class c's toggle count, read from its planes. Classes
+/// [groups[i], groups[i+1]) span at most 64 planes and are read through one
+/// transpose per sub-word. Sub-words are written whole (64 lanes each), so
+/// q holds 64·ceil(count/64) words. Integer arithmetic, so every dispatch
+/// level stores identical quanta; a `mult` in two's complement gives the
+/// signed sum.
+using ReadoutKernelFn = void (*)(const std::uint64_t* planes, int words,
+                                 const ToggleClass* classes,
+                                 const std::uint32_t* groups,
+                                 std::size_t n_groups,
+                                 const std::uint64_t* mult, std::size_t count,
+                                 std::uint64_t* q);
+
 struct Kernels {
   EvalKernelFn eval;
   CountKernelFn count;
   CountPairKernelFn count_pair;
+  ReadoutKernelFn readout;
+  TransposeKernelFn transpose;
 };
 
 /// Always available; any W >= 1.

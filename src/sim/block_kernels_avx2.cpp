@@ -25,6 +25,29 @@ struct VAvx2 {
   static Reg and_(Reg a, Reg b) { return _mm256_and_si256(a, b); }
   static Reg or_(Reg a, Reg b) { return _mm256_or_si256(a, b); }
   static Reg xor_(Reg a, Reg b) { return _mm256_xor_si256(a, b); }
+  static Reg add(Reg a, Reg b) { return _mm256_add_epi64(a, b); }
+  static Reg mul32(Reg a, Reg b) { return _mm256_mul_epu32(a, b); }
+  static Reg srl(Reg a, int n) {
+    return _mm256_srl_epi64(a, _mm_cvtsi32_si128(n));
+  }
+  template <int N>
+  static Reg srli(Reg a) {
+    return _mm256_srli_epi64(a, N);
+  }
+  template <int N>
+  static Reg slli(Reg a) {
+    return _mm256_slli_epi64(a, N);
+  }
+  /// Lane k gets lane k ^ J (J = 2, 1).
+  template <int J>
+  static Reg partner(Reg a) {
+    return _mm256_permute4x64_epi64(a, J == 2 ? 0x4E : 0xB1);
+  }
+  /// Lanes with bit J clear from lo, set from hi (a 32-bit-element blend).
+  template <int J>
+  static Reg blend_upper(Reg lo, Reg hi) {
+    return _mm256_blend_epi32(lo, hi, J == 2 ? 0xF0 : 0xCC);
+  }
 };
 
 }  // namespace

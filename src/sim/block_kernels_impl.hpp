@@ -8,8 +8,8 @@
 
 // Included by exactly one translation unit per dispatch level, each compiled
 // with its own -m flags; the V traits parameter supplies the register type
-// and bitwise ops, so the gate semantics and the toggle counter below are
-// written once.
+// and bitwise ops, so the gate semantics, the toggle counter, its readout
+// and the 64x64 transpose below are written once.
 
 namespace hlp::sim::detail {
 
@@ -154,9 +154,114 @@ void count_pair(const std::uint64_t* prev, const std::uint64_t* cur,
                    planes);
 }
 
+/// One block-swap round of the 64x64 transpose (see sim::transpose64) on
+/// 64 rows held V::kWords to a register: exchange bit c+J of row r with bit
+/// c of row r+J for every row r whose bit J is clear. Rows J apart sit in
+/// different registers when J >= V::kWords; otherwise in the same one,
+/// where V's partner<J> brings row r^J alongside row r and blend_upper<J>
+/// takes the rows with bit J set from its second operand.
+template <class V, int J>
+void swap_round(typename V::Reg* m, std::uint64_t mask) {
+  constexpr int kRegs = 64 / V::kWords;
+  const auto mk = V::splat(mask);
+  if constexpr (J >= V::kWords) {
+    constexpr int d = J / V::kWords;
+    for (int b = 0; b < kRegs; b += 2 * d)
+      for (int k = b; k < b + d; ++k) {
+        const auto t = V::and_(
+            V::xor_(V::template srli<J>(m[k]), m[k + d]), mk);
+        m[k] = V::xor_(m[k], V::template slli<J>(t));
+        m[k + d] = V::xor_(m[k + d], t);
+      }
+  } else {
+    for (int k = 0; k < kRegs; ++k) {
+      // t is the lower row's swap word; its partner copy serves the upper.
+      const auto t = V::and_(
+          V::xor_(V::template srli<J>(m[k]), V::template partner<J>(m[k])),
+          mk);
+      m[k] = V::xor_(m[k], V::template blend_upper<J>(
+                               V::template slli<J>(t),
+                               V::template partner<J>(t)));
+    }
+  }
+}
+
+template <class V>
+void transpose_regs(typename V::Reg* m) {
+  swap_round<V, 32>(m, 0x00000000FFFFFFFFull);
+  swap_round<V, 16>(m, 0x0000FFFF0000FFFFull);
+  swap_round<V, 8>(m, 0x00FF00FF00FF00FFull);
+  swap_round<V, 4>(m, 0x0F0F0F0F0F0F0F0Full);
+  swap_round<V, 2>(m, 0x3333333333333333ull);
+  swap_round<V, 1>(m, 0x5555555555555555ull);
+}
+
+template <class V>
+void transpose(std::uint64_t* m) {
+  constexpr int kRegs = 64 / V::kWords;
+  typename V::Reg r[kRegs];
+  for (int k = 0; k < kRegs; ++k) r[k] = V::load(m + k * V::kWords);
+  transpose_regs<V>(r);
+  for (int k = 0; k < kRegs; ++k) V::store(m + k * V::kWords, r[k]);
+}
+
+/// The counter readout (ReadoutKernelFn): per 64-lane sub-word, each plane
+/// group is transposed in registers so that lane k's class counts sit in
+/// bit fields of one word, and every class adds field · mult into the
+/// lane's accumulator. A count is below 2^32, so the product is one 32x32
+/// -> 64-bit multiply per half of mult; the upper half is multiplied only
+/// for a mult of 2^32 or more.
+template <class V>
+void readout(const std::uint64_t* planes, int words,
+             const ToggleClass* classes, const std::uint32_t* groups,
+             std::size_t n_groups, const std::uint64_t* mult,
+             std::size_t count, std::uint64_t* q) {
+  using Reg = typename V::Reg;
+  constexpr int kRegs = 64 / V::kWords;
+  const auto W = static_cast<std::size_t>(words);
+  for (std::size_t w = 0; w * 64 < count; ++w) {
+    Reg acc[kRegs];
+    for (Reg& a : acc) a = V::zero();
+    for (std::size_t g = 0; g < n_groups; ++g) {
+      const std::uint32_t c0 = groups[g], c1 = groups[g + 1];
+      const std::uint32_t p0 = classes[c0].plane;
+      const std::uint32_t rows =
+          classes[c1 - 1].plane + classes[c1 - 1].planes - p0;
+      std::uint64_t m[64];
+      for (std::uint32_t r = 0; r < 64; ++r)
+        m[r] = r < rows ? planes[(p0 + r) * W + w] : 0;
+      Reg t[kRegs];
+      for (int k = 0; k < kRegs; ++k) t[k] = V::load(m + k * V::kWords);
+      transpose_regs<V>(t);
+      for (std::uint32_t c = c0; c < c1; ++c) {
+        const ToggleClass& tc = classes[c];
+        const int shift = static_cast<int>(tc.plane - p0);
+        const Reg mask = V::splat((std::uint64_t{1} << tc.planes) - 1);
+        const Reg lo = V::splat(mult[c] & 0xFFFFFFFFu);
+        if (mult[c] >> 32) {
+          const Reg hi = V::splat(mult[c] >> 32);
+          for (int k = 0; k < kRegs; ++k) {
+            const Reg f = V::and_(V::srl(t[k], shift), mask);
+            acc[k] = V::add(acc[k], V::add(V::mul32(f, lo),
+                                           V::template slli<32>(
+                                               V::mul32(f, hi))));
+          }
+        } else {
+          for (int k = 0; k < kRegs; ++k)
+            acc[k] = V::add(
+                acc[k], V::mul32(V::and_(V::srl(t[k], shift), mask), lo));
+        }
+      }
+    }
+    for (int k = 0; k < kRegs; ++k)
+      V::store(q + w * 64 + static_cast<std::size_t>(k * V::kWords), acc[k]);
+  }
+}
+
 template <class V>
 Kernels kernels_for() {
-  return {&eval_ops<V>, &count_array<V>, &count_pair<V>};
+  return {&eval_ops<V>, &count_array<V>, &count_pair<V>, &readout<V>,
+          &transpose<V>};
 }
 
 }  // namespace hlp::sim::detail

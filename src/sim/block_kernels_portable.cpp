@@ -13,6 +13,19 @@ struct VPortable {
   static Reg and_(Reg a, Reg b) { return a & b; }
   static Reg or_(Reg a, Reg b) { return a | b; }
   static Reg xor_(Reg a, Reg b) { return a ^ b; }
+  static Reg add(Reg a, Reg b) { return a + b; }
+  static Reg mul32(Reg a, Reg b) {
+    return (a & 0xFFFFFFFFu) * (b & 0xFFFFFFFFu);
+  }
+  static Reg srl(Reg a, int n) { return a >> n; }
+  template <int N>
+  static Reg srli(Reg a) {
+    return a >> N;
+  }
+  template <int N>
+  static Reg slli(Reg a) {
+    return a << N;
+  }
 };
 
 }  // namespace

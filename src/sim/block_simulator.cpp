@@ -65,6 +65,7 @@ BlockSimulator::BlockSimulator(const netlist::Netlist& nl, int words)
     : nl_(&nl), words_(resolve_block_words(words)) {
   const detail::KernelChoice kc = detail::select_kernels(words_);
   kernel_ = kc.kernels.eval;
+  transpose_ = kc.kernels.transpose;
   dispatch_ = kc.dispatch;
   for (GateId id : nl.topo_order()) compile_gate(id, nl.gate(id), ops_);
   reset();
@@ -109,7 +110,7 @@ void BlockSimulator::set_inputs_from_cycles(
             ? (cycle_words.size() - base < 64 ? cycle_words.size() - base : 64)
             : 0;
     for (std::size_t k = 0; k < count; ++k) m[k] = cycle_words[base + k];
-    transpose64(m);
+    transpose_(m);
     for (std::size_t i = 0; i < ins.size(); ++i)
       lanes_[std::size_t{ins[i]} * W + w] = m[i];
   }
@@ -183,7 +184,7 @@ void BlockSimulator::outputs_to_cycles(std::span<std::uint64_t> out) const {
     std::uint64_t m[64] = {};
     for (std::size_t i = 0; i < outs.size(); ++i)
       m[i] = lanes_[std::size_t{outs[i]} * W + w];
-    transpose64(m);
+    transpose_(m);
     const std::size_t count =
         out.size() - base < 64 ? out.size() - base : 64;
     for (std::size_t k = 0; k < count; ++k) out[base + k] = m[k];

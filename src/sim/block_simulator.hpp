@@ -95,6 +95,7 @@ class BlockSimulator {
   int words_;
   SimDispatch dispatch_;
   detail::EvalKernelFn kernel_;
+  detail::TransposeKernelFn transpose_;
   std::vector<std::uint64_t> lanes_;  // gate-major: [g*words_, (g+1)*words_)
   std::vector<std::uint64_t> spare_;  // swap_lanes()' second buffer
   std::vector<detail::BlockOp> ops_;  // compiled logic gates, topo order

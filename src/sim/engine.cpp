@@ -4,6 +4,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "sim/block_kernels.hpp"
+
 namespace hlp::sim {
 
 namespace {
@@ -73,33 +75,8 @@ bool temporal_packable(const netlist::Netlist& nl) {
          nl.outputs().size() <= 64;
 }
 
-namespace {
-
-/// One block-swap round: exchange bit c+J of row r with bit c of row r+J
-/// for every row r whose bit J is clear. A compile-time J gives fixed
-/// strides the compiler can unroll and vectorize.
-template <int J>
-void swap_round(std::uint64_t m[64], std::uint64_t mask) {
-  for (int b = 0; b < 64; b += 2 * J)
-    for (int k = b; k < b + J; ++k) {
-      const std::uint64_t t = ((m[k] >> J) ^ m[k + J]) & mask;
-      m[k] ^= t << J;
-      m[k + J] ^= t;
-    }
-}
-
-}  // namespace
-
 void transpose64(std::uint64_t m[64]) {
-  // Block-swap transpose: exchange the off-diagonal quadrants of
-  // progressively smaller 2J x 2J blocks. Convention: element (row r,
-  // column c) lives at bit c of m[r].
-  swap_round<32>(m, 0x00000000FFFFFFFFull);
-  swap_round<16>(m, 0x0000FFFF0000FFFFull);
-  swap_round<8>(m, 0x00FF00FF00FF00FFull);
-  swap_round<4>(m, 0x0F0F0F0F0F0F0F0Full);
-  swap_round<2>(m, 0x3333333333333333ull);
-  swap_round<1>(m, 0x5555555555555555ull);
+  detail::portable_kernels().transpose(m);
 }
 
 }  // namespace hlp::sim

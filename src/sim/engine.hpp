@@ -88,7 +88,10 @@ bool temporal_packable(const netlist::Netlist& nl);
 
 /// In-place 64x64 bit-matrix transpose: bit c of m[r] moves to bit r of
 /// m[c]. Converts between cycle-major vector-stream words (bit i = line i)
-/// and lane-major packed words (bit k = cycle k); it is an involution.
+/// and lane-major packed words (bit k = cycle k); it is an involution. This
+/// is the portable kernel; the block simulator and the toggle-energy
+/// readout run the dispatched ones (`detail::Kernels::transpose`), which
+/// move the same bits.
 void transpose64(std::uint64_t m[64]);
 
 }  // namespace hlp::sim

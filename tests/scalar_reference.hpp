@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -116,36 +117,208 @@ class PairEnergy {
   std::vector<bool> prev_;
 };
 
-/// Monte Carlo one pair at a time with the plain stop rule,
-/// `ci_halfwidth` evaluated for every pair past min_pairs. The checkpoint
-/// carries the final Welford state.
+/// Monte Carlo's integer form, kept naively. When every load is a
+/// nonnegative m·2^-k with Σm < 2^32 (k the finest binary place any load
+/// uses), a pair's energy is the integer q = e·2^k, and the run keeps n,
+/// S1 = Σq and S2 = Σq². Loads that fail the check keep Welford's moments
+/// instead.
+class PairMoments {
+ public:
+  __extension__ typedef unsigned __int128 u128;
+
+  explicit PairMoments(const std::vector<double>& loads) {
+    int k = -64;  // smallest k with every load·2^k an integer
+    auto integral = [&](int kk) {
+      for (double x : loads)
+        if (std::ldexp(x, kk) != std::floor(std::ldexp(x, kk))) return false;
+      return true;
+    };
+    while (k <= 1100 && !integral(k)) ++k;
+    double sum = 0.0;
+    for (double x : loads) {
+      if (!(x >= 0.0) || !std::isfinite(x)) return;
+      sum += std::ldexp(x, k);
+    }
+    if (k > 1100 || !(sum < 0x1p32)) return;
+    exact_ = true;
+    scale_ = sum == 0.0 ? 0 : k;
+  }
+
+  bool exact() const { return exact_; }
+  std::size_t count() const { return exact() ? n_ : rs_.count(); }
+
+  void add(double e) {
+    if (!exact()) {
+      rs_.add(e);
+      return;
+    }
+    const double q = std::ldexp(e, scale_);
+    ++n_;
+    s1_ += static_cast<std::uint64_t>(q);
+    s2_ += static_cast<u128>(static_cast<std::uint64_t>(q)) *
+           static_cast<std::uint64_t>(q);
+  }
+  void merge(const PairMoments& o) {
+    n_ += o.n_;
+    s1_ += o.s1_;
+    s2_ += o.s2_;
+    rs_.merge(o.rs_);
+  }
+
+  /// Half-width <= epsilon · mean with mean > 0 at 95%: on the integer form
+  /// z²·(n·S2 − S1²) <= ε²·S1²·(n − 1), decided in exact integers.
+  bool converged(double epsilon) const {
+    if (!exact()) {
+      const double hw = stats::ci_halfwidth(rs_, 0.95);
+      return rs_.mean() > 0.0 && hw <= epsilon * rs_.mean();
+    }
+    return rule_holds(n_, s1_, s2_, epsilon);
+  }
+
+  /// The integer rule for sums n, S1, S2 (n·S2 >= S1²) at 95%.
+  static bool rule_holds(std::uint64_t n, u128 s1, u128 s2, double epsilon) {
+    if (s1 == 0 || !(epsilon >= 0.0)) return false;
+    if (std::isinf(epsilon)) return true;
+    int ez = 0, ee = 0;
+    const std::uint64_t mz = mantissa(z(), ez), me = mantissa(epsilon, ee);
+    Big lhs = Big(mz) * Big(mz) * (Big(n) * Big(s2) - Big(s1) * Big(s1));
+    Big rhs = Big(me) * Big(me) * Big(s1) * Big(s1) * Big(n - 1);
+    // lhs·2^(2·ez) <= rhs·2^(2·ee)
+    if (ez > ee) lhs = lhs << 2 * (ez - ee);
+    else rhs = rhs << 2 * (ee - ez);
+    return !(rhs < lhs);
+  }
+
+  /// num / den rounded once to the nearest double: long division one bit
+  /// at a time until the quotient has 56 bits, the remainder jammed into
+  /// its last bit.
+  static double ratio(u128 num, u128 den) {
+    if (num == 0) return 0.0;
+    u128 q = num / den, r = num % den;
+    int e = 0;
+    while (q >> 55 == 0) {
+      r <<= 1;
+      q = q << 1 | (r >= den ? 1 : 0);
+      if (r >= den) r -= den;
+      --e;
+    }
+    return std::ldexp(static_cast<double>(q | (r ? 1 : 0)), e);
+  }
+
+  /// Mean and half-width, each computed once from the final moments.
+  void finish(core::MonteCarloResult& res) const {
+    res.pairs = count();
+    if (!exact()) {
+      res.mean_energy = rs_.mean();
+      res.ci_halfwidth = stats::ci_halfwidth(rs_, 0.95);
+      res.checkpoint = {};
+      res.checkpoint.count = rs_.count();
+      res.checkpoint.mean = rs_.mean();
+      res.checkpoint.m2 = rs_.m2();
+      return;
+    }
+    res.mean_energy = n_ ? std::ldexp(ratio(s1_, n_), -scale_) : 0.0;
+    res.ci_halfwidth = 0.0;
+    if (n_ >= 2) {
+      // v = (n·S2 − S1²) / (n²·(n − 1)); the test sizes keep both in range.
+      const u128 d = n_ * s2_ - s1_ * s1_;
+      const u128 den = static_cast<u128>(n_) * n_ * (n_ - 1);
+      res.ci_halfwidth = std::ldexp(z() * std::sqrt(ratio(d, den)), -scale_);
+    }
+    res.checkpoint = {};
+    res.checkpoint.form = core::MonteCarloCheckpoint::Form::Exact;
+    res.checkpoint.count = n_;
+    res.checkpoint.scale = scale_;
+    res.checkpoint.s1 = s1_;
+    res.checkpoint.s2 = s2_;
+  }
+
+ private:
+  static double z() { return stats::normal_quantile_two_sided(0.95); }
+  static std::uint64_t mantissa(double x, int& e) {
+    const double f = std::frexp(x, &e);
+    e -= 53;
+    return static_cast<std::uint64_t>(std::ldexp(f, 53));
+  }
+
+  /// Unbounded nonnegative integer, 32-bit limbs, little-endian.
+  struct Big {
+    std::vector<std::uint64_t> d;
+    Big(u128 x = 0) {
+      for (; x; x >>= 32) d.push_back(static_cast<std::uint32_t>(x));
+    }
+    Big operator*(const Big& o) const {
+      Big r;
+      r.d.assign(d.size() + o.d.size() + 1, 0);
+      for (std::size_t i = 0; i < d.size(); ++i)
+        for (std::size_t j = 0; j < o.d.size(); ++j) {
+          r.d[i + j] += d[i] * o.d[j];
+          for (std::size_t t = i + j; r.d[t] >> 32; ++t) {
+            r.d[t + 1] += r.d[t] >> 32;
+            r.d[t] &= 0xFFFFFFFFu;
+          }
+        }
+      return r.trim();
+    }
+    Big operator-(const Big& o) const {  // *this >= o
+      Big r = *this;
+      std::int64_t borrow = 0;
+      for (std::size_t i = 0; i < r.d.size(); ++i) {
+        std::int64_t v = static_cast<std::int64_t>(r.d[i]) - borrow -
+                         (i < o.d.size() ? static_cast<std::int64_t>(o.d[i])
+                                         : 0);
+        borrow = v < 0;
+        r.d[i] = static_cast<std::uint64_t>(v + (borrow << 32));
+      }
+      return r.trim();
+    }
+    Big operator<<(int s) const {
+      Big r = *this;
+      for (; s > 0; s -= 100) r = r * Big(u128{1} << std::min(s, 100));
+      return r;
+    }
+    bool operator<(const Big& o) const {
+      if (d.size() != o.d.size()) return d.size() < o.d.size();
+      for (std::size_t i = d.size(); i-- > 0;)
+        if (d[i] != o.d[i]) return d[i] < o.d[i];
+      return false;
+    }
+    Big& trim() {
+      while (!d.empty() && d.back() == 0) d.pop_back();
+      return *this;
+    }
+  };
+
+  bool exact_ = false;
+  int scale_ = 0;
+  std::uint64_t n_ = 0;
+  u128 s1_ = 0, s2_ = 0;
+  stats::RunningStats rs_;
+};
+
+/// Monte Carlo one pair at a time with the plain stop rule, evaluated for
+/// every pair past min_pairs, on the integer moments when the loads allow
+/// and on Welford's otherwise.
 inline core::MonteCarloResult plain_rule_monte_carlo(
     const netlist::Module& mod, const std::function<std::uint64_t()>& gen,
     double epsilon, std::size_t min_pairs, std::size_t max_pairs,
     const netlist::CapacitanceModel& cap = {}) {
   PairEnergy pair(mod.netlist, cap);
-  stats::RunningStats rs;
+  PairMoments m(mod.netlist.loads(cap));
   core::MonteCarloResult res;
-  while (rs.count() < max_pairs) {
+  while (m.count() < max_pairs) {
     const std::uint64_t v1 = gen();
-    rs.add(pair(v1, gen()));
-    if (rs.count() >= min_pairs) {
-      const double hw = stats::ci_halfwidth(rs, 0.95);
-      if (rs.mean() > 0.0 && hw <= epsilon * rs.mean()) {
-        res.converged = true;
-        res.ci_halfwidth = hw;
-        break;
-      }
+    m.add(pair(v1, gen()));
+    if (m.count() >= min_pairs && m.converged(epsilon)) {
+      res.converged = true;
+      break;
     }
   }
-  res.pairs = rs.count();
-  res.mean_energy = rs.mean();
-  if (!res.converged) res.ci_halfwidth = stats::ci_halfwidth(rs, 0.95);
+  m.finish(res);
   res.stop_reason = res.converged
                         ? core::MonteCarloResult::StopReason::Converged
                         : core::MonteCarloResult::StopReason::
                               MaxPairsExhausted;
-  res.checkpoint = {rs.count(), rs.mean(), rs.m2()};
   return res;
 }
 
@@ -162,16 +335,17 @@ inline core::MonteCarloResult plain_rule_monte_carlo(
 
 /// core::monte_carlo_power_sharded without early stopping, one chunk after
 /// another: chunk c draws its pairs from Rng(shard_seed(seed, c)) and the
-/// chunk statistics merge in chunk order.
-inline stats::RunningStats sharded_monte_carlo(
+/// chunk moments merge in chunk order.
+inline core::MonteCarloResult sharded_monte_carlo(
     const netlist::Module& mod, std::uint64_t seed, std::size_t total_pairs,
     std::size_t chunk_pairs) {
   PairEnergy pair(mod.netlist);
   const int n_in = mod.total_input_bits();
-  stats::RunningStats merged;
+  const std::vector<double> loads = mod.netlist.loads({});
+  PairMoments merged(loads);
   for (std::size_t c = 0; c * chunk_pairs < total_pairs; ++c) {
     stats::Rng rng(stats::shard_seed(seed, c));
-    stats::RunningStats rc;
+    PairMoments rc(loads);
     const std::size_t begin = c * chunk_pairs;
     for (std::size_t k = begin; k < std::min(begin + chunk_pairs, total_pairs);
          ++k) {
@@ -180,7 +354,10 @@ inline stats::RunningStats sharded_monte_carlo(
     }
     merged.merge(rc);
   }
-  return merged;
+  core::MonteCarloResult res;
+  merged.finish(res);
+  res.stop_reason = core::MonteCarloResult::StopReason::MaxPairsExhausted;
+  return res;
 }
 
 }  // namespace hlp::scalar_ref

@@ -394,8 +394,7 @@ TEST(BlockMonteCarlo, QuotaTripsOnTheSamePairAcrossWidths) {
         4000, {}, packed);
     EXPECT_EQ(out_p->pairs, quota) << "W=" << w;
     EXPECT_EQ(out_p->mean_energy, ref.mean_energy) << "W=" << w;
-    EXPECT_EQ(out_p->checkpoint.count, ref.checkpoint.count) << "W=" << w;
-    EXPECT_EQ(out_p->checkpoint.m2, ref.checkpoint.m2) << "W=" << w;
+    EXPECT_EQ(out_p->checkpoint, ref.checkpoint) << "W=" << w;
     EXPECT_EQ(out_p->stop_reason,
               core::MonteCarloResult::StopReason::BudgetExhausted);
   }
@@ -455,10 +454,10 @@ TEST(ShardedMonteCarlo, ScalarEngineShardsIdentically) {
     for (int threads : {1, 4}) {
       opts.threads = threads;
       auto r = core::monte_carlo_power_sharded(mod, 21, opts);
-      EXPECT_EQ(r->pairs, ref.count()) << "W=" << words << " x" << threads;
-      EXPECT_EQ(r->mean_energy, ref.mean()) << "W=" << words << " x"
+      EXPECT_EQ(r->pairs, ref.pairs) << "W=" << words << " x" << threads;
+      EXPECT_EQ(r->mean_energy, ref.mean_energy) << "W=" << words << " x"
                                             << threads;
-      EXPECT_EQ(r->checkpoint.m2, ref.m2()) << "W=" << words << " x"
+      EXPECT_EQ(r->checkpoint, ref.checkpoint) << "W=" << words << " x"
                                             << threads;
     }
   }

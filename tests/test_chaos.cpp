@@ -167,6 +167,49 @@ TEST(ServePersist, StaticEntryUnderPreTagKeyIsRecomputedAfterRestart) {
   std::remove(path.c_str());
 }
 
+TEST(ServePersist, MonteCarloEntryUnderPreTagKeyIsRecomputedAfterRestart) {
+  // Monte Carlo values moved when the estimator switched to exact integer
+  // moments, and tier-0 escalates to Monte Carlo: a Monte Carlo entry
+  // persisted under the untagged key must never be served, and both kinds
+  // carry the current tags.
+  const std::string path = temp_segment_path("mc_tag");
+  std::remove(path.c_str());
+  const Request mc = estimate_request("adder:8", jobs::JobKind::MonteCarlo);
+  std::string fresh;
+  std::string untagged;
+  {
+    Service cold;
+    const std::string tagged = cold.keys(mc).cache_key;
+    ASSERT_TRUE(tagged.ends_with("|mc-v2")) << tagged;
+    const std::string stat =
+        cold.keys(estimate_request("adder:8", jobs::JobKind::Static))
+            .cache_key;
+    EXPECT_TRUE(stat.ends_with("|static-v4")) << stat;
+    untagged = tagged.substr(0, tagged.size() - std::string("|mc-v2").size());
+    fresh = cold.handle_line(mc.serialize());
+    ASSERT_NE(fresh.find("\"ok\":true"), std::string::npos) << fresh;
+  }
+  {
+    // A well-formed response body with the wrong value, as a stale entry.
+    std::string stale = fresh;
+    const std::size_t at = stale.find("\"value\":");
+    ASSERT_NE(at, std::string::npos) << stale;
+    stale.insert(at + 8, "1");
+    CacheSegmentFile seg(path);
+    seg.load([](std::string&&, std::string&&) {});
+    seg.append(untagged, stale);
+  }
+  ServiceOptions opts;
+  opts.cache_path = path;
+  Service warm(opts);
+  EXPECT_EQ(warm.metrics().warm_entries, 1u);
+  EXPECT_EQ(warm.handle_line(mc.serialize()), fresh)
+      << "a Monte Carlo entry persisted under the untagged key must recompute";
+  EXPECT_EQ(warm.metrics().hits, 0u);
+  EXPECT_EQ(warm.metrics().misses, 1u);
+  std::remove(path.c_str());
+}
+
 TEST(ServePersist, TornTailIsTruncatedAndEarlierEntriesSurvive) {
   const std::string path = temp_segment_path("torn");
   std::remove(path.c_str());

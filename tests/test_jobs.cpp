@@ -281,6 +281,52 @@ TEST(Checkpoint, ParseRejectsMalformedText) {
   }
 }
 
+/// An exact-form checkpoint with sums past 2^64, as a long run at a fine
+/// scale leaves them.
+core::MonteCarloCheckpoint exact_checkpoint() {
+  core::MonteCarloCheckpoint c;
+  c.form = core::MonteCarloCheckpoint::Form::Exact;
+  c.scale = 2;
+  c.count = 10000000000u;
+  c.s1 = (stats::u128{1} << 64) + 12345;
+  c.s2 = (c.s1 / c.count + 1) * c.s1;  // n·S2 >= S1²
+  return c;
+}
+
+TEST(Checkpoint, ExactFormRoundTripsBitExact) {
+  const core::MonteCarloCheckpoint c = exact_checkpoint();
+  const std::string text = c.serialize();
+  EXPECT_EQ(text.rfind("exact 2 10000000000 18446744073709563961 ", 0), 0u)
+      << text;
+  core::MonteCarloCheckpoint back;
+  ASSERT_TRUE(core::MonteCarloCheckpoint::parse(text, back));
+  EXPECT_EQ(back, c);
+  EXPECT_EQ(back.serialize(), text);
+  // Through the ledger's checkpoint record as well.
+  LedgerRecord r = sample_record(RecordKind::Checkpoint);
+  r.checkpoint = text;
+  LedgerRecord rback;
+  ASSERT_TRUE(LedgerRecord::parse(r.serialize(), rback));
+  EXPECT_EQ(rback.checkpoint, text);
+}
+
+TEST(Checkpoint, ExactFormRejectsMalformedTextAndImpossibleSums) {
+  core::MonteCarloCheckpoint out;
+  out.count = 7;
+  for (const char* bad :
+       {"exact", "exact 0 1 2", "exact 0 1 2 3 4", "exact x 1 2 4",
+        "exact 0 1 -2 4", "exact 0 1 2 4 ", "exact  0 1 2 4", "exact 0 1 2 x",
+        "exact 0 1 0x2 4", "exact 0 1 2 340282366920938463463374607431768211456",
+        // S1² > n·S2: no stream has these sums.
+        "exact 0 2 10 49",
+        // S1 > n·(2^32 − 1): a quanta at or past 2^32.
+        "exact 0 1 4294967296 18446744073709551616"}) {
+    EXPECT_FALSE(core::MonteCarloCheckpoint::parse(bad, out)) << bad;
+    EXPECT_EQ(out.count, 7u);
+  }
+  EXPECT_TRUE(core::MonteCarloCheckpoint::parse("exact 0 2 10 50", out));
+}
+
 // --- Seeds and backoff ------------------------------------------------------
 
 TEST(JobSeed, DependsOnlyOnId) {
@@ -658,6 +704,44 @@ TEST(Runner, MonteCarloResumesFromCheckpointAcrossAttempts) {
   for (const LedgerRecord& r : jobs::read_ledger(path).records)
     if (r.kind == RecordKind::Checkpoint) ++checkpoints;
   EXPECT_GE(checkpoints, 1u);
+  std::remove(path.c_str());
+}
+
+TEST(Runner, WelfordCheckpointOfAnExactJobRestartsAtPairZero) {
+  // A ledger written before Monte Carlo kept exact moments holds a
+  // "<count> <mean> <m2>" checkpoint. The default loads keep exact moments,
+  // so the resumed job must not mix that state in (nor fast-forward its
+  // generator past it): it restarts and equals a fresh run.
+  const std::string path = tmp_path("welford_ckpt.ledger");
+  const Job j = mc_job("old-ckpt", "adder:8", 0.02);
+  {
+    jobs::LedgerWriter w(path, /*truncate=*/true);
+    ASSERT_TRUE(w.open());
+    LedgerRecord started = sample_record(RecordKind::Started);
+    started.job = j.id;
+    started.attempt = 1;
+    w.append(started);
+    LedgerRecord ck = sample_record(RecordKind::Checkpoint);
+    ck.job = j.id;
+    ck.attempt = 1;
+    ck.checkpoint = "520 55.08846153846152 1234.5678901234567";
+    w.append(ck);
+  }
+  RunnerOptions opts;
+  opts.ledger_path = path;
+  const jobs::CampaignResult cr = Runner(opts).resume({j});
+  ASSERT_EQ(cr.results.size(), 1u);
+  ASSERT_EQ(cr.results[0].status, JobStatus::Completed);
+
+  jobs::KernelRequest rq;
+  rq.kind = JobKind::MonteCarlo;
+  rq.design = j.design;
+  rq.seed = jobs::job_seed(j.id);
+  rq.epsilon = j.epsilon;
+  const jobs::AttemptOutcome fresh = jobs::run_kernel(rq, exec::Budget{});
+  ASSERT_TRUE(fresh.ok);
+  EXPECT_EQ(cr.results[0].value, fresh.out.value);
+  EXPECT_EQ(cr.results[0].detail, fresh.out.detail);  // the same pair count
   std::remove(path.c_str());
 }
 

@@ -625,6 +625,26 @@ TEST(ServeModelLifecycle, HotReloadRaceIsSafeUnderConcurrentPredictions) {
 
 // --- Characterization campaign plumbing -------------------------------------
 
+TEST(ModelCharacterize, WelfordCheckpointRestartsTheBiasedLabel) {
+  // A "<count> <mean> <m2>" checkpoint from before exact moments is not
+  // resumed: the label restarts at pair 0 and equals a fresh one.
+  model::SweepSpec spec;
+  spec.family = "adder";
+  spec.params = {6};
+  spec.input_p = {0.3};
+  const std::vector<jobs::Job> js = model::sweep_jobs(spec);
+  ASSERT_EQ(js.size(), 1u);
+  core::MonteCarloCheckpoint old;
+  ASSERT_TRUE(core::MonteCarloCheckpoint::parse(
+      "520 55.08846153846152 1234.5678901234567", old));
+  const jobs::AttemptOutcome fresh = js[0].custom({}, false, nullptr);
+  const jobs::AttemptOutcome resumed = js[0].custom({}, false, &old);
+  ASSERT_TRUE(fresh.ok);
+  ASSERT_TRUE(resumed.ok);
+  EXPECT_EQ(resumed.out.value, fresh.out.value);
+  EXPECT_EQ(resumed.out.detail, fresh.out.detail);
+}
+
 TEST(ModelCharacterize, GridJobsAreDeterministicAndLedgerResumable) {
   model::SweepSpec spec;
   spec.family = "adder";

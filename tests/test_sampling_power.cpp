@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "core/sampling_power.hpp"
+#include "jobs/kernels.hpp"
 #include "netlist/words.hpp"
 #include "scalar_reference.hpp"
 #include "sim/simulator.hpp"
@@ -198,7 +199,7 @@ TEST(SequentialMonteCarlo, QuotaStopResumesToTheUninterruptedRun) {
   EXPECT_EQ(resumed->pairs, full->pairs);
   EXPECT_EQ(resumed->mean_energy, full->mean_energy);
   EXPECT_EQ(resumed->ci_halfwidth, full->ci_halfwidth);
-  EXPECT_EQ(resumed->checkpoint.m2, full->checkpoint.m2);
+  EXPECT_EQ(resumed->checkpoint, full->checkpoint);
 }
 
 // --- the Rng overload: bulk draws, the same stream ----------------------
@@ -220,13 +221,13 @@ void expect_bulk_matches_per_word(const netlist::Module& mod, int words,
   EXPECT_EQ(b->mean_energy, a->mean_energy);
   EXPECT_EQ(b->ci_halfwidth, a->ci_halfwidth);
   EXPECT_EQ(b->stop_reason, a->stop_reason);
-  EXPECT_EQ(b->checkpoint.m2, a->checkpoint.m2);
+  EXPECT_EQ(b->checkpoint, a->checkpoint);
   EXPECT_EQ(bulk.uniform_bits(64), per_word.uniform_bits(64));
 }
 
 TEST(RngMonteCarlo, BulkDrawMatchesPerWordGenerator) {
   for (const auto& mod : {netlist::multiplier_module(8), registered_adder()}) {
-    for (int words : {0, 1}) {
+    for (int words : {0, 1, 16}) {
       // Converges; runs to max_pairs; stops on a step quota.
       expect_bulk_matches_per_word(mod, words, 0.05, {});
       expect_bulk_matches_per_word(mod, words, 1e-9, {});
@@ -236,19 +237,94 @@ TEST(RngMonteCarlo, BulkDrawMatchesPerWordGenerator) {
   }
 }
 
+TEST(RngMonteCarlo, CampaignJobsMatchThePerVectorReplay) {
+  // The perfbench campaign's Monte Carlo jobs: the kernel's value must equal
+  // the per-vector overload fed by uniform_bits(width) from the job's seed,
+  // which is how the traced benchmark replays them. A change to the draw
+  // stream fails here.
+  for (const char* design :
+       {"mult:8", "random:24:2000:8:3", "random:24:2000:8:1234567"}) {
+    jobs::KernelRequest rq;
+    rq.kind = jobs::JobKind::MonteCarlo;
+    rq.design = design;
+    rq.seed = jobs::job_seed(design);
+    rq.epsilon = 0.005;
+    rq.max_pairs = 200000;
+    const jobs::AttemptOutcome ao = jobs::run_kernel(rq, exec::Budget{});
+    ASSERT_TRUE(ao.ok) << design;
+    const netlist::Module mod = jobs::make_module(design);
+    const int width = mod.total_input_bits();
+    stats::Rng rng(rq.seed);
+    const auto replay = monte_carlo_power_budgeted(
+        mod, [&] { return rng.uniform_bits(width); }, {}, rq.epsilon,
+        rq.confidence, rq.min_pairs, rq.max_pairs);
+    EXPECT_EQ(replay->mean_energy, ao.out.value) << design;
+    EXPECT_TRUE(replay->converged) << design;
+  }
+}
+
+// --- checkpoints of another form restart the run ------------------------
+
+TEST(MonteCarloResume, ForeignCheckpointRestartsAtPairZero) {
+  const auto mod = netlist::adder_module(8);
+  const int n_in = mod.total_input_bits();
+  auto run = [&](const MonteCarloCheckpoint& resume) {
+    stats::Rng rng(3);
+    return monte_carlo_power_budgeted(
+        mod, [&] { return rng.uniform_bits(n_in); }, {}, 0.02, 0.95, 30,
+        20000, {}, {}, resume);
+  };
+  const auto fresh = run({});
+  ASSERT_EQ(fresh->checkpoint.form, MonteCarloCheckpoint::Form::Exact);
+  EXPECT_TRUE(monte_carlo_resumes(mod, fresh->checkpoint));
+
+  MonteCarloCheckpoint welford;
+  welford.count = 520;
+  welford.mean = 55.08846153846152;
+  welford.m2 = 1234.5678901234567;
+  MonteCarloCheckpoint other_scale = fresh->checkpoint;
+  other_scale.scale += 1;
+  MonteCarloCheckpoint impossible = fresh->checkpoint;
+  impossible.s1 = impossible.s2 + 1;
+  for (const MonteCarloCheckpoint& c : {welford, other_scale, impossible}) {
+    EXPECT_FALSE(monte_carlo_resumes(mod, c)) << c.serialize();
+    const auto r = run(c);
+    EXPECT_EQ(r->pairs, fresh->pairs) << c.serialize();
+    EXPECT_EQ(r->mean_energy, fresh->mean_energy) << c.serialize();
+    EXPECT_EQ(r->checkpoint, fresh->checkpoint) << c.serialize();
+  }
+
+  // A non-dyadic load model keeps Welford's moments: there the Welford form
+  // resumes and the exact one does not.
+  netlist::CapacitanceModel cap;
+  cap.wire_cap_per_fanout = 0.1;
+  EXPECT_TRUE(monte_carlo_resumes(mod, welford, cap));
+  EXPECT_FALSE(monte_carlo_resumes(mod, fresh->checkpoint, cap));
+
+  // The sharded estimator restarts the same way.
+  ShardedMcOptions so;
+  so.total_pairs = 2048;
+  so.chunk_pairs = 256;
+  so.epsilon = 0.0;
+  const auto sharded = monte_carlo_power_sharded(mod, 9, so);
+  const auto sharded_w = monte_carlo_power_sharded(mod, 9, so, {}, {}, welford);
+  EXPECT_EQ(sharded_w->pairs, sharded->pairs);
+  EXPECT_EQ(sharded_w->checkpoint, sharded->checkpoint);
+}
+
 TEST(SequentialMonteCarlo, ShardedThreadCountsBitIdentical) {
   const auto mod = registered_adder();
   const auto ref = scalar_ref::sharded_monte_carlo(mod, 19, 1000, 128);
-  ASSERT_EQ(ref.count(), 1000u);
+  ASSERT_EQ(ref.pairs, 1000u);
   ShardedMcOptions opts;
   opts.total_pairs = 1000;
   opts.chunk_pairs = 128;
   for (int threads : {1, 4}) {
     opts.threads = threads;
     const auto r = monte_carlo_power_sharded(mod, 19, opts);
-    EXPECT_EQ(r->pairs, ref.count()) << "threads " << threads;
-    EXPECT_EQ(r->mean_energy, ref.mean()) << "threads " << threads;
-    EXPECT_EQ(r->checkpoint.m2, ref.m2()) << "threads " << threads;
+    EXPECT_EQ(r->pairs, ref.pairs) << "threads " << threads;
+    EXPECT_EQ(r->mean_energy, ref.mean_energy) << "threads " << threads;
+    EXPECT_EQ(r->checkpoint, ref.checkpoint) << "threads " << threads;
   }
 }
 

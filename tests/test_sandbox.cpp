@@ -105,6 +105,28 @@ TEST(Sandbox, FrameCodecRoundTripsEveryField) {
   EXPECT_EQ(sandbox::encode_outcome(back, caught, caught_detail), payload);
 }
 
+TEST(Sandbox, FrameCodecCarriesExactCheckpoints) {
+  jobs::AttemptOutcome out;
+  out.ok = false;
+  out.stop = exec::StopReason::StepQuota;
+  out.out.has_checkpoint = true;
+  out.out.checkpoint.form = core::MonteCarloCheckpoint::Form::Exact;
+  out.out.checkpoint.scale = 2;
+  out.out.checkpoint.count = 4096;
+  out.out.checkpoint.s1 = stats::u128{4096} * 1000003;
+  out.out.checkpoint.s2 = (stats::u128{1} << 100) + 7;
+  const std::string payload =
+      sandbox::encode_outcome(out, jobs::ErrorClass::None, "");
+  jobs::AttemptOutcome back;
+  jobs::ErrorClass caught = jobs::ErrorClass::Internal;
+  std::string caught_detail;
+  ASSERT_TRUE(sandbox::decode_outcome(payload, back, caught, caught_detail))
+      << payload;
+  ASSERT_TRUE(back.out.has_checkpoint);
+  EXPECT_EQ(back.out.checkpoint, out.out.checkpoint);
+  EXPECT_EQ(sandbox::encode_outcome(back, caught, caught_detail), payload);
+}
+
 TEST(Sandbox, FrameCodecIsClosedAndStrict) {
   jobs::AttemptOutcome out;
   jobs::ErrorClass caught;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -7,6 +8,7 @@
 #include "core/sampling_power.hpp"
 #include "netlist/generators.hpp"
 #include "scalar_reference.hpp"
+#include "sim/block_kernels.hpp"
 #include "sim/simulator.hpp"
 #include "sim/streams.hpp"
 #include "stats/rng.hpp"
@@ -38,6 +40,40 @@ TEST(Transpose64, IsAnInvolutionOnRandomMatrices) {
       EXPECT_EQ((m[c] >> r) & 1u, (orig[r] >> c) & 1u);
   sim::transpose64(m);
   for (int i = 0; i < 64; ++i) EXPECT_EQ(m[i], orig[i]);
+}
+
+// --- the dispatched transpose: every level moves the same bits -----------
+
+TEST(Transpose, EveryDispatchLevelMatchesThePortableKernel) {
+  struct Guard {
+    ~Guard() { sim::set_dispatch_cap(sim::SimDispatch::Avx512); }
+  } guard;
+  stats::Rng rng(41);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::uint64_t orig[64];
+    // Dense, sparse and structured rows.
+    for (auto& w : orig)
+      w = trial % 3 == 0   ? rng.uniform_bits(64)
+          : trial % 3 == 1 ? rng.uniform_bits(64) & rng.uniform_bits(64) &
+                                 rng.uniform_bits(64)
+                           : std::uint64_t{1} << rng.uniform_bits(6);
+    for (auto cap : {sim::SimDispatch::Avx512, sim::SimDispatch::Avx2,
+                     sim::SimDispatch::Portable}) {
+      sim::set_dispatch_cap(cap);
+      const auto kc = sim::detail::select_kernels(8);
+      std::uint64_t m[64];
+      std::copy(orig, orig + 64, m);
+      kc.kernels.transpose(m);
+      for (int r = 0; r < 64; ++r)
+        for (int c = 0; c < 64; ++c)
+          ASSERT_EQ((m[c] >> r) & 1u, (orig[r] >> c) & 1u)
+              << sim::to_string(kc.dispatch) << " (" << r << ", " << c << ")";
+      std::uint64_t p[64];
+      std::copy(orig, orig + 64, p);
+      sim::transpose64(p);
+      ASSERT_TRUE(std::equal(m, m + 64, p)) << sim::to_string(kc.dispatch);
+    }
+  }
 }
 
 // --- backend selection ---------------------------------------------------

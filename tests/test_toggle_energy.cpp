@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -47,12 +48,79 @@ TEST(ToggleEnergy, DyadicCheckAcceptsOnlyExactlySummableLoads) {
   EXPECT_FALSE(exact({std::numeric_limits<double>::denorm_min(), 1.0}));
 }
 
+/// The class layout by its definition: the nonzero-load gates stably
+/// sorted by load, one class per run of equal loads, and readout groups
+/// packed greedily up to 64 planes.
+void expect_layout_by_definition(const std::vector<double>& loads) {
+  const sim::LoadClasses lc(loads);
+  ASSERT_TRUE(lc.exact());
+  std::vector<netlist::GateId> gates;
+  for (std::size_t g = 0; g < loads.size(); ++g)
+    if (loads[g] != 0.0) gates.push_back(static_cast<netlist::GateId>(g));
+  std::stable_sort(gates.begin(), gates.end(),
+                   [&](netlist::GateId a, netlist::GateId b) {
+                     return loads[a] < loads[b];
+                   });
+  std::vector<sim::detail::ToggleClass> classes;
+  std::vector<std::uint32_t> groups;
+  std::uint32_t planes = 0, group_planes = 64;
+  for (std::size_t i = 0; i < gates.size();) {
+    std::size_t j = i + 1;
+    while (j < gates.size() && loads[gates[j]] == loads[gates[i]]) ++j;
+    const auto width = static_cast<std::uint32_t>(std::bit_width(j - i));
+    if (group_planes + width > 64) {
+      groups.push_back(static_cast<std::uint32_t>(classes.size()));
+      group_planes = 0;
+    }
+    group_planes += width;
+    classes.push_back({static_cast<std::uint32_t>(i),
+                       static_cast<std::uint32_t>(j), planes, width});
+    planes += width;
+    i = j;
+  }
+  groups.push_back(static_cast<std::uint32_t>(classes.size()));
+
+  EXPECT_TRUE(std::ranges::equal(lc.gates(), gates));
+  ASSERT_EQ(lc.classes().size(), classes.size());
+  for (std::size_t c = 0; c < classes.size(); ++c) {
+    EXPECT_EQ(lc.classes()[c].gate_begin, classes[c].gate_begin) << c;
+    EXPECT_EQ(lc.classes()[c].gate_end, classes[c].gate_end) << c;
+    EXPECT_EQ(lc.classes()[c].plane, classes[c].plane) << c;
+    EXPECT_EQ(lc.classes()[c].planes, classes[c].planes) << c;
+  }
+  EXPECT_TRUE(std::ranges::equal(lc.groups(), groups));
+  EXPECT_EQ(lc.class_count(), classes.size());
+  EXPECT_EQ(lc.plane_count(), planes);
+}
+
 TEST(ToggleEnergy, ClassesGroupEqualNonzeroLoads) {
   const std::vector<double> loads{0.5, 1.75, 0.5, 0.0, 1.75, 1.75, 9.0};
   sim::LoadClasses lc(loads);
   ASSERT_TRUE(lc.exact());
   EXPECT_EQ(lc.class_count(), 3u);  // 0.5 x2, 1.75 x3, 9.0 x1; 0 joins none
   EXPECT_EQ(lc.plane_count(), 2u + 2u + 1u);
+  expect_layout_by_definition(loads);
+
+  // Random designs, as built and with per-gate extra loads (multiples of
+  // 1/8, some negative and some cancelling the gate's load to zero), so
+  // there are hundreds of classes over several readout groups.
+  for (std::uint64_t seed : {1u, 8u, 77u}) {
+    auto mod = netlist::random_logic_module(24, 2000, 8, seed);
+    expect_layout_by_definition(mod.netlist.loads());
+    stats::Rng rng(seed);
+    const auto base = mod.netlist.loads();
+    for (netlist::GateId g = 0; g < mod.netlist.gate_count(); ++g) {
+      const auto pick = rng.uniform_bits(8);
+      const double extra = pick < 16    ? -base[g]
+                           : pick < 32 ? -0.125 * static_cast<double>(pick)
+                                       : 0.125 * static_cast<double>(pick);
+      mod.netlist.add_extra_cap(g, extra);
+    }
+    const auto loads_x = mod.netlist.loads();
+    ASSERT_GT(std::count(loads_x.begin(), loads_x.end(), 0.0), 0);
+    ASSERT_GT(sim::LoadClasses(loads_x).groups().size(), 3u);
+    expect_layout_by_definition(loads_x);
+  }
 }
 
 // --- counter == ascending-order scatter, bit for bit ----------------------
@@ -175,6 +243,70 @@ TEST(ToggleEnergy, DispatchLevelsAgree) {
     sim::ToggleEnergy(lc, W).energies(toggles, count, portable.data());
     EXPECT_EQ(best, portable) << "W=" << W;
   }
+}
+
+TEST(ToggleEnergy, QuantaAgreeAcrossDispatchLevels) {
+  // Integer quanta at every level, for the default loads, for signed loads
+  // (two's-complement multipliers) and for multipliers of 2^32 and more
+  // (the readout's upper-half product); q·2^-scale is the scatter's energy.
+  DispatchGuard guard;
+  auto mod = netlist::multiplier_module(16);
+  const auto base = mod.netlist.loads();
+  std::vector<double> signed_loads = base, wide_loads = base;
+  for (std::size_t g = 0; g < base.size(); ++g) {
+    if (g % 3 == 0) signed_loads[g] = -signed_loads[g];
+    if (g % 5 == 0) wide_loads[g] = std::ldexp(1.0, 33) + 0.25;
+  }
+  for (const auto& loads : {base, signed_loads, wide_loads}) {
+    const sim::LoadClasses lc(loads);
+    ASSERT_TRUE(lc.exact());
+    for (int W : {4, 8, 16}) {
+      const auto toggles = pair_toggles(mod, W, 7);
+      const auto count = static_cast<std::size_t>(64 * W) - 5;
+      const auto ref = scatter(loads, toggles, static_cast<std::size_t>(W),
+                               count);
+      std::vector<std::vector<std::uint64_t>> per_level;
+      for (auto cap : {sim::SimDispatch::Avx512, sim::SimDispatch::Avx2,
+                       sim::SimDispatch::Portable}) {
+        sim::set_dispatch_cap(cap);
+        sim::ToggleEnergy energy(lc, W);
+        std::vector<std::uint64_t> q(static_cast<std::size_t>(64 * W));
+        energy.count(toggles);
+        energy.quanta(count, q.data());
+        q.resize(count);
+        for (std::size_t k = 0; k < count; ++k)
+          ASSERT_EQ(std::ldexp(static_cast<double>(
+                                   static_cast<std::int64_t>(q[k])),
+                               -lc.scale()),
+                    ref[k])
+              << "W=" << W << " lane " << k;
+        per_level.push_back(std::move(q));
+      }
+      EXPECT_EQ(per_level[0], per_level[1]) << "W=" << W;
+      EXPECT_EQ(per_level[0], per_level[2]) << "W=" << W;
+    }
+  }
+}
+
+TEST(ToggleEnergy, NarrowNeedsNonnegativeLoadsBelowTwoToThe32Units) {
+  EXPECT_TRUE(sim::LoadClasses(std::vector<double>{0.25, 1.5, 0.0}).narrow());
+  EXPECT_EQ(sim::LoadClasses(std::vector<double>{0.25, 1.5}).scale(), 2);
+  EXPECT_EQ(sim::LoadClasses(std::vector<double>{4.0, 8.0}).scale(), -2);
+  EXPECT_FALSE(sim::LoadClasses(std::vector<double>{-0.25, 1.5}).narrow());
+  // Σm = 2^32 - 1 units passes; 2^32 + 1 does not.
+  EXPECT_TRUE(sim::LoadClasses(std::vector<double>{std::ldexp(1.0, 31),
+                                                   std::ldexp(1.0, 31) - 1})
+                  .narrow());
+  EXPECT_FALSE(
+      sim::LoadClasses(std::vector<double>{std::ldexp(1.0, 31),
+                                           std::ldexp(1.0, 31), 1.0})
+          .narrow());
+  // The unit is the finest place any load uses: two loads of 2^31 are two
+  // units of 2^31.
+  EXPECT_TRUE(sim::LoadClasses(std::vector<double>{std::ldexp(1.0, 31),
+                                                   std::ldexp(1.0, 31)})
+                  .narrow());
+  EXPECT_FALSE(sim::LoadClasses(std::vector<double>{0.1, 0.2}).narrow());
 }
 
 // --- end to end: a non-dyadic cap model keeps packed == scalar ------------
